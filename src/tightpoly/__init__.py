@@ -5,6 +5,7 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     DiamondViolation,
+    InvariantViolation,
     NotAdmissible,
     NotComparable,
     PreconditionViolated,

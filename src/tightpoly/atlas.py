@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,6 +22,11 @@ from .words import is_admissible
 ATLAS_SCHEMA_VERSION = 1
 
 FAMILIES = ("gamma", "lambda", "census")
+
+# The process umask, read once at import: mkstemp creates files private to
+# the owner, and the atlas keeps the permissions a plain open() would give.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 @dataclass(frozen=True)
@@ -189,10 +195,16 @@ def admissible_tuples(max_flags: int, max_rank: int) -> list[tuple[int, ...]]:
 
 
 def write_jsonl_atomic(path: str, lines: Sequence[str]) -> None:
-    """Write via a temp file and rename; partial output never survives."""
-    tmp = path + ".tmp"
+    """Write via a temp file and rename; partial output never survives.
+
+    The temp file has a unique name in the target directory, so concurrent
+    writers never share one and no file but `path` is ever replaced.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, path)

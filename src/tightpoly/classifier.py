@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine, sggi
-from .errors import AdjacentOddPair, CapExceeded
+from .errors import AdjacentOddPair, CapExceeded, InvariantViolation
 from .poset import NotEquivelar, build_poset
 from .toddcox import CosetTable, PermRep, group_order, perm_rep
 from .words import (
@@ -54,7 +54,8 @@ def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ..
                 label[y] = next_label
                 next_label += 1
                 order.append(y)
-    assert next_label == n, "table is not transitive"
+    if next_label != n:
+        raise InvariantViolation("table is not transitive")
     out: list[tuple[int, ...]] = [()] * n
     for x in range(n):
         out[label[x]] = tuple(label[v] for v in rows[x])
@@ -366,7 +367,6 @@ def _census(
     orientable: bool | None,
     index_cap: int | None,
     max_cosets: int | None,
-    cap: int | None,
 ) -> list[CensusRecord]:
     if p < 2 or q < 2:
         raise ValueError(f"need p, q >= 2, got ({p}, {q})")
@@ -384,11 +384,9 @@ def _census(
     records = []
     for table in tables:
         rep = perm_rep(table)
-        if not sggi.check_sggi(rep):
-            continue
         if sggi.schlafli_of_group(rep) != (p, q):
             continue
-        prof = sggi.profile(rep, cap)
+        prof = sggi.profile(rep)
         if not prof.is_string_c_group:
             continue
         poset = build_poset(rep)
@@ -431,7 +429,6 @@ def classify_tight(
     require_orientable: bool,
     index_cap: int | None = None,
     max_cosets: int | None = None,
-    cap: int | None = None,
 ) -> list[CensusRecord]:
     """Exhaustive census of tight regular polyhedra of one type.
 
@@ -440,9 +437,7 @@ def classify_tight(
     type {p, q} whose poset is a verified tight polytope; optionally only
     the orientable ones.
     """
-    return _census(
-        p, q, True if require_orientable else None, index_cap, max_cosets, cap
-    )
+    return _census(p, q, True if require_orientable else None, index_cap, max_cosets)
 
 
 def census_nonorientable(
@@ -450,7 +445,6 @@ def census_nonorientable(
     q: int,
     index_cap: int | None = None,
     max_cosets: int | None = None,
-    cap: int | None = None,
 ) -> list[CensusRecord]:
     """Tight census restricted to non-orientable quotients."""
-    return _census(p, q, False, index_cap, max_cosets, cap)
+    return _census(p, q, False, index_cap, max_cosets)

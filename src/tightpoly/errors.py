@@ -55,6 +55,10 @@ class NotComparable(TightpolyError):
     """Section endpoints are not incident."""
 
 
+class InvariantViolation(TightpolyError):
+    """A structural invariant that holds by construction failed; internal bug."""
+
+
 class RouteDisagreement(TightpolyError):
     """The two independent tightness routes disagree; internal bug."""
 

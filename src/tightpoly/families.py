@@ -45,7 +45,7 @@ class FamilyVerdict:
         return all(self.claims.values())
 
 
-def _poset_checks(rep: PermRep, cap: int | None):
+def _poset_checks(rep: PermRep):
     poset = build_poset(rep)
     report = poset.verify_polytope()
     if not report.passed:
@@ -57,11 +57,7 @@ def _poset_checks(rep: PermRep, cap: int | None):
     return poset, report, flag_count, combinatorial, tight
 
 
-def verify_gamma_family(
-    sym: Sequence[int],
-    max_cosets: int | None = None,
-    cap: int | None = None,
-) -> FamilyVerdict:
+def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
     polytope axioms."""
@@ -75,8 +71,8 @@ def verify_gamma_family(
         )
     pres = gamma_tuple_presentation(entries)
     rep = regular_rep(pres, max_cosets)
-    prof = sggi.profile(rep, cap)
-    poset, report, flag_count, combinatorial, tight = _poset_checks(rep, cap)
+    prof = sggi.profile(rep)
+    poset, report, flag_count, combinatorial, tight = _poset_checks(rep)
     expected = 2 * prod(entries)
     claims = {
         "order": prof.group_order == expected,
@@ -145,8 +141,8 @@ def verify_lambda_family(
     pres = lambda_k_presentation(k)
     entries = (3 * k, 4)
     rep = regular_rep(pres, max_cosets)
-    prof = sggi.profile(rep, cap)
-    poset, report, flag_count, combinatorial, tight = _poset_checks(rep, cap)
+    prof = sggi.profile(rep)
+    poset, report, flag_count, combinatorial, tight = _poset_checks(rep)
     klein, dihedral = _klein_four_checks(rep, k, cap)
     expected = 24 * k
     claims = {

@@ -16,7 +16,13 @@ from math import prod
 from typing import Iterator
 
 from . import engine
-from .errors import DiamondViolation, NotComparable, RouteDisagreement
+from .errors import (
+    DiamondViolation,
+    InvariantViolation,
+    NotComparable,
+    PreconditionViolated,
+    RouteDisagreement,
+)
 from .toddcox import PermRep
 
 POSET_SCHEMA_VERSION = 1
@@ -355,7 +361,11 @@ class FacePoset:
                     mid = self._between_mask(lo, hi)
                     vertices = (mid & self._rank_mask(i - 1)).bit_count()
                     edges = (mid & self._rank_mask(i)).bit_count()
-                    assert vertices == edges, "rank-2 section is not a polygon"
+                    if vertices != edges:
+                        raise PreconditionViolated(
+                            f"rank-2 section at slot {i} is not a polygon; "
+                            "the polytope axioms do not hold"
+                        )
                     if size is None:
                         size = vertices
                     elif size != vertices:
@@ -420,7 +430,7 @@ def build_poset(rep: PermRep) -> FacePoset:
     Points are in bijection with group elements, so the rank-i faces (the
     cosets of the subgroup omitting generator i) are exactly the orbits of
     the points under left multiplication by that subgroup. Face counts are
-    asserted against the subgroup orders.
+    checked against the subgroup orders.
     """
     n = len(rep.gens)
     lams = engine.left_action(rep)
@@ -447,8 +457,7 @@ def build_poset(rep: PermRep) -> FacePoset:
                         frontier.append(y)
             blocks.append(frozenset(orbit))
         sizes = {len(b) for b in blocks}
-        assert len(sizes) == 1 and len(blocks) * sizes.pop() == rep.degree, (
-            "coset partition size mismatch"
-        )
+        if len(sizes) != 1 or len(blocks) * sizes.pop() != rep.degree:
+            raise InvariantViolation(f"coset partition size mismatch at rank {i}")
         levels.append(blocks)
     return FacePoset(n, levels)

@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Literal
 
 from . import engine
+from .errors import InvariantViolation
 from .toddcox import PermRep
 
 Subset = tuple[int, ...]
@@ -75,9 +76,7 @@ def _subsets(n: int) -> list[Subset]:
     ]
 
 
-def check_intersection_condition(
-    rep: PermRep, cap: int | None = None
-) -> tuple[bool, tuple[Subset, Subset] | None]:
+def check_intersection_condition(rep: PermRep) -> tuple[bool, tuple[Subset, Subset] | None]:
     """Subgroup intersections must match closures of index intersections.
 
     Checked over every pair of subsets on exact point-set encodings of the
@@ -98,9 +97,7 @@ def check_intersection_condition(
 Side = Literal["facet", "vertexfigure"]
 
 
-def quotient_criterion(
-    rep: PermRep, quotient_rep: PermRep, side: Side, cap: int | None = None
-) -> bool:
+def quotient_criterion(rep: PermRep, quotient_rep: PermRep, side: Side) -> bool:
     """Is the generator-preserving map onto a known string C-group injective
     on the facet (or vertex-figure) subgroup?
 
@@ -133,7 +130,9 @@ def rotation_subgroup(rep: PermRep, cap: int | None = None) -> frozenset:
     return engine.closure_perms(rep.degree, pairs, cap)
 
 
-def _rotation_points(rep: PermRep) -> frozenset[int]:
+def _rotation_index(rep: PermRep) -> int:
+    """Index of the rotation subgroup (all products of two generators) in a
+    regular representation: 1 or 2, as the group is generated by involutions."""
     n = len(rep.gens)
     gens = rep.gens
     pairs = [
@@ -143,21 +142,23 @@ def _rotation_points(rep: PermRep) -> frozenset[int]:
         if i != j
     ]
     pair_rep = PermRep(degree=rep.degree, gens=tuple(pairs))
-    return engine.point_orbit(pair_rep, range(len(pairs)))
+    rotations = len(engine.point_orbit(pair_rep, range(len(pairs))))
+    index, rem = divmod(rep.degree, rotations)
+    if rem or index not in (1, 2):
+        raise InvariantViolation(f"rotation subgroup index {rep.degree}/{rotations}")
+    return index
 
 
 def orientability(rep: PermRep) -> Orientability:
-    rot = _rotation_points(rep)
-    index, rem = divmod(rep.degree, len(rot))
-    assert rem == 0 and index in (1, 2), f"rotation subgroup index {rep.degree}/{len(rot)}"
+    index = _rotation_index(rep)
     return Orientability.ORIENTABLE if index == 2 else Orientability.NON_ORIENTABLE
 
 
-def profile(rep: PermRep, cap: int | None = None) -> SggiProfile:
+def profile(rep: PermRep) -> SggiProfile:
     """Full verdict bundle for a regular representation."""
-    rot_index = rep.degree // len(_rotation_points(rep))
+    rot_index = _rotation_index(rep)
     sggi_ok = check_sggi(rep)
-    c_group, witness = check_intersection_condition(rep, cap)
+    c_group, witness = check_intersection_condition(rep)
     return SggiProfile(
         rank=len(rep.gens),
         group_order=rep.degree,

@@ -1,11 +1,14 @@
 """Coset enumeration for presentations with involutory generators.
 
-HLT-style relator scanning with immediate deductions; coincidences are
-processed to completion through a union-find before any further scanning.
-The run is fully deterministic: cosets are processed in increasing order,
-relators in presentation order, and new cosets are defined at the first
-missing entry of the current scan, so two runs on the same presentation
-produce identical tables.
+One HLT pass over a flat table `table[c * ngens + g]`, with immediate
+deductions; coincidences are processed to completion through a union-find
+before any further scanning. The run is fully deterministic: cosets are
+processed in increasing order, relators in presentation order, and new
+cosets are defined at the first missing entry of the current scan, so two
+runs on the same presentation produce identical tables. No closing sweep
+follows the pass (`_hlt` says why none is needed); instead each closed
+table is certified once, by `_certify`, which raises RelatorViolation and
+so also holds under `python -O`.
 """
 
 from __future__ import annotations
@@ -82,168 +85,173 @@ def _require_involutions(pres: Presentation) -> None:
         )
 
 
-class _Enumerator:
-    def __init__(self, pres: Presentation, subgroup_gens: frozenset[int], budget: int):
-        self.ngens = pres.ngens
-        self.rels = pres.relators
-        self.budget = budget
-        self.table: list[list[int]] = []
-        self.parent: list[int] = []
-        self.changed = False
-        self._new_coset()
-        for g in sorted(subgroup_gens):
-            self._set(0, g, 0)
+def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tuple[list[int], list[int]]:
+    """One HLT pass to completion over the flat table `table[c * ngens + g]`.
 
-    def _new_coset(self) -> int:
-        if len(self.table) >= self.budget:
-            raise BudgetExceeded(self.budget)
-        c = len(self.table)
-        self.table.append([UNDEF] * self.ngens)
-        self.parent.append(c)
-        return c
+    Returns the table and the union-find parents; the live cosets are the
+    roots. Raises BudgetExceeded when a definition would allocate coset
+    number `budget`.
 
-    def find(self, c: int) -> int:
-        parent = self.parent
+    No closing sweep follows the pass. Cosets are processed in increasing
+    order until every allocated coset has been processed, and a coset that
+    is live at the end was live throughout, so it traced every relator
+    closed from itself when its turn came (a coset killed mid-scan merged
+    into a smaller coset, whose root was processed in full before it). A
+    cycle closed at scan time stays closed under later coincidences:
+    `unify` only identifies cosets and carries every defined entry of the
+    dead row into the live one, so the roots of the cycle's cosets still
+    form a closed cycle. Hence every relator closes from every live coset,
+    and each live row is complete because the involution relator of every
+    generator was traced from it.
+    """
+    n = pres.ngens
+    table = [UNDEF] * n
+    parent = [0]
+    blank = [UNDEF] * n
+    for g in subgroup_gens:
+        table[g] = 0
+    # An involution relator x_g x_g is kept at its place in relator order as
+    # the generator g: scanning it only ever fills an undefined row entry.
+    plan = [w[0] if len(w) == 2 and w[0] == w[1] else w for w in pres.relators]
+
+    def find(c: int) -> int:
         while parent[c] != c:
             parent[c] = parent[parent[c]]
             c = parent[c]
         return c
 
-    def _unify(self, a: int, b: int) -> None:
+    def define(a: int, g: int) -> int:
+        # A new coset d = a * x_g, with the involutory reverse edge.
+        d = len(parent)
+        if d >= budget:
+            raise BudgetExceeded(budget)
+        parent.append(d)
+        table.extend(blank)
+        table[a * n + g] = d
+        table[d * n + g] = a
+        return d
+
+    def unify(a: int, b: int) -> None:
+        # Process the coincidence a = b to completion; the smaller coset
+        # survives, so live cosets below `current` stay processed.
         queue = [(a, b)]
-        table = self.table
         while queue:
             a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
-            self.parent[b] = a
-            self.changed = True
-            row_b = table[b]
-            row_a = table[a]
-            for g in range(self.ngens):
-                nb = row_b[g]
+            parent[b] = a
+            ra, rb = a * n, b * n
+            for g in range(n):
+                nb = table[rb + g]
                 if nb == UNDEF:
                     continue
-                nb = self.find(nb)
-                na = row_a[g]
+                nb = find(nb)
+                na = table[ra + g]
                 if na == UNDEF:
-                    row_a[g] = nb
-                    back = table[nb][g]
+                    table[ra + g] = nb
+                    back = table[nb * n + g]
                     if back == UNDEF:
-                        table[nb][g] = a
+                        table[nb * n + g] = a
                     else:
                         queue.append((back, a))
                 else:
                     queue.append((na, nb))
 
-    def _set(self, a: int, g: int, b: int) -> None:
-        # Record a*x_g = b together with the involutory reverse edge.
-        a, b = self.find(a), self.find(b)
-        ea = self.table[a][g]
-        if ea != UNDEF:
-            if self.find(ea) != b:
-                self._unify(ea, b)
-            return
-        self.table[a][g] = b
-        self.changed = True
-        eb = self.table[b][g]
-        if eb == UNDEF:
-            self.table[b][g] = a
-        elif self.find(eb) != a:
-            self._unify(eb, a)
-
-    def scan(self, c: int, w: Word) -> None:
-        """Trace relator w from coset c, defining cosets to close the scan."""
-        table = self.table
-        find = self.find
-        while True:
-            f = find(c)
-            b = f
-            i, j = 0, len(w) - 1
+    current = 0
+    while current < len(parent):
+        c = current
+        current += 1
+        if parent[c] != c:
+            continue
+        for w in plan:
+            if isinstance(w, int):
+                if table[c * n + w] == UNDEF:
+                    define(c, w)
+                continue
+            # Scan w from c: forward from the front, backward from the back.
+            last = len(w) - 1
+            f, i = c, 0
+            b, j = c, last
             while True:
-                while i <= j:
-                    nxt = table[f][w[i]]
+                while i <= last:
+                    nxt = table[f * n + w[i]]
                     if nxt == UNDEF:
                         break
-                    f = find(nxt)
+                    f = nxt if parent[nxt] == nxt else find(nxt)
                     i += 1
+                if i > last:
+                    if f != c:
+                        unify(f, c)
+                    break
                 if i > j:
-                    if f != b:
-                        self._unify(f, b)
-                    return
+                    b, j = c, last
                 while j >= i:
-                    nxt = table[b][w[j]]
+                    nxt = table[b * n + w[j]]
                     if nxt == UNDEF:
                         break
-                    b = find(nxt)
+                    b = nxt if parent[nxt] == nxt else find(nxt)
                     j -= 1
                 if j < i:
                     if f != b:
-                        self._unify(f, b)
-                    return
+                        unify(f, b)
+                    break
+                g = w[i]
                 if i == j:
-                    self._set(f, w[i], b)
-                    return
-                # Gap of two or more: define at the first missing entry and
-                # restart the scan (entries may have merged meanwhile).
-                self._set(f, w[i], self._new_coset())
+                    # One gap: deduce f * x_g = b and its involutory reverse.
+                    table[f * n + g] = b
+                    table[b * n + g] = f
+                    break
+                # Gap of two or more: define a new coset at the first gap.
+                d = define(f, g)
+                # Restarting the scan from c now would retrace the same
+                # cosets, as only entries were added. So the forward trace
+                # resumes at d, bounded like a restart by the end of w, and
+                # only if it runs past the backward position does the
+                # backward trace start again from c.
+                f, i = d, i + 1
+            if parent[c] != c:
                 break
-
-    def run(self) -> None:
-        current = 0
-        while True:
-            while current < len(self.table):
-                c = current
-                current += 1
-                if self.find(c) != c:
-                    continue
-                for w in self.rels:
-                    self.scan(c, w)
-                    if self.find(c) != c:
-                        break
-            # Closing sweep: coincidences can add entries to rows processed
-            # earlier, so rescan everything until a clean pass.
-            self.changed = False
-            for c in range(len(self.table)):
-                if self.find(c) != c:
-                    continue
-                for w in self.rels:
-                    self.scan(c, w)
-                    if self.find(c) != c:
-                        break
-            if not self.changed and current >= len(self.table):
-                return
-
-    def compact(self) -> tuple[tuple[int, ...], ...]:
-        live = [c for c in range(len(self.table)) if self.find(c) == c]
-        index = {c: i for i, c in enumerate(live)}
-        rows = []
-        for c in live:
-            row = self.table[c]
-            assert UNDEF not in row, "closed table has undefined entries"
-            rows.append(tuple(index[self.find(v)] for v in row))
-        return tuple(rows)
+    return table, parent
 
 
-def _check_closed(table: tuple[tuple[int, ...], ...], pres: Presentation) -> bool:
-    n = len(table)
-    for g in range(pres.ngens):
-        col = [row[g] for row in table]
-        if sorted(col) != list(range(n)):
-            return False
-        if any(table[col[c]][g] != c for c in range(n)):
-            return False
+def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentation) -> None:
+    """The closed-table certificate: every generator column is an involutive
+    permutation of 0..degree-1, and every other relator closes from every
+    coset. Raises RelatorViolation otherwise."""
+    points = list(range(degree))
+    for g, col in enumerate(columns):
+        if sorted(col) != points or list(map(col.__getitem__, col)) != points:
+            raise RelatorViolation(f"column {g} is not an involutive permutation")
     for w in pres.relators:
-        for c in range(n):
-            x = c
-            for letter in w:
-                x = table[x][letter]
-            if x != c:
-                return False
-    return True
+        if len(w) == 2 and w[0] == w[1]:
+            continue  # certified by the column check
+        # w = u^k acts as the k-th power of u's permutation: trace u from
+        # every coset at once, then raise to the k-th power by squaring.
+        u, k = _period(w)
+        step = points
+        for letter in u:
+            step = list(map(columns[letter].__getitem__, step))
+        images = points
+        while k:
+            if k & 1:
+                images = list(map(step.__getitem__, images))
+            k >>= 1
+            if k:
+                step = list(map(step.__getitem__, step))
+        if images != points:
+            c = next(c for c in points if images[c] != c)
+            raise RelatorViolation(f"relator {w} does not close at coset {c}")
+
+
+def _period(w: Word) -> tuple[Word, int]:
+    """The shortest u and the k with w == u * k."""
+    for size in range(1, len(w)):
+        if len(w) % size == 0 and w[:size] * (len(w) // size) == w:
+            return w[:size], len(w) // size
+    return w, 1
 
 
 def enumerate_cosets(
@@ -254,7 +262,8 @@ def enumerate_cosets(
     """Enumerate the cosets of the subgroup generated by a set of generators.
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
-    allocated cosets; a partial table is never returned.
+    allocated cosets; a partial table is never returned. The returned table
+    has passed `_certify`.
     """
     _require_involutions(pres)
     budget = default_max_cosets() if max_cosets is None else max_cosets
@@ -264,30 +273,32 @@ def enumerate_cosets(
     for g in gens:
         if not 0 <= g < pres.ngens:
             raise ValueError(f"subgroup generator {g} out of range")
-    enum = _Enumerator(pres, gens, budget)
-    enum.run()
-    table = enum.compact()
-    assert _check_closed(table, pres), "enumeration produced an inconsistent table"
-    return CosetTable(pres=pres, subgroup_gens=gens, table=table)
+    table, parent = _hlt(pres, gens, budget)
+    # Number the live cosets in order. A dead coset's parent is smaller, so
+    # its label is already known; the extra last slot keeps UNDEF (-1)
+    # mapping to UNDEF, which the certificate rejects.
+    n = pres.ngens
+    label = [UNDEF] * (len(parent) + 1)
+    live = []
+    for x, p in enumerate(parent):
+        if p == x:
+            label[x] = len(live)
+            live.append(x)
+        else:
+            label[x] = label[p]
+    rows = tuple(tuple(map(label.__getitem__, table[c * n : c * n + n])) for c in live)
+    _certify(len(rows), tuple(zip(*rows)), pres)
+    return CosetTable(pres=pres, subgroup_gens=gens, table=rows)
 
 
 def perm_rep(table: CosetTable) -> PermRep:
-    """Permutation images of the generators on the coset indices."""
-    n = table.rows
+    """Permutation images of the generators on the coset indices.
+
+    Certifies the table, so it also checks tables built elsewhere.
+    """
     gens = tuple(table.column(g) for g in range(table.pres.ngens))
-    for g, col in enumerate(gens):
-        if sorted(col) != list(range(n)):
-            raise RelatorViolation(f"column {g} is not a permutation")
-        if any(col[col[c]] != c for c in range(n)):
-            raise RelatorViolation(f"column {g} is not an involution")
-    for w in table.pres.relators:
-        for c in range(n):
-            x = c
-            for letter in w:
-                x = gens[letter][x]
-            if x != c:
-                raise RelatorViolation(f"relator {w} does not close at coset {c}")
-    return PermRep(degree=n, gens=gens)
+    _certify(table.rows, gens, table.pres)
+    return PermRep(degree=table.rows, gens=gens)
 
 
 def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
@@ -296,5 +307,9 @@ def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
 
 
 def regular_rep(pres: Presentation, max_cosets: int | None = None) -> PermRep:
-    """Regular permutation representation (enumeration over the trivial subgroup)."""
-    return perm_rep(enumerate_cosets(pres, (), max_cosets))
+    """Regular permutation representation (enumeration over the trivial subgroup).
+
+    Built from the columns `enumerate_cosets` has already certified.
+    """
+    table = enumerate_cosets(pres, (), max_cosets)
+    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)))

@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -90,6 +93,50 @@ class TestAtomicWrite:
             write_jsonl_atomic(str(path), lines())
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_existing_tmp_name_untouched(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        other = tmp_path / "out.jsonl.tmp"
+        other.write_text("not ours\n")
+        write_jsonl_atomic(str(path), ["a", "b"])
+        assert path.read_text() == "a\nb\n"
+        assert other.read_text() == "not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "out.jsonl.tmp"]
+
+    def test_two_threads_leave_one_complete_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def lines(tag):
+            for i in range(400):
+                if i % 40 == 0:
+                    time.sleep(0.001)  # let the other writer run mid-file
+                yield f"{tag}{i}"
+
+        def write(tag):
+            barrier.wait()
+            try:
+                write_jsonl_atomic(str(path), lines(tag))
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(tag,)) for tag in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        complete = {"".join(f"{tag}{i}\n" for i in range(400)) for tag in "ab"}
+        assert path.read_text() in complete
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        plain = tmp_path / "plain.jsonl"
+        write_jsonl_atomic(str(path), ["a"])
+        plain.write_text("a\n")
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
 class TestCli:

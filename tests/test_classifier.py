@@ -8,7 +8,7 @@ from tightpoly.classifier import (
     classify_tight,
     low_index_normal,
 )
-from tightpoly.errors import CapExceeded
+from tightpoly.errors import CapExceeded, InvariantViolation
 from tightpoly.toddcox import perm_rep, regular_rep
 from tightpoly.words import (
     coxeter_presentation,
@@ -79,6 +79,17 @@ def coset_table_of_normal(rep, normal, ngens):
         for g in range(ngens):
             rows[relabel[old]][g] = relabel[coset_of[engine.compose(e, rep.gens[g])]]
     return _bfs_relabel([tuple(r) for r in rows], ngens)
+
+
+class TestBfsRelabel:
+    def test_relabels_breadth_first(self):
+        # The 4-cycle on one generator pair, numbered out of order.
+        rows = [(2, 3), (3, 2), (0, 1), (1, 0)]
+        assert _bfs_relabel(rows, 2) == ((1, 2), (0, 3), (3, 0), (2, 1))
+
+    def test_intransitive_table_is_a_typed_error(self):
+        with pytest.raises(InvariantViolation):
+            _bfs_relabel([(1,), (0,), (3,), (2,)], 1)
 
 
 class TestLowIndexNormal:

@@ -1,8 +1,9 @@
 import pytest
 
 from tightpoly import sggi
+from tightpoly.errors import InvariantViolation
 from tightpoly.sggi import Orientability
-from tightpoly.toddcox import regular_rep
+from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import (
     coxeter_presentation,
     gamma_pq_presentation,
@@ -96,6 +97,15 @@ class TestOrientability:
     def test_even_relators_imply_orientable(self, pres):
         assert all(len(w) % 2 == 0 for w in pres.relators)
         assert sggi.orientability(regular_rep(pres)) is Orientability.ORIENTABLE
+
+    def test_impossible_index_is_a_typed_error(self):
+        # Not a regular representation: the rotation orbit of point 0 is {0}
+        # in degree 3, index 3. A typed error, so it also holds under -O.
+        rep = PermRep(degree=3, gens=((0, 1, 2), (0, 1, 2)))
+        with pytest.raises(InvariantViolation):
+            sggi.orientability(rep)
+        with pytest.raises(InvariantViolation):
+            sggi.profile(rep)
 
 
 class TestProfile:

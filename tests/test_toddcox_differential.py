@@ -1,0 +1,148 @@
+"""The one-pass kernel against the original two-pass enumerator.
+
+`reference_toddcox` keeps the enumerator with the closing sweep; every
+test here demands byte-identical tables from both, or BudgetExceeded from
+both, so the kernel makes the same definitions in the same order.
+"""
+
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_toddcox import reference_table
+from tightpoly.errors import BudgetExceeded, RelatorViolation
+from tightpoly.toddcox import _certify, enumerate_cosets
+from tightpoly.words import (
+    Presentation,
+    coxeter_presentation,
+    gamma_tuple_presentation,
+    is_admissible,
+    lambda_k_presentation,
+)
+
+
+def assert_same_tables(pres, subgroup_gens=(), budget=3000):
+    try:
+        expected = reference_table(pres, subgroup_gens, budget)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            enumerate_cosets(pres, subgroup_gens, budget)
+        return
+    assert enumerate_cosets(pres, subgroup_gens, budget).table == expected
+
+
+def subgroups(ngens):
+    return st.frozensets(st.integers(min_value=0, max_value=ngens - 1))
+
+
+coxeter_symbols = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3)
+gamma_tuples = (
+    st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=3)
+    .map(tuple)
+    .filter(lambda t: bool(is_admissible(t)) and 2 * prod(t) <= 600)
+)
+
+
+@st.composite
+def presentations_with_subgroups(draw, base):
+    pres = draw(base)
+    return pres, draw(subgroups(pres.ngens))
+
+
+@st.composite
+def random_presentations(draw):
+    # Arbitrary words, repeated letters included, on top of the involutions:
+    # this reaches scan paths the builders' reduced relators never take.
+    ngens = draw(st.integers(min_value=1, max_value=3))
+    letters = st.integers(min_value=0, max_value=ngens - 1)
+    extra = draw(st.lists(st.lists(letters, min_size=1, max_size=10).map(tuple), max_size=3))
+    involutions = [(g, g) for g in range(ngens)]
+    relators = draw(st.permutations(involutions + extra))
+    return Presentation(ngens, tuple(relators))
+
+
+class TestSameTables:
+    @settings(max_examples=60, deadline=None)
+    @given(presentations_with_subgroups(coxeter_symbols.map(coxeter_presentation)))
+    def test_coxeter_symbols(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens)
+
+    @settings(max_examples=40, deadline=None)
+    @given(presentations_with_subgroups(gamma_tuples.map(gamma_tuple_presentation)))
+    def test_admissible_gamma_tuples(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        presentations_with_subgroups(
+            st.sampled_from((1, 3, 5, 7, 9)).map(lambda_k_presentation)
+        )
+    )
+    def test_lambda_k(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_with_subgroups(random_presentations()))
+    def test_random_relators(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens, budget=300)
+
+
+class TestSameBudgetBehaviour:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        presentations_with_subgroups(
+            st.one_of(
+                coxeter_symbols.map(coxeter_presentation),
+                gamma_tuples.map(gamma_tuple_presentation),
+            )
+        ),
+        st.integers(min_value=1, max_value=400),
+    )
+    def test_drawn_budgets(self, case, budget):
+        pres, gens = case
+        assert_same_tables(pres, gens, budget)
+
+    @pytest.mark.parametrize("budget", [1, 71, 72, 89, 90, 91])
+    def test_budget_edge(self, budget):
+        # {6,6} closes with 72 live cosets after allocating 90, so budgets
+        # between the two raise in both enumerators.
+        pres = gamma_tuple_presentation((6, 6))
+        assert_same_tables(pres, (), budget)
+        if budget < 90:
+            with pytest.raises(BudgetExceeded):
+                enumerate_cosets(pres, (), budget)
+        else:
+            assert enumerate_cosets(pres, (), budget).rows == 72
+
+
+class TestCertificate:
+    def _dihedral_columns(self):
+        table = enumerate_cosets(coxeter_presentation((3,)))
+        return table.rows, tuple(zip(*table.table)), table.pres
+
+    def test_accepts_closed_table(self):
+        _certify(*self._dihedral_columns())
+
+    def test_tampered_column(self):
+        degree, cols, pres = self._dihedral_columns()
+        col = list(cols[0])
+        col[0], col[1] = col[1], col[0]
+        with pytest.raises(RelatorViolation):
+            _certify(degree, (tuple(col),) + cols[1:], pres)
+
+    def test_undefined_entry(self):
+        degree, cols, pres = self._dihedral_columns()
+        with pytest.raises(RelatorViolation):
+            _certify(degree, ((-1,) + cols[0][1:],) + cols[1:], pres)
+
+    def test_relator_that_does_not_close(self):
+        # The columns of [3] are involutive permutations, but (x0 x1)^2
+        # does not close on them.
+        degree, cols, _ = self._dihedral_columns()
+        with pytest.raises(RelatorViolation, match="does not close"):
+            _certify(degree, cols, coxeter_presentation((2,)))
