@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import engine, sggi
 from .errors import AdjacentOddPair, CapExceeded, InvariantViolation
-from .poset import NotEquivelar, build_poset
+from .poset import poset_checks
 from .toddcox import CosetTable, PermRep, group_order, perm_rep
 from .words import (
     Presentation,
@@ -255,12 +255,8 @@ class _NormalSearch:
             tuple(self.table[a * n : (a + 1) * n]) for a in range(self.nrows)
         ]
         # Exact normality filter: the action must be regular.
-        perms = [tuple(row[g] for row in rows) for g in range(n)]
-        try:
-            order = len(engine.closure_perms(self.nrows, perms, cap=self.nrows + 1))
-        except CapExceeded:
-            return
-        if order == self.nrows:
+        perms = tuple(tuple(row[g] for row in rows) for g in range(n))
+        if engine.left_action(PermRep(self.nrows, perms)) is not None:
             self.found.append(_bfs_relabel(rows, n))
 
     def run(self) -> None:
@@ -389,12 +385,8 @@ def _census(
         prof = sggi.profile(rep)
         if not prof.is_string_c_group:
             continue
-        poset = build_poset(rep)
-        report = poset.verify_polytope()
-        if not report.passed:
-            continue
-        sym = poset.combinatorial_schlafli()
-        if isinstance(sym, NotEquivelar) or not poset.is_tight():
+        *_, tight = poset_checks(rep)
+        if not tight:
             continue
         if orientable is not None and prof.orientable != orientable:
             continue

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all claims pass, 1 claim failure, 2 bad input (including
-non-admissible tuples and parse errors), 3 resource budget exhausted.
+non-admissible tuples and parse errors), 3 resource budget exhausted,
+4 internal error (a failed certificate or invariant: a bug, not a verdict).
 The TIGHTPOLY_MAX_COSETS environment variable raises the default
 enumeration budget; flags override it per run.
 """
@@ -24,8 +25,12 @@ from .classifier import census_nonorientable, classify_tight
 from .errors import (
     BudgetExceeded,
     CapExceeded,
+    DiamondViolation,
+    InvariantViolation,
     NotAdmissible,
     PresentationParseError,
+    RelatorViolation,
+    RouteDisagreement,
     TightpolyError,
 )
 from .families import verify_gamma_family
@@ -43,6 +48,7 @@ EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -252,6 +258,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, CapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (RelatorViolation, DiamondViolation, InvariantViolation, RouteDisagreement) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TightpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLAIM

@@ -48,7 +48,8 @@ class RelatorViolation(TightpolyError):
 
 
 class DiamondViolation(TightpolyError):
-    """Flag adjacency is not unique; the poset is not a polytope."""
+    """Flag adjacency is not unique; the poset is not a polytope. Raised for
+    a poset that passed the axioms, it is an internal bug."""
 
 
 class NotComparable(TightpolyError):

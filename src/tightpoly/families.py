@@ -13,7 +13,7 @@ from typing import Literal, Sequence
 
 from . import engine, sggi
 from .errors import NotAdmissible, PreconditionViolated
-from .poset import NotEquivelar, PosetReport, build_poset
+from .poset import PosetReport, poset_checks
 from .toddcox import PermRep, group_order, regular_rep
 from .words import (
     Presentation,
@@ -45,18 +45,6 @@ class FamilyVerdict:
         return all(self.claims.values())
 
 
-def _poset_checks(rep: PermRep):
-    poset = build_poset(rep)
-    report = poset.verify_polytope()
-    if not report.passed:
-        return poset, report, 0, None, False
-    flag_count = poset.flag_count()
-    sym = poset.combinatorial_schlafli()
-    combinatorial = None if isinstance(sym, NotEquivelar) else sym
-    tight = poset.is_tight() if combinatorial is not None else False
-    return poset, report, flag_count, combinatorial, tight
-
-
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
@@ -72,7 +60,7 @@ def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> Fa
     pres = gamma_tuple_presentation(entries)
     rep = regular_rep(pres, max_cosets)
     prof = sggi.profile(rep)
-    poset, report, flag_count, combinatorial, tight = _poset_checks(rep)
+    poset, report, flag_count, combinatorial, tight = poset_checks(rep)
     expected = 2 * prod(entries)
     claims = {
         "order": prof.group_order == expected,
@@ -142,7 +130,7 @@ def verify_lambda_family(
     entries = (3 * k, 4)
     rep = regular_rep(pres, max_cosets)
     prof = sggi.profile(rep)
-    poset, report, flag_count, combinatorial, tight = _poset_checks(rep)
+    poset, report, flag_count, combinatorial, tight = poset_checks(rep)
     klein, dihedral = _klein_four_checks(rep, k, cap)
     expected = 24 * k
     claims = {

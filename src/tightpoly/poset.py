@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator
 
 from . import engine
 from .errors import (
@@ -62,7 +61,13 @@ class FlagSystem:
 
 
 class FacePoset:
-    """Ranked poset of proper faces with incidence by point-set intersection."""
+    """Ranked poset of proper faces with incidence by point-set intersection.
+
+    Inside, faces are ids: the proper faces are 0 .. _total - 1 in rank order,
+    the greatest face is _total and the least face is -1. `_offsets`,
+    `_rank_of` and `_comp` end with an entry for the greatest and then one
+    for the least face, so index -1 reaches the least face's entry.
+    """
 
     def __init__(self, rank: int, levels):
         self.rank = rank
@@ -71,13 +76,19 @@ class FacePoset:
         )
         if len(self.levels) != max(rank, 0):
             raise ValueError(f"rank {rank} needs {rank} proper levels, got {len(self.levels)}")
-        self._offsets = []
-        total = 0
-        for level in self.levels:
-            self._offsets.append(total)
-            total += len(level)
-        self._total = total
-        self._comp: list[int] | None = None
+        self._offsets: list[int] = []  # id of the first face of each rank
+        self._rank_of: list[int] = []  # rank of each id
+        for i, level in enumerate(self.levels):
+            self._offsets.append(len(self._rank_of))
+            self._rank_of += [i] * len(level)
+        self._total = total = len(self._rank_of)
+        self._offsets += [total, -1]
+        self._rank_of += [rank, -1]
+        # _below[i] = bitmask of the ids of rank < i, for 0 <= i <= rank + 1
+        self._below = [(1 << offset) - 1 for offset in self._offsets[:-1]]
+        self._below.append((1 << (total + 1)) - 1)
+        self._comp = self._comparability()
+        self._chains: list[tuple[int, ...]] | None = None
         self._flags: FlagSystem | None = None
 
     # -- face bookkeeping ---------------------------------------------------
@@ -90,26 +101,22 @@ class FacePoset:
         return self._offsets[i] + k
 
     def face_rank(self, fid: int) -> int:
-        i = len(self.levels) - 1
-        while self._offsets[i] > fid:
-            i -= 1
-        return i
+        return self._rank_of[fid]
 
     def face_points(self, fid: int) -> frozenset[int]:
-        i = self.face_rank(fid)
+        i = self._rank_of[fid]
         return self.levels[i][fid - self._offsets[i]]
-
-    def _faces(self) -> Iterator[int]:
-        return iter(range(self._total))
 
     def _rank_mask(self, i: int) -> int:
         return ((1 << len(self.levels[i])) - 1) << self._offsets[i]
 
     def _comparability(self) -> list[int]:
-        # comp[f] = bitmask of faces comparable with f (including f itself)
-        if self._comp is not None:
-            return self._comp
-        comp = [1 << f for f in self._faces()]
+        # comp[f] = bitmask of the ids comparable with f: f itself, the proper
+        # faces it meets and the greatest face. The improper faces are
+        # comparable with every id.
+        everything = (1 << (self._total + 1)) - 1
+        top = 1 << self._total
+        comp = [1 << f | top for f in range(self._total)]
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
                 for a, sa in enumerate(self.levels[i]):
@@ -119,8 +126,7 @@ class FacePoset:
                             fb = self._offsets[j] + b
                             comp[fa] |= 1 << fb
                             comp[fb] |= 1 << fa
-        self._comp = comp
-        return comp
+        return comp + [everything, everything]
 
     def leq(self, lo: FaceRef, hi: FaceRef) -> bool:
         """Order relation; improper faces compare with everything."""
@@ -130,20 +136,14 @@ class FacePoset:
             return False
         if lo[0] == hi[0]:
             return lo == hi
-        comp = self._comparability()
-        return bool(comp[self.face_id(lo)] >> self.face_id(hi) & 1)
+        return bool(self._comp[self.face_id(lo)] >> self.face_id(hi) & 1)
 
-    def _between_mask(self, lo: FaceRef, hi: FaceRef) -> int:
-        """Bitmask of proper faces strictly between lo and hi."""
-        comp = self._comparability()
-        mask = 0
-        for i in range(max(lo[0] + 1, 0), min(hi[0], self.rank)):
-            mask |= self._rank_mask(i)
-        if lo[0] >= 0:
-            mask &= comp[self.face_id(lo)] & ~(1 << self.face_id(lo))
-        if hi[0] < self.rank:
-            mask &= comp[self.face_id(hi)] & ~(1 << self.face_id(hi))
-        return mask
+    def _between_mask(self, lo: int, hi: int) -> int:
+        """Bitmask of proper faces strictly between the faces with ids lo and hi."""
+        r_lo, r_hi = self._rank_of[lo], self._rank_of[hi]
+        if r_hi - r_lo < 2:
+            return 0
+        return self._below[r_hi] & ~self._below[r_lo + 1] & self._comp[lo] & self._comp[hi]
 
     @property
     def top(self) -> FaceRef:
@@ -153,99 +153,94 @@ class FacePoset:
 
     def verify_polytope(self) -> PosetReport:
         """Exhaustive check of the four axioms; reports the first failure."""
-        failures: list[str] = []
-
         # (a) Unique greatest and least faces hold by construction; the
         # sentinels are single and comparable with every proper face.
         bounded = True
 
         chain_lengths = True
+        chain_failure = None
         # (b) Every maximal chain of proper faces must have one face per rank.
         for chain in self._maximal_chains():
             if len(chain) != self.rank:
                 chain_lengths = False
                 refs = [self._ref_of(f) for f in chain]
-                failures.append(
+                chain_failure = (
                     f"maximal chain {refs} has {len(chain) + 2} faces, "
                     f"expected {self.rank + 2}"
                 )
                 break
 
-        connected = True
-        for lo, hi in self._sections_of_rank_at_least(2):
-            if not self._section_connected(lo, hi):
-                connected = False
-                failures.append(f"section {hi}/{lo} is disconnected")
-                break
-
-        diamond = True
-        for lo, hi in self._sections_of_exact_rank(1):
-            count = self._between_mask(lo, hi).bit_count()
-            if count != 2:
-                diamond = False
-                failures.append(
-                    f"section {hi}/{lo} has {count} middle faces, expected 2"
-                )
-                break
+        # (c) Sections of rank >= 2 are connected, (d) sections of rank 1 have
+        # two middle faces. One pass over the comparable pairs lo < hi at least
+        # two ranks apart, in the order: the least face, then the proper faces
+        # by id, then the greatest face; the first failure of each is kept.
+        connected = diamond = True
+        connect_failure = diamond_failure = None
+        rank_of = self._rank_of
+        for lo in range(-1, self._total):
+            his = self._comp[lo] & ~self._below[rank_of[lo] + 2]
+            while his and (connected or diamond):
+                low = his & -his
+                his ^= low
+                hi = low.bit_length() - 1
+                if rank_of[hi] - rank_of[lo] > 2:
+                    if connected and not self._section_connected(self._between_mask(lo, hi)):
+                        connected = False
+                        connect_failure = f"section {self._ref_of(hi)}/{self._ref_of(lo)} is disconnected"
+                elif diamond and (count := self._between_mask(lo, hi).bit_count()) != 2:
+                    diamond = False
+                    diamond_failure = (
+                        f"section {self._ref_of(hi)}/{self._ref_of(lo)} "
+                        f"has {count} middle faces, expected 2"
+                    )
 
         return PosetReport(
             bounded=bounded,
             chain_lengths=chain_lengths,
             connected=connected,
             diamond=diamond,
-            first_failure=failures[0] if failures else None,
+            first_failure=chain_failure or connect_failure or diamond_failure,
         )
 
     def _ref_of(self, fid: int) -> FaceRef:
-        i = self.face_rank(fid)
+        i = self._rank_of[fid]
         return (i, fid - self._offsets[i])
 
-    def _maximal_chains(self) -> Iterator[tuple[int, ...]]:
-        # Chains built in ascending rank order are enumerated exactly once;
-        # a chain is maximal iff no proper face is comparable with all members.
-        comp = self._comparability()
-        above = [0] * (self.rank + 1)
-        for i in range(self.rank - 1, -1, -1):
-            above[i] = above[i + 1] | self._rank_mask(i)
+    def _maximal_chains(self) -> list[tuple[int, ...]]:
+        """Every maximal chain of proper faces once, as ascending face ids.
 
-        def rec(members: tuple[int, ...], shared: int) -> Iterator[tuple[int, ...]]:
-            candidates = shared & ~sum(1 << f for f in members)
-            if candidates == 0:
-                yield members
+        Chains grow upwards from the empty chain, carrying the mask of the
+        faces outside the chain comparable with all its members; a chain is
+        maximal when that mask is empty. A rank -1 poset has no chains at all.
+        """
+        if self._chains is not None:
+            return self._chains
+        comp = self._comp
+        below = self._below
+        rank_of = self._rank_of
+        chains: list[tuple[int, ...]] = []
+
+        def grow(chain: tuple[int, ...], shared: int, next_rank: int) -> None:
+            if not shared:
+                chains.append(chain)
                 return
-            last_rank = self.face_rank(members[-1])
-            m = candidates & above[last_rank + 1]
+            m = shared & ~below[next_rank]
             while m:
                 low = m & -m
-                f = low.bit_length() - 1
                 m ^= low
-                yield from rec(members + (f,), shared & comp[f])
+                f = low.bit_length() - 1
+                grow(chain + (f,), shared & comp[f] & ~low, rank_of[f] + 1)
 
-        for f in self._faces():
-            yield from rec((f,), comp[f])
+        if self.rank >= 0:
+            grow((), (1 << self._total) - 1, 0)
+        self._chains = chains
+        return chains
 
-    def _sections_of_exact_rank(self, r: int) -> Iterator[tuple[FaceRef, FaceRef]]:
-        yield from self._sections(lambda diff: diff - 1 == r)
-
-    def _sections_of_rank_at_least(self, r: int) -> Iterator[tuple[FaceRef, FaceRef]]:
-        yield from self._sections(lambda diff: diff - 1 >= r)
-
-    def _sections(self, want) -> Iterator[tuple[FaceRef, FaceRef]]:
-        refs: list[FaceRef] = [BOTTOM]
-        refs += [self._ref_of(f) for f in self._faces()]
-        refs.append(self.top)
-        for a, lo in enumerate(refs):
-            for hi in refs[a + 1 :]:
-                if hi[0] <= lo[0]:
-                    continue
-                if want(hi[0] - lo[0]) and self.leq(lo, hi):
-                    yield lo, hi
-
-    def _section_connected(self, lo: FaceRef, hi: FaceRef) -> bool:
-        comp = self._comparability()
-        inside = self._between_mask(lo, hi)
+    def _section_connected(self, inside: int) -> bool:
+        """Is comparability connected on the faces in the bitmask `inside`?"""
         if inside == 0:
             return True
+        comp = self._comp
         start = (inside & -inside).bit_length() - 1
         seen = 1 << start
         frontier = [start]
@@ -263,36 +258,25 @@ class FacePoset:
     # -- flags ---------------------------------------------------------------
 
     def flags_and_adjacency(self) -> FlagSystem:
-        """All flags and, for each flag and rank j, its unique j-adjacent flag."""
+        """All flags and, for each flag and rank j, its unique j-adjacent flag.
+
+        The flags are the maximal chains with one face per rank; every such
+        chain is maximal, since distinct faces of one rank are never comparable.
+        """
         if self._flags is not None:
             return self._flags
-        comp = self._comparability()
-        flags: list[tuple[int, ...]] = []
-
-        def rec(members: tuple[int, ...], shared: int, next_rank: int) -> None:
-            if next_rank == self.rank:
-                flags.append(members)
-                return
-            m = shared & self._rank_mask(next_rank)
-            while m:
-                low = m & -m
-                f = low.bit_length() - 1
-                m ^= low
-                rec(members + (f,), shared & comp[f], next_rank + 1)
-
-        rec((), (1 << self._total) - 1, 0)
-        flags.sort()
+        flags = sorted(c for c in self._maximal_chains() if len(c) == self.rank)
         index = {flag: i for i, flag in enumerate(flags)}
         adjacency = []
         for flag in flags:
+            ends = (-1,) + flag + (self._total,)  # ends[j], ends[j + 2] enclose flag[j]
             row = []
             for j in range(self.rank):
-                lo = self._ref_of(flag[j - 1]) if j > 0 else BOTTOM
-                hi = self._ref_of(flag[j + 1]) if j + 1 < self.rank else self.top
-                mid = self._between_mask(lo, hi)
+                mid = self._between_mask(ends[j], ends[j + 2])
                 if mid.bit_count() != 2:
                     raise DiamondViolation(
-                        f"{mid.bit_count()} faces between {lo} and {hi}"
+                        f"{mid.bit_count()} faces between "
+                        f"{self._ref_of(ends[j])} and {self._ref_of(ends[j + 2])}"
                     )
                 other = mid & ~(1 << flag[j])
                 swapped = flag[:j] + (other.bit_length() - 1,) + flag[j + 1 :]
@@ -317,13 +301,12 @@ class FacePoset:
             raise NotComparable(f"{lo} is not below {hi}")
         new_rank = hi[0] - lo[0] - 1
         levels = [[] for _ in range(max(new_rank, 0))]
-        mask = self._between_mask(lo, hi)
+        mask = self._between_mask(self.face_id(lo), self.face_id(hi))
         while mask:
             low = mask & -mask
             mask ^= low
             fid = low.bit_length() - 1
-            i = self.face_rank(fid)
-            levels[i - lo[0] - 1].append(self.face_points(fid))
+            levels[self._rank_of[fid] - lo[0] - 1].append(self.face_points(fid))
         return FacePoset(new_rank, levels)
 
     def _check_ref(self, ref: FaceRef) -> None:
@@ -345,18 +328,15 @@ class FacePoset:
 
         Requires the polytope axioms to hold.
         """
+        comp = self._comp
         symbol = []
         for i in range(1, self.rank):
             size: int | None = None
-            lows: list[FaceRef] = (
-                [BOTTOM] if i == 1 else [(i - 2, k) for k in range(len(self.levels[i - 2]))]
-            )
-            his: list[FaceRef] = (
-                [self.top] if i == self.rank - 1 else [(i + 1, k) for k in range(len(self.levels[i + 1]))]
-            )
+            lows = (-1,) if i == 1 else range(self._offsets[i - 2], self._offsets[i - 1])
+            his = (self._total,) if i == self.rank - 1 else range(self._offsets[i + 1], self._offsets[i + 2])
             for lo in lows:
                 for hi in his:
-                    if not self.leq(lo, hi):
+                    if not comp[lo] >> hi & 1:
                         continue
                     mid = self._between_mask(lo, hi)
                     vertices = (mid & self._rank_mask(i - 1)).bit_count()
@@ -379,10 +359,9 @@ class FacePoset:
         """Is every k-face incident with every m-face?"""
         if not 0 <= k < m <= self.rank - 1:
             raise ValueError(f"need 0 <= k < m <= {self.rank - 1}, got ({k}, {m})")
-        comp = self._comparability()
         mmask = self._rank_mask(m)
         for a in range(len(self.levels[k])):
-            if comp[self._offsets[k] + a] & mmask != mmask:
+            if self._comp[self._offsets[k] + a] & mmask != mmask:
                 return False
         return True
 
@@ -408,7 +387,7 @@ class FacePoset:
 
     def to_json(self) -> dict:
         incidence = []
-        comp = self._comparability()
+        comp = self._comp
         for i in range(self.rank - 1):
             for a in range(len(self.levels[i])):
                 fa = self._offsets[i] + a
@@ -461,3 +440,17 @@ def build_poset(rep: PermRep) -> FacePoset:
             raise InvariantViolation(f"coset partition size mismatch at rank {i}")
         levels.append(blocks)
     return FacePoset(n, levels)
+
+
+def poset_checks(rep: PermRep):
+    """(poset, report, flag count, combinatorial type or None, tight) for a
+    regular representation; all but the report are computed for polytopes only."""
+    poset = build_poset(rep)
+    report = poset.verify_polytope()
+    if not report.passed:
+        return poset, report, 0, None, False
+    flag_count = poset.flag_count()
+    sym = poset.combinatorial_schlafli()
+    combinatorial = None if isinstance(sym, NotEquivelar) else sym
+    tight = poset.is_tight() if combinatorial is not None else False
+    return poset, report, flag_count, combinatorial, tight

@@ -30,8 +30,9 @@ def default_max_cosets() -> int:
             value = int(env)
         except ValueError:
             raise ValueError(f"TIGHTPOLY_MAX_COSETS={env!r} is not an integer") from None
-        if value >= 1:
-            return value
+        if value < 1:
+            raise ValueError(f"TIGHTPOLY_MAX_COSETS={env!r} must be at least 1")
+        return value
     return DEFAULT_MAX_COSETS
 
 

@@ -13,8 +13,15 @@ from tightpoly.atlas import (
     load_atlas,
     write_jsonl_atomic,
 )
-from tightpoly.cli import main
+from tightpoly.cli import EXIT_INTERNAL, main
+from tightpoly.errors import (
+    DiamondViolation,
+    InvariantViolation,
+    RelatorViolation,
+    RouteDisagreement,
+)
 from tightpoly.families import verify_gamma_family
+from tightpoly.poset import FacePoset
 from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
 
 
@@ -213,6 +220,26 @@ class TestCli:
         path = tmp_path / "big.pres"
         assert main(["family", "--gamma", "5,10,5", "--out", str(path)]) == 0
         assert main(["check", "--presentation", str(path), "--budget", "10"]) == 3
+
+    @pytest.mark.parametrize(
+        "error", [RelatorViolation, DiamondViolation, InvariantViolation, RouteDisagreement]
+    )
+    @pytest.mark.parametrize("command", ["verify", "atlas", "check"])
+    def test_internal_error_exit(self, error, command, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "gamma.pres"
+        assert main(["family", "--gamma", "3,6", "--out", str(path)]) == 0
+        argv = {
+            "verify": ["verify", "--tuple", "3,6"],
+            "atlas": ["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(tmp_path / "a.jsonl")],
+            "check": ["check", "--presentation", str(path)],
+        }[command]
+
+        def broken(self):
+            raise error("planted inconsistency")
+
+        monkeypatch.setattr(FacePoset, "verify_polytope", broken)
+        assert main(argv) == EXIT_INTERNAL == 4
+        assert "internal error: planted inconsistency" in capsys.readouterr().err
 
     def test_check_missing_file(self):
         assert main(["check", "--presentation", "/nonexistent.pres"]) == 2

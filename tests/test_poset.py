@@ -4,7 +4,7 @@ import pytest
 
 from tightpoly import sggi
 from tightpoly.errors import NotComparable
-from tightpoly.poset import build_poset
+from tightpoly.poset import FacePoset, build_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import coxeter_presentation
 
@@ -74,6 +74,12 @@ class TestAxioms:
         poset = build_poset(regular_rep(coxeter_presentation((5,))))
         assert poset.verify_polytope().passed
         assert poset.flag_count() == 10
+
+    def test_no_proper_faces_fails(self):
+        # The chain F_-1 < F_2 is maximal and has 2 faces, not 4.
+        report = FacePoset(2, [[], []]).verify_polytope()
+        assert not report.chain_lengths
+        assert report.first_failure == "maximal chain [] has 2 faces, expected 4"
 
     def test_degenerate_quotient_fails(self, rep_degenerate_x0x2):
         report = build_poset(rep_degenerate_x0x2).verify_polytope()

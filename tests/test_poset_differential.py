@@ -1,0 +1,132 @@
+"""The one-pass face-poset checks against the two-recursion originals.
+
+`reference_poset.ReferencePoset` keeps the earlier `verify_polytope`,
+chain enumerators, section generators and flag system; every test here
+builds both over the same levels and demands equal reports (first failure
+text included), equal flag systems, sections and Schlafli symbols, or the
+same exception type with the same message from both.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from reference_poset import ReferencePoset
+from test_toddcox_differential import coxeter_symbols, gamma_tuples
+from tightpoly.errors import BudgetExceeded
+from tightpoly.poset import BOTTOM, FacePoset, build_poset
+from tightpoly.toddcox import regular_rep
+from tightpoly.words import (
+    Presentation,
+    coxeter_presentation,
+    gamma_tuple_presentation,
+    lambda_k_presentation,
+)
+
+BUDGET = 1000
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the oracle must raise the same error
+        return type(exc), str(exc)
+
+
+def assert_same(poset: FacePoset) -> None:
+    ref = ReferencePoset(poset.rank, poset.levels)
+    assert outcome(poset.verify_polytope) == outcome(ref.verify_polytope)
+    assert outcome(poset.flags_and_adjacency) == outcome(ref.flags_and_adjacency)
+    assert outcome(poset.combinatorial_schlafli) == outcome(ref.combinatorial_schlafli)
+
+
+def check_presentation(pres: Presentation, data) -> None:
+    try:
+        rep = regular_rep(pres, BUDGET)
+    except BudgetExceeded:
+        return
+    check_poset(build_poset(rep), data)
+
+
+def check_poset(poset: FacePoset, data) -> None:
+    """Compare the poset, its dual and one drawn section."""
+    assert_same(poset)
+    assert_same(poset.dual())
+    # Ranks first, then faces, so that sections of every rank are drawn.
+    lo_rank = data.draw(st.integers(min_value=-1, max_value=poset.rank - 1))
+    lo = BOTTOM
+    if lo_rank >= 0:
+        lo = (lo_rank, data.draw(st.integers(0, len(poset.levels[lo_rank]) - 1)))
+    his = [(i, k) for i in range(lo_rank + 1, poset.rank) for k in range(len(poset.levels[i]))]
+    his = [ref for ref in his + [poset.top] if poset.leq(lo, ref)]
+    hi_rank = data.draw(st.sampled_from(sorted({i for i, _ in his})))
+    hi = data.draw(st.sampled_from([ref for ref in his if ref[0] == hi_rank]))
+    section = poset.section(lo, hi)
+    assert section.levels == ReferencePoset(poset.rank, poset.levels).section(lo, hi).levels
+    assert_same(section)
+    assert_same(section.dual())
+
+
+@st.composite
+def rank3_with_extra_relator(draw):
+    # One extra relator on [p, q] collapses the group in many ways: killed or
+    # identified generators, degenerate quotients and non-polytopes.
+    base = coxeter_presentation(
+        (draw(st.integers(min_value=2, max_value=6)), draw(st.integers(min_value=2, max_value=6)))
+    )
+    extra = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8))
+    return Presentation(3, base.relators + (tuple(extra),))
+
+
+@st.composite
+def rank4_with_extra_relator(draw):
+    # Rank-4 quotients reach failures rank 3 cannot: maximal chains that miss
+    # a rank, and disconnected sections of rank 3.
+    base = coxeter_presentation(tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))
+    return Presentation(4, base.relators + (tuple(extra),))
+
+
+@st.composite
+def partition_posets(draw):
+    # One random partition of a few points per rank: the input the coset
+    # construction gives, minus the group, so that every axiom can fail.
+    npoints = draw(st.integers(min_value=1, max_value=10))
+    levels = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        labels = draw(st.lists(st.integers(0, npoints - 1), min_size=npoints, max_size=npoints))
+        blocks: dict[int, set[int]] = {}
+        for point, label in enumerate(labels):
+            blocks.setdefault(label, set()).add(point)
+        levels.append([frozenset(block) for block in blocks.values()])
+    return FacePoset(len(levels), levels)
+
+
+class TestSameVerdicts:
+    @settings(max_examples=60, deadline=None)
+    @given(coxeter_symbols.map(coxeter_presentation), st.data())
+    def test_coxeter_symbols(self, pres, data):
+        check_presentation(pres, data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma_tuples.map(gamma_tuple_presentation), st.data())
+    def test_admissible_gamma_tuples(self, pres, data):
+        check_presentation(pres, data)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from((1, 3, 5, 7)).map(lambda_k_presentation), st.data())
+    def test_lambda_k(self, pres, data):
+        check_presentation(pres, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank3_with_extra_relator(), st.data())
+    def test_extra_relator_quotients(self, pres, data):
+        check_presentation(pres, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank4_with_extra_relator(), st.data())
+    def test_rank4_extra_relator_quotients(self, pres, data):
+        check_presentation(pres, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(partition_posets(), st.data())
+    def test_point_partitions(self, poset, data):
+        check_poset(poset, data)

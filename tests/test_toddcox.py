@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightpoly import engine
+from tightpoly.cli import EXIT_INPUT, main
 from tightpoly.errors import BudgetExceeded, RelatorViolation
 from tightpoly.toddcox import (
     CosetTable,
@@ -55,6 +56,13 @@ class TestBudget:
         monkeypatch.setenv("TIGHTPOLY_MAX_COSETS", "3")
         with pytest.raises(BudgetExceeded):
             enumerate_cosets(gamma_pq_presentation(3, 6))
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_env_override_below_one_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("TIGHTPOLY_MAX_COSETS", value)
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_cosets(gamma_pq_presentation(3, 6))
+        assert main(["verify", "--tuple", "3,6"]) == EXIT_INPUT
 
     def test_requires_involution_relators(self):
         with pytest.raises(ValueError):
