@@ -10,8 +10,8 @@ quotient actions make it fast and keep it exact:
     self-loops in it;
   * a non-definition edge a->b under generator g pins a group relation (the
     witness word of a, then g, then the reversed witness of b) that must
-    close from every row, so it is pushed as a scoped relator and scanned
-    everywhere;
+    close from every row, so it is scanned once from every row that exists
+    when it is found, and then dropped;
   * a completed table is kept only if the group generated by its columns
     has order exactly equal to the index, i.e. the action is regular.
 
@@ -62,23 +62,9 @@ def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ..
     return tuple(out)
 
 
-def _cycle_key(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form of a relator cycle: minimum over rotations of the word
-    and of its reversal (letters are involutions)."""
-    best = None
-    for u in (w, tuple(reversed(w))):
-        for t in range(len(u)):
-            rot = u[t:] + u[:t]
-            if best is None or rot < best:
-                best = rot
-    return best or ()
-
-
 # Trail tags for backtracking.
 _CELL = 0
 _COLSTATE = 1
-_BUCKET = 2
-_DYNKEY = 3
 
 _COL_UNKNOWN = 0
 _COL_IDENTITY = 1
@@ -89,12 +75,24 @@ class _NormalSearch:
     """Backtracking over based transitive tables of the exact index.
 
     Deductions are worklist-driven: defining an edge (a, g) anchors a scan of
-    every relator conjugate starting with g at row a, so every relator cycle
-    is verified exactly when its last edge appears. Two facts about regular
-    actions prune hard: a generator column is either the identity or a
-    derangement, and any word reaching point b from point a names the same
-    group element as a generator edge a->b, so that word is a relator of the
-    quotient and must close from every row.
+    every presentation relator rotation starting with g at row a. These
+    buckets are built once and never change, and every relator cycle is
+    verified when its last edge appears, so every completed table satisfies
+    the presentation. Two facts about regular actions prune hard: a
+    generator column is either the identity or a derangement, and any word
+    reaching point b from point a names the same group element as a
+    generator edge a->b. So the pinned relation witness[a] + (g,) +
+    reversed(witness[b]) holds in the quotient and must close from every
+    row; it is scanned once, in the rotation it comes in, from the rows that
+    exist when it is found, and then dropped.
+
+    Why the output does not depend on how hard it prunes: every rule only
+    rejects, or fills a cell of, a partial table in a way forced on every
+    regular completion, because each scanned word is a relation that every
+    regular completion satisfies from every row. Weaker pruning can add
+    search nodes but can neither add nor lose a completed table: each
+    completed table still passes the static relator scans and the exact
+    regularity filter in `_emit`.
     """
 
     def __init__(self, pres: Presentation, index: int):
@@ -104,23 +102,18 @@ class _NormalSearch:
         self.colstate = [_COL_UNKNOWN] * n
         self.nrows = 1
         self.witness: list[tuple[int, ...]] = [()]
-        self.buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        self.dyn_seen: set[tuple[int, ...]] = set()
         self.trail: list[tuple] = []
         self.worklist: list[tuple[int, int]] = []
         self.pending: list[tuple[int, ...]] = []
         self.found: list[tuple[tuple[int, ...], ...]] = []
-        for w in dict.fromkeys(pres.relators):
-            if len(w) == 2 and w[0] == w[1]:
-                continue  # involution relators are built into the edge rule
-            key = _cycle_key(w)
-            if key in self.dyn_seen:
-                continue
-            self.dyn_seen.add(key)
-            for conj in {w[t:] + w[:t] for t in range(len(w))}:
-                self.buckets[conj[0]].append(conj)
-        for bucket in self.buckets:
-            bucket.sort()
+        # Involution relators are built into the edge rule.
+        rotations = sorted({
+            w[t:] + w[:t]
+            for w in pres.relators
+            if not (len(w) == 2 and w[0] == w[1])
+            for t in range(len(w))
+        })
+        self.buckets = tuple(tuple(w for w in rotations if w[0] == g) for g in range(n))
 
     # -- constraint recording -------------------------------------------------
 
@@ -175,21 +168,6 @@ class _NormalSearch:
                 self.trail.append((_CELL, idx))
                 self.worklist.append((y, g))
 
-    def _add_dynamic(self, w: tuple[int, ...]) -> bool:
-        key = _cycle_key(w)
-        if key in self.dyn_seen:
-            return True
-        self.dyn_seen.add(key)
-        self.trail.append((_DYNKEY, key))
-        conjugates = sorted({w[t:] + w[:t] for t in range(len(w))})
-        for conj in conjugates:
-            self.buckets[conj[0]].append(conj)
-            self.trail.append((_BUCKET, conj[0]))
-            for c in range(self.nrows):
-                if not self._scan(c, conj):
-                    return False
-        return True
-
     # -- propagation -----------------------------------------------------------
 
     def _scan(self, c: int, w: tuple[int, ...]) -> bool:
@@ -222,19 +200,20 @@ class _NormalSearch:
         worklist = self.worklist
         pending = self.pending
         buckets = self.buckets
+        scan = self._scan
+        # On failure the caller's _undo clears both lists.
         while worklist or pending:
             if pending:
-                if not self._add_dynamic(pending.pop()):
-                    worklist.clear()
-                    pending.clear()
-                    return False
-                continue
-            a, g = worklist.pop()
-            for w in buckets[g]:
-                if not self._scan(a, w):
-                    worklist.clear()
-                    pending.clear()
-                    return False
+                # A pinned relation: scanned once from every row, then dropped.
+                w = pending.pop()
+                for c in range(self.nrows):
+                    if not scan(c, w):
+                        return False
+            else:
+                a, g = worklist.pop()
+                for w in buckets[g]:
+                    if not scan(a, w):
+                        return False
         return True
 
     # -- search ------------------------------------------------------------------
@@ -297,12 +276,8 @@ class _NormalSearch:
             tag = entry[0]
             if tag == _CELL:
                 table[entry[1]] = UNDEF
-            elif tag == _COLSTATE:
-                self.colstate[entry[1]] = entry[2]
-            elif tag == _BUCKET:
-                self.buckets[entry[1]].pop()
             else:
-                self.dyn_seen.discard(entry[1])
+                self.colstate[entry[1]] = entry[2]
         self.worklist.clear()
         self.pending.clear()
 

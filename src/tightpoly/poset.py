@@ -112,20 +112,22 @@ class FacePoset:
 
     def _comparability(self) -> list[int]:
         # comp[f] = bitmask of the ids comparable with f: f itself, the proper
-        # faces it meets and the greatest face. The improper faces are
-        # comparable with every id.
-        everything = (1 << (self._total + 1)) - 1
+        # faces of other ranks it meets and the greatest face. The improper
+        # faces are comparable with every id.
+        faces = [face for level in self.levels for face in level]  # by id
+        containing: dict[int, int] = {}  # point -> mask of the faces holding it
+        for f, face in enumerate(faces):
+            for x in face:
+                containing[x] = containing.get(x, 0) | 1 << f
+        other_ranks = [~self._rank_mask(i) for i in range(self.rank)]
         top = 1 << self._total
-        comp = [1 << f | top for f in range(self._total)]
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for a, sa in enumerate(self.levels[i]):
-                    fa = self._offsets[i] + a
-                    for b, sb in enumerate(self.levels[j]):
-                        if sa & sb:
-                            fb = self._offsets[j] + b
-                            comp[fa] |= 1 << fb
-                            comp[fb] |= 1 << fa
+        comp = []
+        for f, face in enumerate(faces):
+            meets = 0
+            for x in face:
+                meets |= containing[x]
+            comp.append(meets & other_ranks[self._rank_of[f]] | 1 << f | top)
+        everything = (1 << (self._total + 1)) - 1
         return comp + [everything, everything]
 
     def leq(self, lo: FaceRef, hi: FaceRef) -> bool:

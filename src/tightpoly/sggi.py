@@ -84,12 +84,15 @@ def check_intersection_condition(rep: PermRep) -> tuple[bool, tuple[Subset, Subs
     violating pair in size-graded lexicographic order.
     """
     n = len(rep.gens)
-    subsets = _subsets(n)
-    sets = {I: engine.point_orbit(rep, I) for I in subsets}
-    for I in subsets:
-        for J in subsets:
-            meet = tuple(sorted(set(I) & set(J)))
-            if sets[I] & sets[J] != sets[meet]:
+    # Subsets as bitmasks of generator indices, so the meet of I and J is a & b.
+    keyed = [(sum(1 << i for i in I), I) for I in _subsets(n)]
+    orbit = [frozenset()] * (1 << n)
+    for a, I in keyed:
+        orbit[a] = engine.point_orbit(rep, I)
+    for a, I in keyed:
+        orbit_a = orbit[a]
+        for b, J in keyed:
+            if orbit_a & orbit[b] != orbit[a & b]:
                 return False, (I, J)
     return True, None
 

@@ -1,0 +1,51 @@
+"""The normal-subgroup search against the one with the dynamic relator store.
+
+`reference_classifier` keeps the search that stored every pinned relation,
+in all its rotations, until backtracking removed it; the search in
+`tightpoly.classifier` scans each pinned relation once. Weaker pruning may
+cost search nodes but must not change the result: every test here demands
+equal `low_index_normal` tables from both, or the same exception type.
+Infinite groups are in the domain, where the brute-force oracle in
+`test_classifier.py` cannot go.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from reference_classifier import low_index_normal as reference_low_index_normal
+from test_poset_differential import rank3_with_extra_relator
+from tightpoly.classifier import low_index_normal
+from tightpoly.words import coxeter_presentation, gamma_pq_presentation
+
+entries = st.integers(min_value=2, max_value=8)
+indices = st.integers(min_value=0, max_value=48)  # 0 is rejected by both
+caps = st.none() | st.integers(min_value=1, max_value=48)
+
+
+def outcome(search, pres, index, cap):
+    try:
+        return [t.table for t in search(pres, index, cap)]
+    except Exception as exc:  # the oracle must raise the same error type
+        return type(exc)
+
+
+def assert_same(pres, index, cap):
+    expected = outcome(reference_low_index_normal, pres, index, cap)
+    assert outcome(low_index_normal, pres, index, cap) == expected
+
+
+class TestSameTables:
+    @settings(max_examples=100, deadline=None)
+    @given(entries, entries, indices, caps)
+    def test_coxeter_groups(self, p, q, index, cap):
+        # [p, q] is infinite unless 1/p + 1/q > 1/2.
+        assert_same(coxeter_presentation((p, q)), index, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries, entries, indices)
+    def test_gamma_pq(self, p, q, index):
+        assert_same(gamma_pq_presentation(p, q), index, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank3_with_extra_relator(), indices)
+    def test_extra_relator_quotients(self, pres, index):
+        assert_same(pres, index, None)

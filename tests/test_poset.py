@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tightpoly import sggi
 from tightpoly.errors import NotComparable
@@ -85,6 +86,34 @@ class TestAxioms:
         report = build_poset(rep_degenerate_x0x2).verify_polytope()
         assert not report.passed
         assert report.first_failure is not None
+
+
+class TestComparability:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=4),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # Hand-built levels need not be partitions: two vertices sharing a point
+    # stay incomparable, and each lies below the edge.
+    @example([[frozenset({0, 1}), frozenset({1, 2})], [frozenset({0, 1, 2})]])
+    def test_matches_pairwise_intersection(self, levels):
+        # Oracle: distinct faces are comparable when their ranks differ and
+        # their point sets meet.
+        poset = FacePoset(len(levels), levels)
+        refs = [(i, k) for i, level in enumerate(poset.levels) for k in range(len(level))]
+        for lo in refs:
+            for hi in refs:
+                if lo[0] == hi[0]:
+                    expected = lo == hi
+                else:
+                    expected = lo[0] < hi[0] and bool(
+                        poset.levels[lo[0]][lo[1]] & poset.levels[hi[0]][hi[1]]
+                    )
+                assert poset.leq(lo, hi) == expected
 
 
 class TestFlags:

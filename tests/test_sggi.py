@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
-from tightpoly import sggi
-from tightpoly.errors import InvariantViolation
+from test_poset_differential import rank3_with_extra_relator
+from tightpoly import engine, sggi
+from tightpoly.errors import BudgetExceeded, InvariantViolation
 from tightpoly.sggi import Orientability
 from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import (
@@ -53,6 +55,35 @@ class TestIntersectionCondition:
         ok, witness = sggi.check_intersection_condition(rep_degenerate_x0x2)
         assert not ok
         assert witness == ((0,), (2,))
+
+
+def closure_route(rep):
+    """The intersection condition on element sets from engine.closure, with
+    subsets as sorted tuples: the independent route to the same verdict."""
+    subsets = sggi._subsets(len(rep.gens))
+    groups = {I: engine.closure(rep, I) for I in subsets}
+    for I in subsets:
+        for J in subsets:
+            meet = tuple(sorted(set(I) & set(J)))
+            if groups[I] & groups[J] != groups[meet]:
+                return False, (I, J)
+    return True, None
+
+
+class TestClosureRoute:
+    def test_fixtures(self, rep_gamma36, rep_lambda3, rep_degenerate_x0x2):
+        for rep in (rep_gamma36, rep_lambda3, rep_degenerate_x0x2):
+            assert sggi.check_intersection_condition(rep) == closure_route(rep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank3_with_extra_relator())
+    def test_same_first_witness_on_quotients(self, pres):
+        # The verdict and the first failing pair must agree.
+        try:
+            rep = regular_rep(pres, max_cosets=400)
+        except BudgetExceeded:
+            return
+        assert sggi.check_intersection_condition(rep) == closure_route(rep)
 
 
 class TestQuotientCriterion:

@@ -5,19 +5,17 @@ test here demands byte-identical tables from both, or BudgetExceeded from
 both, so the kernel makes the same definitions in the same order.
 """
 
-from math import prod
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_toddcox import reference_table
+from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded, RelatorViolation
 from tightpoly.toddcox import _certify, enumerate_cosets
 from tightpoly.words import (
     Presentation,
     coxeter_presentation,
     gamma_tuple_presentation,
-    is_admissible,
     lambda_k_presentation,
 )
 
@@ -37,10 +35,10 @@ def subgroups(ngens):
 
 
 coxeter_symbols = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3)
-gamma_tuples = (
-    st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=3)
-    .map(tuple)
-    .filter(lambda t: bool(is_admissible(t)) and 2 * prod(t) <= 600)
+# Admissible tuples of length 2-3 with 2 * prod <= 600 and entries <= 12,
+# sampled from the list, so that no draw is thrown away.
+gamma_tuples = st.sampled_from(
+    [t for t in admissible_tuples(600, 4) if max(t) <= 12]
 )
 
 
