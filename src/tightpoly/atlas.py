@@ -3,7 +3,8 @@
 One JSON object per line, keys sorted, no timestamps: files are
 byte-identical across runs and worker counts. Wall-time is serialized as 0
 unless real timings are explicitly requested, since the schema carries an
-`ms` field but reproducibility wins.
+`ms` field but reproducibility wins. `run_batch` spreads a batch over worker
+processes, capped at the usable cores, and returns results in task order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -214,10 +214,29 @@ def write_jsonl_atomic(path: str, lines: Sequence[str]) -> None:
         raise
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
-    """Run one task per tuple; results come back in task order regardless of
-    scheduling, so output is identical for any worker count."""
-    if jobs <= 1:
+    """Run `worker` on each task; results come back in task order, so output
+    is identical for any worker count.
+
+    The tasks are CPU-bound, so they run in worker processes, as many as the
+    least of `jobs`, the number of tasks and the usable cores; more could not
+    run at once. With one worker the loop runs in this process. `worker`, the
+    tasks and the results cross a process boundary, so they must pickle: a
+    module-level function, bound with `functools.partial` if it needs
+    settings. A task that raises aborts the batch with its exception.
+    """
+    workers = min(jobs, len(tasks), _usable_cores())
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # Imported here: at module level it would load multiprocessing on `import tightpoly`.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))

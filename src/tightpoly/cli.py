@@ -10,11 +10,13 @@ enumeration budget; flags override it per run.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 from . import sggi
 from .atlas import (
+    AtlasEntry,
     admissible_tuples,
     entry_from_census_record,
     entry_from_verdict,
@@ -83,19 +85,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_CLAIM
 
 
+def atlas_worker(entries: tuple[int, ...], *, budget: int | None, timings: bool) -> AtlasEntry:
+    """Verify one atlas tuple. Module level, so that `run_batch` can send it
+    to worker processes."""
+    start = time.monotonic()
+    verdict = verify_gamma_family(entries, max_cosets=budget)
+    ms = int((time.monotonic() - start) * 1000) if timings else 0
+    return entry_from_verdict(verdict, ms=ms)
+
+
 def cmd_atlas(args) -> int:
     if args.max_flags < 4:
         raise InputError(f"--max-flags must be >= 4, got {args.max_flags}")
     if args.max_rank < 3:
         raise InputError(f"--max-rank must be >= 3, got {args.max_rank}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     tuples = list(admissible_tuples(args.max_flags, args.max_rank))
-
-    def worker(entries):
-        start = time.monotonic()
-        verdict = verify_gamma_family(entries, max_cosets=args.budget)
-        ms = int((time.monotonic() - start) * 1000) if args.timings else 0
-        return entry_from_verdict(verdict, ms=ms)
-
+    worker = functools.partial(atlas_worker, budget=args.budget, timings=args.timings)
     results = run_batch(tuples, worker, jobs=args.jobs)
     write_jsonl_atomic(args.out, [entry.to_json_line() for entry in results])
     failing = [e for e in results if not all(e.claims.values())]
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--max-flags", type=int, required=True)
     p_atlas.add_argument("--max-rank", type=int, required=True)
     p_atlas.add_argument("--out", required=True)
-    p_atlas.add_argument("--jobs", type=int, default=1)
+    p_atlas.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the usable cores")
     p_atlas.add_argument("--timings", action="store_true", help="record real wall time (breaks byte reproducibility)")
     p_atlas.add_argument("--budget", type=int, default=None)
     p_atlas.set_defaults(func=cmd_atlas)

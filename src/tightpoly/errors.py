@@ -5,9 +5,16 @@ mathematical failure: a verdict object records failed claims, an exception
 means the computation could not be carried out at all.
 """
 
+import copyreg
+
 
 class TightpolyError(Exception):
-    pass
+    def __reduce__(self):
+        # Pickle (as between atlas worker processes) rebuilds the error from
+        # `args` and its attributes without calling __init__: subclasses take
+        # other constructor arguments than the message that `args` holds, so
+        # the default `cls(*args)` would garble the text or raise TypeError.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class AdjacentOddPair(TightpolyError):

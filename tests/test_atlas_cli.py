@@ -1,5 +1,9 @@
+import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
+import pickle
 import threading
 import time
 
@@ -11,10 +15,12 @@ from tightpoly.atlas import (
     entry_from_json_line,
     entry_from_verdict,
     load_atlas,
+    run_batch,
     write_jsonl_atomic,
 )
-from tightpoly.cli import EXIT_INTERNAL, main
+from tightpoly.cli import EXIT_INTERNAL, atlas_worker, main
 from tightpoly.errors import (
+    BudgetExceeded,
     DiamondViolation,
     InvariantViolation,
     RelatorViolation,
@@ -146,6 +152,100 @@ class TestAtomicWrite:
         assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
+def _square(x):
+    return x * x
+
+
+def _fail_from_three(x):
+    if x >= 3:
+        raise BudgetExceeded(x)
+    return x
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores whatever the host has, so that `jobs` >= 2 starts
+    worker processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor by an in-process stand-in that starts no
+    process; returns the list of pool sizes asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("jobs", [2, 9])
+    def test_processes_match_serial_in_task_order(self, jobs, two_cores):
+        tasks = [5, 3, 8, 1, 4, 2, 7]
+        assert run_batch(tasks, _square, jobs=jobs) == run_batch(tasks, _square) == [x * x for x in tasks]
+
+    def test_worker_error_matches_serial(self, two_cores):
+        tasks = [1, 2, 3, 4]
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(BudgetExceeded) as info:
+                run_batch(tasks, _fail_from_three, jobs=jobs)
+            raised.append(info.value)
+        assert [type(e) for e in raised] == [BudgetExceeded, BudgetExceeded]
+        assert str(raised[0]) == str(raised[1]) == "coset enumeration exceeded budget of 3 cosets"
+        assert raised[0].budget == raised[1].budget == 3
+
+    @pytest.mark.parametrize(
+        "jobs, tasks, cores, size",
+        [
+            (2, 10, 8, 2),
+            (1000, 10, 8, 8),
+            (1000, 3, 8, 3),
+            (4, 10, 1, None),
+            (1, 10, 8, None),
+            (8, 1, 8, None),
+            (8, 0, 8, None),
+        ],
+    )
+    def test_workers_capped(self, jobs, tasks, cores, size, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert run_batch(list(range(tasks)), _square, jobs=jobs) == [x * x for x in range(tasks)]
+        assert pool_sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, None)])
+    def test_cap_without_affinity(self, cpu_count, size, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert run_batch(list(range(10)), _square, jobs=100) == [x * x for x in range(10)]
+        assert pool_sizes == ([] if size is None else [size])
+
+    def test_atlas_worker_pickles(self):
+        worker = functools.partial(atlas_worker, budget=None, timings=False)
+        back = pickle.loads(pickle.dumps(worker))
+        assert back((3, 6)) == entry_from_verdict(verify_gamma_family((3, 6)))
+
+    def test_atlas_worker_under_spawn(self):
+        worker = functools.partial(atlas_worker, budget=None, timings=False)
+        tasks = [(3, 6), (4, 4)]
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert list(pool.map(worker, tasks)) == [worker(t) for t in tasks]
+
+
 class TestCli:
     def test_verify_pass(self, capsys):
         assert main(["verify", "--tuple", "3,6"]) == 0
@@ -258,6 +358,23 @@ class TestCli:
     def test_atlas_bounds_rejected(self, tmp_path):
         assert main(["atlas", "--max-flags", "3", "--max-rank", "3", "--out", "x"]) == 2
         assert main(["atlas", "--max-flags", "50", "--max-rank", "2", "--out", "x"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_atlas_jobs_below_one_rejected(self, jobs, capsys, tmp_path):
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(out), "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_atlas_budget_exit_same_at_any_jobs(self, capsys, tmp_path, two_cores):
+        errs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--budget", "5", "--out", str(out), "--jobs", jobs]
+            assert main(argv) == 3
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "resource limit: coset enumeration exceeded budget of 5 cosets\n"
 
 
 class TestAtlasDeterminism:

@@ -1,0 +1,43 @@
+import pickle
+
+import pytest
+
+from tightpoly import errors
+from tightpoly.errors import TightpolyError
+
+# One instance of every error, built with its own constructor arguments.
+SAMPLES = {
+    errors.AdjacentOddPair: errors.AdjacentOddPair(1),
+    errors.NotAdmissible: errors.NotAdmissible("3 is odd next to 5", 0, 1),
+    errors.BudgetExceeded: errors.BudgetExceeded(5),
+    errors.CapExceeded: errors.CapExceeded(7),
+    errors.RelatorViolation: errors.RelatorViolation("relator 2 fails at coset 3"),
+    errors.DiamondViolation: errors.DiamondViolation("flag 4 has 3 1-adjacent flags"),
+    errors.NotComparable: errors.NotComparable("faces are not incident"),
+    errors.InvariantViolation: errors.InvariantViolation("partition sizes differ"),
+    errors.RouteDisagreement: errors.RouteDisagreement("routes disagree on {3,6}"),
+    errors.PreconditionViolated: errors.PreconditionViolated("needs the polytope axioms"),
+    errors.PresentationParseError: errors.PresentationParseError(3, "bad generator"),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_has_a_sample():
+    assert set(_subclasses(TightpolyError)) == set(SAMPLES)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
+def test_pickle_round_trip(cls, protocol):
+    exc = SAMPLES[cls]
+    back = pickle.loads(pickle.dumps(exc, protocol))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)
+
