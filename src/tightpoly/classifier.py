@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import engine, sggi
 from .errors import AdjacentOddPair, CapExceeded, InvariantViolation
 from .poset import poset_checks
-from .toddcox import CosetTable, PermRep, group_order, perm_rep
+from .toddcox import CosetTable, PermRep, perm_rep
 from .words import (
     Presentation,
     coxeter_presentation,
@@ -318,20 +318,6 @@ class CensusRecord:
     isomorphic_to_lambda: bool | None
 
 
-def _family_isomorphism(
-    family_pres, rep: PermRep, max_cosets: int | None
-) -> bool:
-    """Is the identity generator map an isomorphism from the family group?
-
-    The quotient satisfies the Coxeter relators by construction, so checking
-    the family relators plus equal orders certifies a bijection.
-    """
-    images = [(g,) for g in range(len(rep.gens))]
-    if not engine.check_generator_map(family_pres, rep, images):
-        return False
-    return group_order(family_pres, max_cosets) == rep.degree
-
-
 def _census(
     p: int,
     q: int,
@@ -375,12 +361,12 @@ def _census(
                 orientable=prof.orientable,
                 polytope_ok=True,
                 isomorphic_to_gamma=(
-                    _family_isomorphism(gamma_pres, rep, max_cosets)
+                    engine._presents_subgroup(gamma_pres, rep, range(3), max_cosets)
                     if gamma_pres is not None
                     else None
                 ),
                 isomorphic_to_lambda=(
-                    _family_isomorphism(lambda_pres, rep, max_cosets)
+                    engine._presents_subgroup(lambda_pres, rep, range(3), max_cosets)
                     if lambda_pres is not None
                     else None
                 ),

@@ -1,9 +1,10 @@
 """Finite-group computations on permutation representations.
 
-Element sets are plain frozensets of permutation tuples, so subgroup
-intersections are exact set intersections; this module is the oracle the
-string C-group check is built on. Permutations compose left to right:
-compose(p, q) applies p first.
+The pipeline encodes a subgroup of a regular representation by its point
+set (`point_orbit`). Element sets from `closure` are plain frozensets of
+permutation tuples: the independent oracle the tests compare point sets
+against, and the element-level toolkit (centrality, generator maps).
+Permutations compose left to right: compose(p, q) applies p first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded
-from .toddcox import PermRep
+from .toddcox import PermRep, group_order
 from .words import Presentation, Word
 
 DEFAULT_ELEMENT_CAP = 5000
@@ -106,17 +107,6 @@ def point_orbit(rep: PermRep, gen_indices: Iterable[int], start: int = 0) -> fro
     return frozenset(seen)
 
 
-def is_regular(rep: PermRep, cap: int | None = None) -> bool:
-    """Does the group generated by the rep act regularly on its points?"""
-    try:
-        group = closure_perms(rep.degree, rep.gens, cap=max(rep.degree + 1, cap or 0))
-    except CapExceeded:
-        return False
-    if len(group) != rep.degree:
-        return False
-    return len(point_orbit(rep, range(len(rep.gens)))) == rep.degree
-
-
 def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     """Left-multiplication permutations of the generators on the points of a
     regular representation, or None if the action is not regular.
@@ -201,6 +191,23 @@ def check_generator_map(
         if eval_word(dst_rep, image_word) != ident:
             return False
     return True
+
+
+def _presents_subgroup(
+    pres: Presentation,
+    rep: PermRep,
+    gen_indices: Sequence[int],
+    max_cosets: int | None,
+) -> bool:
+    """Is x_i -> gen_indices[i] an isomorphism from the group of `pres` onto
+    the subgroup of a regular rep generated by the indexed generators?
+
+    The relators holding on the images give a surjection onto the subgroup,
+    so equal orders certify a bijection.
+    """
+    if not check_generator_map(pres, rep, [(g,) for g in gen_indices]):
+        return False
+    return group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))
 
 
 def images_generate(dst_rep: PermRep, images: Sequence[Word], cap: int | None = None) -> bool:

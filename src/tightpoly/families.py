@@ -1,8 +1,10 @@
 """End-to-end construction and verification of the polytope families.
 
 A verdict never raises on a mathematical failure: every claim is recorded
-in an ordered claim map and the caller aggregates. Resource errors
-(BudgetExceeded, CapExceeded) do propagate.
+in an ordered claim map and the caller aggregates. A coset budget that runs
+out (BudgetExceeded) does propagate. Subgroups of the regular
+representation are encoded by their point sets (engine.point_orbit), so no
+element set is built and no element cap applies.
 """
 
 from __future__ import annotations
@@ -45,6 +47,45 @@ class FamilyVerdict:
         return all(self.claims.values())
 
 
+def _verdict(
+    family: str,
+    entries: tuple[int, ...],
+    pres: Presentation,
+    rep: PermRep,
+    expected: int,
+    orientable: bool,
+    extra_claims: dict[str, bool] | None = None,
+) -> FamilyVerdict:
+    """Profile the regular rep and build its poset once; record the claims
+    every family makes, then the family's own `extra_claims`."""
+    prof = sggi.profile(rep)
+    _, report, flag_count, combinatorial, tight = poset_checks(rep)
+    claims = {
+        "order": prof.group_order == expected,
+        "type": prof.schlafli == entries,
+        "string_c_group": prof.is_string_c_group,
+        "tight": tight,
+        "orientable" if orientable else "non_orientable": prof.orientable == orientable,
+        "polytope": report.passed,
+        "flags_equal_order": flag_count == prof.group_order,
+        "schlafli_consistent": combinatorial == prof.schlafli,
+        **(extra_claims or {}),
+    }
+    return FamilyVerdict(
+        family=family,
+        schlafli=entries,
+        presentation=pres,
+        group_order=prof.group_order,
+        expected_order=expected,
+        profile=prof,
+        poset_report=report,
+        flag_count=flag_count,
+        combinatorial_type=combinatorial,
+        tight=tight,
+        claims=claims,
+    )
+
+
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
@@ -59,116 +100,57 @@ def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> Fa
         )
     pres = gamma_tuple_presentation(entries)
     rep = regular_rep(pres, max_cosets)
-    prof = sggi.profile(rep)
-    poset, report, flag_count, combinatorial, tight = poset_checks(rep)
-    expected = 2 * prod(entries)
-    claims = {
-        "order": prof.group_order == expected,
-        "type": prof.schlafli == entries,
-        "string_c_group": prof.is_string_c_group,
-        "tight": tight,
-        "orientable": prof.orientable,
-        "polytope": report.passed,
-        "flags_equal_order": flag_count == prof.group_order,
-        "schlafli_consistent": combinatorial == prof.schlafli,
-    }
-    return FamilyVerdict(
-        family="gamma",
-        schlafli=entries,
-        presentation=pres,
-        group_order=prof.group_order,
-        expected_order=expected,
-        profile=prof,
-        poset_report=report,
-        flag_count=flag_count,
-        combinatorial_type=combinatorial,
-        tight=tight,
-        claims=claims,
-    )
+    return _verdict("gamma", entries, pres, rep, 2 * prod(entries), True)
 
 
-def _klein_four_checks(rep: PermRep, k: int, cap: int | None) -> tuple[bool, bool]:
-    """Normal Klein 4-subgroup generated by x2 and x1 x2 x1, with dihedral
-    quotient of order 6k (certified by order arithmetic plus the order of
-    x0 x1 modulo the subgroup)."""
-    ident = engine.identity_perm(rep.degree)
+def _klein_four_checks(rep: PermRep, k: int) -> tuple[bool, bool]:
+    """Normal Klein 4-subgroup H generated by a = x2 and b = x1 x2 x1, with
+    dihedral quotient of order 6k (certified by order arithmetic plus the
+    order of x0 x1 modulo H).
+
+    H is encoded by its point set: in a regular rep an element lies in H
+    exactly when its image of point 0 does, and is the identity exactly
+    when it fixes point 0.
+    """
     a = rep.gens[2]
     b = engine.eval_word(rep, (1, 2, 1))
-    subgroup = engine.closure_perms(rep.degree, [a, b], cap)
-    klein = len(subgroup) == 4 and all(
-        engine.compose(h, h) == ident for h in subgroup
-    )
+    elements = (engine.identity_perm(rep.degree), a, b, engine.compose(a, b))
+    subgroup = engine.point_orbit(PermRep(rep.degree, (a, b)), (0, 1))
+    klein = len(subgroup) == 4 and all(h[h[0]] == 0 for h in elements)
+    # A Klein H is exactly `elements`; g h g applied to point 0 is g[h[g[0]]].
     normal = klein and all(
-        engine.compose(engine.compose(g, h), g) in subgroup
-        for g in rep.gens
-        for h in subgroup
+        g[h[g[0]]] in subgroup for g in rep.gens for h in elements
     )
     if not normal:
         return False, False
     quotient_order = rep.degree // 4
     rho01 = engine.eval_word(rep, (0, 1))
-    power = ident
+    point = 0
     image_order = 0
     for m in range(1, rep.degree + 1):
-        power = engine.compose(power, rho01)
-        if power in subgroup:
+        point = rho01[point]
+        if point in subgroup:
             image_order = m
             break
     dihedral = quotient_order == 6 * k and image_order == 3 * k
     return True, dihedral
 
 
-def verify_lambda_family(
-    k: int,
-    max_cosets: int | None = None,
-    cap: int | None = None,
-) -> FamilyVerdict:
+def verify_lambda_family(k: int, max_cosets: int | None = None) -> FamilyVerdict:
     """Verify the non-orientable family member for odd k: order 24k, type
     {3k, 4}, string C-group, tight, non-orientable, with its normal Klein
     4-subgroup and dihedral quotient of order 6k."""
     pres = lambda_k_presentation(k)
-    entries = (3 * k, 4)
     rep = regular_rep(pres, max_cosets)
-    prof = sggi.profile(rep)
-    poset, report, flag_count, combinatorial, tight = poset_checks(rep)
-    klein, dihedral = _klein_four_checks(rep, k, cap)
-    expected = 24 * k
-    claims = {
-        "order": prof.group_order == expected,
-        "type": prof.schlafli == entries,
-        "string_c_group": prof.is_string_c_group,
-        "tight": tight,
-        "non_orientable": not prof.orientable,
-        "polytope": report.passed,
-        "flags_equal_order": flag_count == prof.group_order,
-        "schlafli_consistent": combinatorial == prof.schlafli,
-        "klein_four_normal": klein,
-        "dihedral_quotient": dihedral,
-    }
-    return FamilyVerdict(
-        family="lambda",
-        schlafli=entries,
-        presentation=pres,
-        group_order=prof.group_order,
-        expected_order=expected,
-        profile=prof,
-        poset_report=report,
-        flag_count=flag_count,
-        combinatorial_type=combinatorial,
-        tight=tight,
-        claims=claims,
-    )
+    klein, dihedral = _klein_four_checks(rep, k)
+    claims = {"klein_four_normal": klein, "dihedral_quotient": dihedral}
+    return _verdict("lambda", (3 * k, 4), pres, rep, 24 * k, False, claims)
 
 
 FapSide = Literal["two_faces", "co_faces"]
 
 
-def check_fap(
-    sym: Sequence[int],
-    side: FapSide,
-    max_cosets: int | None = None,
-    cap: int | None = None,
-) -> bool:
+def check_fap(sym: Sequence[int], side: FapSide, max_cosets: int | None = None) -> bool:
     """Does killing the generators above (or below) the cut leave a
     presentation of the corresponding parabolic subgroup?
 
@@ -188,8 +170,7 @@ def check_fap(
     killed = kill_generators(pres, keep)
     killed_order = group_order(killed, max_cosets)
     rep = regular_rep(pres, max_cosets)
-    parabolic = engine.closure(rep, keep, cap)
-    return killed_order == len(parabolic)
+    return killed_order == len(engine.point_orbit(rep, keep))
 
 
 @dataclass(frozen=True)
@@ -269,11 +250,7 @@ def oeo_permutation_rep(p1: int, p2: int, p3: int) -> tuple[PermRep, OeoReport]:
     return PermRep(degree=degree, gens=(pi1, pi2, pi3)), report
 
 
-def subgroup_2_check(
-    sym: Sequence[int],
-    max_cosets: int | None = None,
-    cap: int | None = None,
-) -> bool:
+def subgroup_2_check(sym: Sequence[int], max_cosets: int | None = None) -> bool:
     """Where an entry equals 2, the prefix and suffix parabolic subgroups
     must realize the corresponding family groups.
 
@@ -286,16 +263,8 @@ def subgroup_2_check(
         raise ValueError(f"no entry equal to 2 in {entries}")
     n = len(entries) + 1
     rep = regular_rep(gamma_tuple_presentation(entries), max_cosets)
-    for i in slots:
-        for keep, part in (
-            (tuple(range(0, i + 1)), entries[:i]),
-            (tuple(range(i - 1, n)), entries[i - 1 :]),
-        ):
-            part_pres = gamma_tuple_presentation(part)
-            images = [(g,) for g in keep]
-            if not engine.check_generator_map(part_pres, rep, images):
-                return False
-            parabolic = engine.closure(rep, keep, cap)
-            if len(parabolic) != group_order(part_pres, max_cosets):
-                return False
-    return True
+    return all(
+        engine._presents_subgroup(gamma_tuple_presentation(part), rep, keep, max_cosets)
+        for i in slots
+        for keep, part in ((range(0, i + 1), entries[:i]), (range(i - 1, n), entries[i - 1 :]))
+    )

@@ -121,30 +121,28 @@ def quotient_criterion(rep: PermRep, quotient_rep: PermRep, side: Side) -> bool:
     return len(big) == len(small)
 
 
-def rotation_subgroup(rep: PermRep, cap: int | None = None) -> frozenset:
-    """Element set of the subgroup generated by all products of two generators."""
+def _pair_products(rep: PermRep) -> tuple[engine.Perm, ...]:
+    """The products x_i x_j of two distinct generators, which generate the
+    rotation subgroup."""
     n = len(rep.gens)
-    pairs = [
+    return tuple(
         engine.compose(rep.gens[i], rep.gens[j])
         for i in range(n)
         for j in range(n)
         if i != j
-    ]
-    return engine.closure_perms(rep.degree, pairs, cap)
+    )
+
+
+def rotation_subgroup(rep: PermRep, cap: int | None = None) -> frozenset:
+    """Element set of the subgroup generated by all products of two generators."""
+    return engine.closure_perms(rep.degree, _pair_products(rep), cap)
 
 
 def _rotation_index(rep: PermRep) -> int:
     """Index of the rotation subgroup (all products of two generators) in a
     regular representation: 1 or 2, as the group is generated by involutions."""
-    n = len(rep.gens)
-    gens = rep.gens
-    pairs = [
-        tuple(gens[j][x] for x in gens[i])
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
-    pair_rep = PermRep(degree=rep.degree, gens=tuple(pairs))
+    pairs = _pair_products(rep)
+    pair_rep = PermRep(degree=rep.degree, gens=pairs)
     rotations = len(engine.point_orbit(pair_rep, range(len(pairs))))
     index, rem = divmod(rep.degree, rotations)
     if rem or index not in (1, 2):

@@ -137,7 +137,8 @@ def is_admissible(sym: Sequence[int]) -> Admissibility:
 def admissibility_message(sym: Sequence[int], adm: Admissibility) -> str:
     entries = tuple(sym)
     i, j = adm.odd_index, adm.violating_index
-    assert i is not None and j is not None
+    if i is None or j is None:
+        raise ValueError(f"no violation to describe for {entries}: {adm!r}")
     return (
         f"p{j + 1}={entries[j]} is not an even divisor of "
         f"2p{i + 1}={2 * entries[i]}"

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from tightpoly.classifier import classify_tight
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import (
     Presentation,
@@ -8,6 +11,22 @@ from tightpoly.words import (
     gamma_tuple_presentation,
     lambda_k_presentation,
 )
+
+CENSUS_TYPES = [
+    (p, q) for p in range(2, 26) for q in range(2, 26) if 2 * p * q <= 100
+]
+
+
+@pytest.fixture(scope="session")
+def census_grid():
+    """The orientable census over the 108 types with 2pq <= 100, shared by
+    the acceptance criteria and the certificate differential test."""
+    start = time.monotonic()
+    records = {
+        (p, q): classify_tight(p, q, require_orientable=True)
+        for p, q in CENSUS_TYPES
+    }
+    return {"records": records, "elapsed": time.monotonic() - start}
 
 
 @pytest.fixture(scope="session")

@@ -44,11 +44,6 @@ RANK_GRID = [
 
 LAMBDA_KS = (1, 3, 5, 7)
 
-CENSUS_TYPES = [
-    (p, q) for p in range(2, 26) for q in range(2, 26) if 2 * p * q <= 100
-]
-
-
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:2d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {number}: {detail}"
@@ -72,16 +67,6 @@ def order_grid_runs():
         order = group_order(gamma_pq_presentation(p, q))
         runs[(p, q)] = (order, time.monotonic() - start)
     return runs
-
-
-@pytest.fixture(scope="module")
-def census_grid():
-    start = time.monotonic()
-    records = {
-        (p, q): classify_tight(p, q, require_orientable=True)
-        for p, q in CENSUS_TYPES
-    }
-    return {"records": records, "elapsed": time.monotonic() - start}
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,50 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_poset_differential import BUDGET, rank3_with_extra_relator
 from tightpoly import engine
-from tightpoly.engine import Conjugation
-from tightpoly.errors import CapExceeded
-from tightpoly.toddcox import regular_rep
+from tightpoly.engine import Conjugation, closure_perms, point_orbit
+from tightpoly.errors import BudgetExceeded, CapExceeded
+from tightpoly.families import oeo_permutation_rep
+from tightpoly.toddcox import PermRep, enumerate_cosets, perm_rep, regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation
+
+
+def is_regular(rep: PermRep) -> bool:
+    """Does the group generated by the rep act regularly on its points?
+
+    The element-closure oracle for `engine.left_action`."""
+    try:
+        group = closure_perms(rep.degree, rep.gens, cap=rep.degree + 1)
+    except CapExceeded:
+        return False
+    if len(group) != rep.degree:
+        return False
+    return len(point_orbit(rep, range(len(rep.gens)))) == rep.degree
+
+
+# Odd-even-odd triples for `oeo_permutation_rep`: p2 an even divisor of 2*p1
+# and 2*p3. Their groups act on p1*p2 points, regularly or not.
+OEO_TRIPLES = [
+    (p1, p2, p3)
+    for p1 in range(1, 12, 2)
+    for p3 in range(1, 12, 2)
+    for p2 in range(2, 23, 2)
+    if (2 * p1) % p2 == 0 and (2 * p3) % p2 == 0
+]
+
+
+@st.composite
+def transitive_reps(draw):
+    """A coset action of a drawn [p, q] quotient: on the trivial subgroup it
+    is regular, on a nonempty subgroup it is regular only when the subgroup
+    is normal."""
+    pres = draw(rank3_with_extra_relator())
+    subgroup = draw(st.sets(st.integers(0, 2)))
+    try:
+        return perm_rep(enumerate_cosets(pres, subgroup, BUDGET))
+    except BudgetExceeded:
+        return None
 
 
 class TestPermBasics:
@@ -118,17 +158,33 @@ class TestPointEncoding:
                 assert engine.compose(lam, g) == engine.compose(g, lam)
 
     def test_left_action_rejects_non_regular(self):
-        from tightpoly.families import oeo_permutation_rep
-
         rep, _ = oeo_permutation_rep(3, 6, 3)  # order 54 on 18 points
         assert engine.left_action(rep) is None
 
     def test_is_regular(self, rep_gamma36):
-        from tightpoly.families import oeo_permutation_rep
-
-        assert engine.is_regular(rep_gamma36)
+        assert is_regular(rep_gamma36)
         rep, _ = oeo_permutation_rep(3, 6, 3)
-        assert not engine.is_regular(rep)
+        assert not is_regular(rep)
+
+    def test_left_action_iff_regular(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            st.one_of(
+                transitive_reps(),
+                st.sampled_from(OEO_TRIPLES).map(lambda t: oeo_permutation_rep(*t)[0]),
+            )
+        )
+        def check(rep):
+            if rep is None:  # the enumeration ran out of budget
+                return
+            regular = is_regular(rep)
+            assert (engine.left_action(rep) is not None) == regular
+            seen.add(regular)
+
+        check()
+        assert seen == {True, False}
 
 
 class TestConjugationAcrossBuilders:

@@ -155,6 +155,11 @@ class TestAdmissibility:
             "p2=4 is not an even divisor of 2p1=6"
         )
 
+    def test_message_needs_a_violation(self):
+        # A raised check, not an assert, so `python -O` keeps it too.
+        with pytest.raises(ValueError, match="no violation to describe"):
+            admissibility_message((3, 6), is_admissible((3, 6)))
+
     def test_last_odd_entry_violation(self):
         adm = is_admissible((3, 6, 3, 6, 3, 4))
         assert not adm
