@@ -10,8 +10,9 @@ quotient actions make it fast and keep it exact:
     self-loops in it;
   * a non-definition edge a->b under generator g pins a group relation (the
     witness word of a, then g, then the reversed witness of b) that must
-    close from every row, so it is scanned once from every row that exists
-    when it is found, and then dropped;
+    close from every row, so it is scanned from every row that exists when
+    it is found, and kept for the rest of the branch so that every row
+    defined later is scanned with it too;
   * a completed table is kept only if the group generated by its columns
     has order exactly equal to the index, i.e. the action is regular.
 
@@ -65,6 +66,7 @@ def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ..
 # Trail tags for backtracking.
 _CELL = 0
 _COLSTATE = 1
+_PINNED = 2
 
 _COL_UNKNOWN = 0
 _COL_IDENTITY = 1
@@ -83,8 +85,11 @@ class _NormalSearch:
     reaching point b from point a names the same group element as a
     generator edge a->b. So the pinned relation witness[a] + (g,) +
     reversed(witness[b]) holds in the quotient and must close from every
-    row; it is scanned once, in the rotation it comes in, from the rows that
-    exist when it is found, and then dropped.
+    row. It is scanned, in the one rotation it comes in, from the rows that
+    exist when it is found, and then stays on `pinned` until backtracking
+    leaves its branch; each row defined meanwhile is queued on `fresh` and
+    scanned with every pinned relation once the other queues are empty.
+    `nodes` counts the calls of `run`, one per search node.
 
     Why the output does not depend on how hard it prunes: every rule only
     rejects, or fills a cell of, a partial table in a way forced on every
@@ -105,6 +110,9 @@ class _NormalSearch:
         self.trail: list[tuple] = []
         self.worklist: list[tuple[int, int]] = []
         self.pending: list[tuple[int, ...]] = []
+        self.pinned: list[tuple[int, ...]] = []
+        self.fresh: list[int] = []
+        self.nodes = 0
         self.found: list[tuple[tuple[int, ...], ...]] = []
         # Involution relators are built into the edge rule.
         rotations = sorted({
@@ -200,19 +208,29 @@ class _NormalSearch:
         worklist = self.worklist
         pending = self.pending
         buckets = self.buckets
+        pinned = self.pinned
+        fresh = self.fresh
         scan = self._scan
-        # On failure the caller's _undo clears both lists.
-        while worklist or pending:
+        # On failure the caller's _undo clears the three queues and unpins.
+        while worklist or pending or fresh:
             if pending:
-                # A pinned relation: scanned once from every row, then dropped.
+                # A new relation: scanned from every row, then kept pinned
+                # for the branch so that rows defined later scan it too.
                 w = pending.pop()
                 for c in range(self.nrows):
                     if not scan(c, w):
                         return False
-            else:
+                pinned.append(w)
+                self.trail.append((_PINNED,))
+            elif worklist:
                 a, g = worklist.pop()
                 for w in buckets[g]:
                     if not scan(a, w):
+                        return False
+            else:
+                c = fresh.pop()
+                for w in pinned:
+                    if not scan(c, w):
                         return False
         return True
 
@@ -239,6 +257,7 @@ class _NormalSearch:
             self.found.append(_bfs_relabel(rows, n))
 
     def run(self) -> None:
+        self.nodes += 1
         if not self._propagate():
             return
         idx = self._first_undefined()
@@ -257,6 +276,7 @@ class _NormalSearch:
             fresh = self.nrows
             self.nrows += 1
             self.witness.append(self.witness[a] + (g,))
+            self.fresh.append(fresh)
             for h in range(n):
                 if h != g and self.colstate[h] == _COL_IDENTITY:
                     self.table[fresh * n + h] = fresh
@@ -269,6 +289,8 @@ class _NormalSearch:
             self.nrows -= 1
 
     def _undo(self, mark: int) -> None:
+        # Restore the table, column states and pinned relations to what they
+        # were at `mark`, and drop the three queues of unfinished work.
         trail = self.trail
         table = self.table
         while len(trail) > mark:
@@ -276,10 +298,13 @@ class _NormalSearch:
             tag = entry[0]
             if tag == _CELL:
                 table[entry[1]] = UNDEF
-            else:
+            elif tag == _COLSTATE:
                 self.colstate[entry[1]] = entry[2]
+            else:
+                self.pinned.pop()
         self.worklist.clear()
         self.pending.clear()
+        self.fresh.clear()
 
 
 def low_index_normal(

@@ -210,18 +210,17 @@ def _presents_subgroup(
     return group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))
 
 
-def images_generate(dst_rep: PermRep, images: Sequence[Word], cap: int | None = None) -> bool:
+def images_generate(dst_rep: PermRep, images: Sequence[Word]) -> bool:
     """Do the image words generate the whole target group?"""
     image_perms = [eval_word(dst_rep, w) for w in images]
-    full = closure_perms(dst_rep.degree, dst_rep.gens, cap)
-    return len(closure_perms(dst_rep.degree, image_perms, cap)) == len(full)
+    full = closure_perms(dst_rep.degree, dst_rep.gens)
+    return len(closure_perms(dst_rep.degree, image_perms)) == len(full)
 
 
 def generator_map_extends(
     degree: int,
     gens: Sequence[Perm],
     images: Sequence[Perm],
-    cap: int | None = None,
 ) -> Mapping[Perm, Perm] | None:
     """Extend gens[i] -> images[i] over the group generated by `gens`.
 
@@ -229,7 +228,6 @@ def generator_map_extends(
     multiplicativity. Returns the full map, or None if the assignment does
     not extend to a homomorphism.
     """
-    cap = DEFAULT_ELEMENT_CAP if cap is None else cap
     if len(gens) != len(images):
         raise ValueError("gens and images must have equal length")
     target_degree = len(images[0]) if images else degree
@@ -244,8 +242,8 @@ def generator_map_extends(
                 fb = compose(fa, fg)
                 seen = phi.get(b)
                 if seen is None:
-                    if len(phi) >= cap:
-                        raise CapExceeded(cap)
+                    if len(phi) >= DEFAULT_ELEMENT_CAP:
+                        raise CapExceeded(DEFAULT_ELEMENT_CAP)
                     phi[b] = fb
                     new.append(b)
                 elif seen != fb:

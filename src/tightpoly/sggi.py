@@ -133,9 +133,9 @@ def _pair_products(rep: PermRep) -> tuple[engine.Perm, ...]:
     )
 
 
-def rotation_subgroup(rep: PermRep, cap: int | None = None) -> frozenset:
+def rotation_subgroup(rep: PermRep) -> frozenset:
     """Element set of the subgroup generated by all products of two generators."""
-    return engine.closure_perms(rep.degree, _pair_products(rep), cap)
+    return engine.closure_perms(rep.degree, _pair_products(rep))
 
 
 def _rotation_index(rep: PermRep) -> int:
