@@ -2,17 +2,16 @@
 
 The search backtracks over based transitive coset tables of the exact
 target index, with points numbered in first-appearance (row-major) order so
-each subgroup is generated exactly once. Three facts special to regular
+each subgroup is generated exactly once. Two facts special to regular
 quotient actions make it fast and keep it exact:
 
-  * a generator column is either the identity permutation or a derangement,
-    so one self-loop fixes a whole column and one moved point bans all
-    self-loops in it;
   * a non-definition edge a->b under generator g pins a group relation (the
-    witness word of a, then g, then the reversed witness of b) that must
-    close from every row, so it is scanned from every row that exists when
-    it is found, and kept for the rest of the branch so that every row
-    defined later is scanned with it too;
+    witness word of a, then g, then the reversed witness of b, with the
+    prefix the two witnesses share cut off) that must close from every row,
+    so it is scanned from every row that exists when it is found, and kept
+    for the rest of the branch so that every row defined later is scanned
+    with it too. A self-loop pins the one-letter word (g,), so the whole
+    column must be the identity and any moved point in it ends the branch;
   * a completed table is kept only if the group generated by its columns
     has order exactly equal to the index, i.e. the action is regular.
 
@@ -32,8 +31,10 @@ from .poset import poset_checks
 from .toddcox import CosetTable, PermRep, perm_rep
 from .words import (
     Presentation,
+    _require_involutions,
     coxeter_presentation,
     gamma_tuple_presentation,
+    involution_letter,
     lambda_k_presentation,
 )
 
@@ -65,12 +66,7 @@ def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ..
 
 # Trail tags for backtracking.
 _CELL = 0
-_COLSTATE = 1
-_PINNED = 2
-
-_COL_UNKNOWN = 0
-_COL_IDENTITY = 1
-_COL_DERANGED = 2
+_PINNED = 1
 
 
 class _NormalSearch:
@@ -80,15 +76,20 @@ class _NormalSearch:
     every presentation relator rotation starting with g at row a. These
     buckets are built once and never change, and every relator cycle is
     verified when its last edge appears, so every completed table satisfies
-    the presentation. Two facts about regular actions prune hard: a
-    generator column is either the identity or a derangement, and any word
+    the presentation. One fact about regular actions prunes hard: any word
     reaching point b from point a names the same group element as a
-    generator edge a->b. So the pinned relation witness[a] + (g,) +
-    reversed(witness[b]) holds in the quotient and must close from every
-    row. It is scanned, in the one rotation it comes in, from the rows that
-    exist when it is found, and then stays on `pinned` until backtracking
-    leaves its branch; each row defined meanwhile is queued on `fresh` and
-    scanned with every pinned relation once the other queues are empty.
+    generator edge a->b. So witness[a] + (g,) + reversed(witness[b]) lies in
+    the kernel, and so does its conjugate u + (g,) + reversed(v) by the
+    shared prefix p of witness[a] = p + u and witness[b] = p + v, because
+    the kernel is normal. That pinned relation must close from every row. It
+    is scanned, in the one rotation it comes in, from the rows that exist
+    when it is found, and then stays on `pinned` until backtracking leaves
+    its branch; each row defined meanwhile is queued on `fresh` and scanned
+    with every pinned relation once the other queues are empty. A self-loop
+    a->a pins (g,): scanning it from every row, fresh rows included, fills
+    the rest of column g with self-loops and rejects any moved point in it,
+    since in a regular action a generator fixing one point fixes all.
+    Definition edges, whose reduced word is (g, g), pin nothing.
     `nodes` counts the calls of `run`, one per search node.
 
     Why the output does not depend on how hard it prunes: every rule only
@@ -104,7 +105,6 @@ class _NormalSearch:
         self.ngens = n = pres.ngens
         self.index = index
         self.table = [UNDEF] * (index * n)
-        self.colstate = [_COL_UNKNOWN] * n
         self.nrows = 1
         self.witness: list[tuple[int, ...]] = [()]
         self.trail: list[tuple] = []
@@ -118,7 +118,7 @@ class _NormalSearch:
         rotations = sorted({
             w[t:] + w[:t]
             for w in pres.relators
-            if not (len(w) == 2 and w[0] == w[1])
+            if involution_letter(w) is None
             for t in range(len(w))
         })
         self.buckets = tuple(tuple(w for w in rotations if w[0] == g) for g in range(n))
@@ -131,50 +131,27 @@ class _NormalSearch:
         cur = table[a * n + g]
         if cur != UNDEF:
             return cur == b
-        state = self.colstate[g]
-        if a == b:
-            if state == _COL_DERANGED:
-                return False
-            if state == _COL_UNKNOWN:
-                self._mark_column_identity(g)
-                return True
-            table[a * n + g] = a
-            self.trail.append((_CELL, a * n + g))
-            self.worklist.append((a, g))
-            return True
-        if state == _COL_IDENTITY:
-            return False
         back = table[b * n + g]
         if back != UNDEF and back != a:
             return False
-        if state == _COL_UNKNOWN:
-            self.colstate[g] = _COL_DERANGED
-            self.trail.append((_COLSTATE, g, _COL_UNKNOWN))
         table[a * n + g] = b
         self.trail.append((_CELL, a * n + g))
         self.worklist.append((a, g))
-        if back == UNDEF:
+        if back == UNDEF and b != a:  # a self-loop is its own reverse edge
             table[b * n + g] = a
             self.trail.append((_CELL, b * n + g))
             self.worklist.append((b, g))
         wa, wb = self.witness[a], self.witness[b]
-        # Definition edges (witness extends witness) carry no group relation;
-        # anything else pins an element identity worth propagating.
-        if wb != wa + (g,) and wa != wb + (g,):
-            self.pending.append(wa + (g,) + tuple(reversed(wb)))
+        k = 0
+        for x, y in zip(wa, wb):
+            if x != y:
+                break
+            k += 1
+        w = wa[k:] + (g,) + tuple(reversed(wb[k:]))
+        # A definition edge reduces to (g, g), which holds in every table.
+        if w != (g, g) and w not in self.pinned and w not in self.pending:
+            self.pending.append(w)
         return True
-
-    def _mark_column_identity(self, g: int) -> None:
-        self.colstate[g] = _COL_IDENTITY
-        self.trail.append((_COLSTATE, g, _COL_UNKNOWN))
-        table = self.table
-        n = self.ngens
-        for y in range(self.nrows):
-            idx = y * n + g
-            if table[idx] == UNDEF:
-                table[idx] = y
-                self.trail.append((_CELL, idx))
-                self.worklist.append((y, g))
 
     # -- propagation -----------------------------------------------------------
 
@@ -214,14 +191,15 @@ class _NormalSearch:
         # On failure the caller's _undo clears the three queues and unpins.
         while worklist or pending or fresh:
             if pending:
-                # A new relation: scanned from every row, then kept pinned
-                # for the branch so that rows defined later scan it too.
+                # A new relation: pinned for the branch so that rows defined
+                # later scan it too, then scanned from every row. Pinning it
+                # first keeps its own scan from queueing it again.
                 w = pending.pop()
+                pinned.append(w)
+                self.trail.append((_PINNED,))
                 for c in range(self.nrows):
                     if not scan(c, w):
                         return False
-                pinned.append(w)
-                self.trail.append((_PINNED,))
             elif worklist:
                 a, g = worklist.pop()
                 for w in buckets[g]:
@@ -277,11 +255,6 @@ class _NormalSearch:
             self.nrows += 1
             self.witness.append(self.witness[a] + (g,))
             self.fresh.append(fresh)
-            for h in range(n):
-                if h != g and self.colstate[h] == _COL_IDENTITY:
-                    self.table[fresh * n + h] = fresh
-                    self.trail.append((_CELL, fresh * n + h))
-                    self.worklist.append((fresh, h))
             if self._set(a, g, fresh):
                 self.run()
             self._undo(mark)
@@ -289,17 +262,14 @@ class _NormalSearch:
             self.nrows -= 1
 
     def _undo(self, mark: int) -> None:
-        # Restore the table, column states and pinned relations to what they
-        # were at `mark`, and drop the three queues of unfinished work.
+        # Restore the table and pinned relations to what they were at
+        # `mark`, and drop the three queues of unfinished work.
         trail = self.trail
         table = self.table
         while len(trail) > mark:
             entry = trail.pop()
-            tag = entry[0]
-            if tag == _CELL:
+            if entry[0] == _CELL:
                 table[entry[1]] = UNDEF
-            elif tag == _COLSTATE:
-                self.colstate[entry[1]] = entry[2]
             else:
                 self.pinned.pop()
         self.worklist.clear()
@@ -315,9 +285,13 @@ def low_index_normal(
     Each is returned as the coset table of the action on its cosets (the
     regular action of the quotient), in canonical breadth-first numbering;
     subgroup_gens is empty because the subgroup is not parabolic. The result
-    is sorted by table content.
+    is sorted by table content. Every generator must have its involution
+    relator, as the search builds involutory columns.
     """
+    _require_involutions(pres)
     cap = DEFAULT_INDEX_CAP if index_cap is None else index_cap
+    if cap < 1:
+        raise ValueError(f"index_cap must be >= 1, got {cap}")
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
     if index > cap:

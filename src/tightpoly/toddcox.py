@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RelatorViolation
-from .words import Presentation, Word
+from .words import Presentation, Word, _require_involutions, involution_letter
 
 DEFAULT_MAX_COSETS = 100_000
 UNDEF = -1
@@ -76,16 +76,6 @@ class CosetTable:
         return "\n".join(lines) + "\n"
 
 
-def _require_involutions(pres: Presentation) -> None:
-    have = {w[0] for w in pres.relators if len(w) == 2 and w[0] == w[1]}
-    missing = [g for g in range(pres.ngens) if g not in have]
-    if missing:
-        raise ValueError(
-            f"presentation lacks involution relators for generators {missing}; "
-            "enumeration assumes every generator squares to the identity"
-        )
-
-
 def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tuple[list[int], list[int]]:
     """One HLT pass to completion over the flat table `table[c * ngens + g]`.
 
@@ -113,7 +103,7 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
         table[g] = 0
     # An involution relator x_g x_g is kept at its place in relator order as
     # the generator g: scanning it only ever fills an undefined row entry.
-    plan = [w[0] if len(w) == 2 and w[0] == w[1] else w for w in pres.relators]
+    plan = [w if (g := involution_letter(w)) is None else g for w in pres.relators]
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -227,7 +217,7 @@ def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentati
         if sorted(col) != points or list(map(col.__getitem__, col)) != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
     for w in pres.relators:
-        if len(w) == 2 and w[0] == w[1]:
+        if involution_letter(w) is not None:
             continue  # certified by the column check
         # w = u^k acts as the k-th power of u's permutation: trace u from
         # every coset at once, then raise to the k-th power by squaring.

@@ -34,6 +34,23 @@ class Presentation:
                     raise ValueError(f"letter {letter} out of range in relator {w}")
 
 
+def involution_letter(w: Word) -> int | None:
+    """The generator g when w is the involution relator (g, g), else None."""
+    if len(w) == 2 and w[0] == w[1]:
+        return w[0]
+    return None
+
+
+def _require_involutions(pres: Presentation) -> None:
+    have = {involution_letter(w) for w in pres.relators}
+    missing = [g for g in range(pres.ngens) if g not in have]
+    if missing:
+        raise ValueError(
+            f"presentation lacks involution relators for generators {missing}; "
+            "enumeration assumes every generator squares to the identity"
+        )
+
+
 def validate_symbol(sym: Sequence[int]) -> tuple[int, ...]:
     """Check entries are integers >= 2 and return the symbol as a tuple."""
     entries = tuple(sym)

@@ -349,6 +349,15 @@ class TestCli:
         assert main(["family", "--gamma", "3,6,4", "--out", str(path)]) == 0
         assert parse_presentation(path.read_text()) == gamma_tuple_presentation((3, 6, 4))
 
+    def test_family_gamma_adjacent_odd_pair(self, capsys):
+        assert main(["family", "--gamma", "3,3"]) == 2
+        assert "entries 1 and 2 are both odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_classify_index_cap_below_one_rejected(self, cap, capsys):
+        assert main(["classify", "--type", "3,4", "--index-cap", cap]) == 2
+        assert f"index_cap must be >= 1, got {cap}" in capsys.readouterr().err
+
     def test_family_lambda_stdout(self, capsys):
         assert main(["family", "--lambda-k", "3"]) == 0
         out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from tightpoly.classifier import (
 from tightpoly.errors import CapExceeded, InvariantViolation
 from tightpoly.toddcox import perm_rep, regular_rep
 from tightpoly.words import (
+    Presentation,
     coxeter_presentation,
     gamma_pq_presentation,
     lambda_k_presentation,
@@ -108,6 +109,17 @@ class TestLowIndexNormal:
         with pytest.raises(CapExceeded):
             low_index_normal(coxeter_presentation((3, 2)), 200)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_index_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="index_cap must be >= 1"):
+            low_index_normal(coxeter_presentation((3, 2)), 12, cap)
+
+    def test_requires_involution_relators(self):
+        # The integers have a normal subgroup of index 3, but the search
+        # builds involutory columns, so it must refuse the presentation.
+        with pytest.raises(ValueError, match="involution relators"):
+            low_index_normal(Presentation(1, ()), 3)
+
     @pytest.mark.parametrize(
         "pres",
         [
@@ -167,12 +179,35 @@ class _RecordedUndo(_NormalSearch):
         assert not (self.worklist or self.pending or self.fresh)
 
 
+class _CheckedSelfLoops(_NormalSearch):
+    """Checks after each successful propagation that every pinned one-letter
+    word (g,) has made column g the identity on every row, rows defined
+    after the pin included; `checked` counts the pins checked."""
+
+    def __init__(self, pres, index):
+        super().__init__(pres, index)
+        self.checked = 0
+
+    def _propagate(self):
+        ok = super()._propagate()
+        if ok:
+            n = self.ngens
+            for w in self.pinned:
+                if len(w) == 1:
+                    assert all(self.table[c * n + w[0]] == c for c in range(self.nrows))
+                    self.checked += 1
+        return ok
+
+
 class TestNormalSearch:
-    @pytest.mark.parametrize("pq, nodes", [((4, 8), 1892), ((6, 8), 10959)])
+    @pytest.mark.parametrize("pq, nodes", [((4, 8), 2230), ((6, 8), 12052)])
     def test_search_nodes(self, pq, nodes):
-        # The tables alone cannot show weaker pruning: without the scans of
-        # pinned relations from rows defined later the search still finds
-        # the same tables, in 5574 and 47928 nodes.
+        # The tables alone cannot show weaker pruning. Without the scans of
+        # pinned relations from rows defined later, a pinned self-loop no
+        # longer fills its column in those rows: the search still finds the
+        # same tables where it ends, but {4, 6} takes 326,415 nodes instead
+        # of 1,051, and {4, 8} had found nothing after 64 million nodes.
+        # `test_pinned_self_loops_fill_their_columns` fails fast on that.
         p, q = pq
         search = _NormalSearch(coxeter_presentation(pq), 2 * p * q)
         search.run()
@@ -187,6 +222,27 @@ class TestNormalSearch:
             for failed, before, at_mark, _ in search.undos
         )
         assert search.pinned == [] and search.trail == []
+
+    def test_edges_pin_reduced_relations(self):
+        # Rows 2 = 1*x1 and 3 = 1*x2 share the witness prefix (0,) of row 1.
+        search = _NormalSearch(coxeter_presentation((4, 8)), 64)
+        search.nrows = 4
+        search.witness = [(), (0,), (0, 1), (0, 2)]
+        for a, g, b in [(0, 0, 1), (1, 1, 2), (1, 2, 3)]:
+            assert search._set(a, g, b)
+        assert search.pending == []  # definition edges pin nothing
+        assert search._set(2, 0, 3)
+        assert search.pending == [(1, 0, 2)]
+        assert search._set(2, 2, 2)  # a self-loop pins its one letter
+        assert search.table[2 * 3 + 2] == 2
+        assert search.pending == [(1, 0, 2), (2,)]
+        assert search._set(0, 2, 0)  # and pins it only once
+        assert search.pending == [(1, 0, 2), (2,)]
+
+    def test_pinned_self_loops_fill_their_columns(self):
+        search = _CheckedSelfLoops(coxeter_presentation((4, 8)), 64)
+        search.run()
+        assert search.checked > 0
 
 
 class TestFuzzAgainstOracle:

@@ -1,10 +1,14 @@
 """The normal-subgroup search against the one with the dynamic relator store.
 
 `reference_classifier` keeps the search that stored every pinned relation,
-in all its rotations, until backtracking removed it; the search in
-`tightpoly.classifier` scans each pinned relation once. Weaker pruning may
-cost search nodes but must not change the result: every test here demands
-equal `low_index_normal` tables from both, or the same exception type.
+in all its rotations, until backtracking removed it, and that tracked each
+generator column as unknown, identity or derangement. The search in
+`tightpoly.classifier` pins each relation in one rotation, with the prefix
+its two witnesses share cut off, and keeps it for its branch so that rows
+defined later are scanned with it too; a self-loop pins a one-letter word
+in place of the column states. Weaker pruning may cost search nodes but
+must not change the result: every test here demands equal
+`low_index_normal` tables from both, or the same exception type.
 Infinite groups are in the domain, where the brute-force oracle in
 `test_classifier.py` cannot go.
 """

@@ -10,6 +10,7 @@ from tightpoly.words import (
     coxeter_presentation,
     gamma_pq_presentation,
     gamma_tuple_presentation,
+    involution_letter,
     is_admissible,
     kill_generators,
     lambda_k_presentation,
@@ -25,6 +26,15 @@ def cycle_key(w):
     for u in (tuple(w), tuple(reversed(w))):
         candidates += [u[t:] + u[:t] for t in range(len(u))]
     return min(candidates)
+
+
+class TestInvolutionLetter:
+    @pytest.mark.parametrize(
+        "w, letter",
+        [((0, 0), 0), ((2, 2), 2), ((0, 1), None), ((1,), None), ((1, 1, 1, 1), None), ((), None)],
+    )
+    def test_only_a_squared_letter(self, w, letter):
+        assert involution_letter(w) == letter
 
 
 class TestCoxeter:
