@@ -295,7 +295,7 @@ def low_index_normal(
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
     if index > cap:
-        raise CapExceeded(cap)
+        raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
     search = _NormalSearch(pres, index)
     search.run()
     tables = sorted(set(search.found))

@@ -43,11 +43,12 @@ class BudgetExceeded(TightpolyError):
 
 
 class CapExceeded(TightpolyError):
-    """Element enumeration grew past the configured cap."""
+    """Element enumeration grew past the configured cap, or a search was
+    asked for more than its cap allows; `message` says which."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, message: str | None = None):
         self.cap = cap
-        super().__init__(f"element enumeration exceeded cap of {cap}")
+        super().__init__(message or f"element enumeration exceeded cap of {cap}")
 
 
 class RelatorViolation(TightpolyError):

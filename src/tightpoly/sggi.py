@@ -3,10 +3,14 @@
 Every operation here takes the regular representation of the group (the
 output of a trivial-subgroup enumeration, where points are in bijection
 with group elements). Subgroups are then encoded exactly by their point
-sets: the intersection condition is still checked by exact set
-intersection over all pairs of generator subsets, it just intersects point
-sets instead of permutation sets. engine.closure provides the independent
-permutation-set route, and the two are compared in the test suite.
+sets, and the intersection condition meets point sets instead of
+permutation sets. `profile` first meets the point sets of the n(n+1)/2
+generator intervals, which suffices for a string group generated by
+involutions; only when that check does not apply or fails does it run
+`check_intersection_condition`, the exhaustive meet over all pairs of
+generator subsets that also finds the first witness. engine.closure
+provides the independent permutation-set route, and the two are compared
+in the test suite.
 """
 
 from __future__ import annotations
@@ -97,6 +101,29 @@ def check_intersection_condition(rep: PermRep) -> tuple[bool, tuple[Subset, Subs
     return True, None
 
 
+def _interval_condition(rep: PermRep) -> bool:
+    """Do the point sets of the generator intervals meet as the intersection
+    condition demands?
+
+    With orbit[i, j] the point set of <x_i, ..., x_j> (the empty interval
+    j = i - 1 is {0}), every interval of length >= 2 must satisfy
+    orbit[i, j-1] & orbit[i+1, j] == orbit[i+1, j-1]. The meets are taken
+    shortest first, so each needs only orbits already computed, and the
+    first failure stops the check. No meet reads the orbit of the whole
+    interval [0, n-1], so it is not taken.
+    """
+    n = len(rep.gens)
+    orbit = {(i, i - 1): frozenset((0,)) for i in range(n + 1)}
+    for length in range(1, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            if length >= 2 and orbit[i, j - 1] & orbit[i + 1, j] != orbit[i + 1, j - 1]:
+                return False
+            if length < n:
+                orbit[i, j] = engine.point_orbit(rep, range(i, j + 1))
+    return True
+
+
 Side = Literal["facet", "vertexfigure"]
 
 
@@ -156,15 +183,31 @@ def orientability(rep: PermRep) -> Orientability:
 
 
 def profile(rep: PermRep) -> SggiProfile:
-    """Full verdict bundle for a regular representation."""
+    """Full verdict bundle for a regular representation.
+
+    For an sggi whose generators are all involutions (none degenerate), the
+    intersection condition holds as soon as the generator intervals meet as
+    it demands (McMullen and Schulte, Abstract Regular Polytopes, 2002,
+    Prop. 2E16(a), applied from the intervals of length 1 up): fewer than
+    n(n+1)/2 point sets instead of 2^n, and n(n-1)/2 meets instead of 4^n. A
+    degenerate generator (one equal to the identity) is no involution, so
+    the rank-1 base of that induction fails and the route is skipped.
+    When the route is skipped or a meet fails, the exhaustive
+    `check_intersection_condition` gives the verdict and the first witness,
+    so the profile is the same as from the exhaustive check alone.
+    """
     rot_index = _rotation_index(rep)
     sggi_ok = check_sggi(rep)
-    c_group, witness = check_intersection_condition(rep)
+    degenerate = degenerate_generators(rep)
+    if sggi_ok and not degenerate and _interval_condition(rep):
+        c_group, witness = True, None
+    else:
+        c_group, witness = check_intersection_condition(rep)
     return SggiProfile(
         rank=len(rep.gens),
         group_order=rep.degree,
         is_sggi=sggi_ok,
-        degenerate=degenerate_generators(rep),
+        degenerate=degenerate,
         schlafli=schlafli_of_group(rep),
         is_string_c_group=sggi_ok and c_group,
         intersection_witness=witness,

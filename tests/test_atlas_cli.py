@@ -358,6 +358,11 @@ class TestCli:
         assert main(["classify", "--type", "3,4", "--index-cap", cap]) == 2
         assert f"index_cap must be >= 1, got {cap}" in capsys.readouterr().err
 
+    def test_classify_index_above_cap(self, capsys):
+        assert main(["classify", "--type", "10,7"]) == 3
+        err = capsys.readouterr().err
+        assert err == "resource limit: index 140 is above the index cap of 128\n"
+
     def test_family_lambda_stdout(self, capsys):
         assert main(["family", "--lambda-k", "3"]) == 0
         out = capsys.readouterr().out

@@ -106,8 +106,12 @@ class TestLowIndexNormal:
         assert len(low_index_normal(coxeter_presentation((3, 4)), 48)) == 1
 
     def test_index_cap(self):
-        with pytest.raises(CapExceeded):
+        # No element is enumerated: the message names the index and the cap.
+        with pytest.raises(CapExceeded, match="^index 200 is above the index cap of 128$") as info:
             low_index_normal(coxeter_presentation((3, 2)), 200)
+        assert info.value.cap == 128
+        with pytest.raises(CapExceeded, match="^index 200 is above the index cap of 150$"):
+            low_index_normal(coxeter_presentation((3, 2)), 200, 150)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_index_cap_below_one_rejected(self, cap):
@@ -314,7 +318,7 @@ class TestClassify:
         assert len(records) == 1  # only the non-orientable one exists
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="^index 140 is above the index cap of 128$"):
             classify_tight(10, 7, require_orientable=True)
 
     def test_records_satisfy_source_relators(self):

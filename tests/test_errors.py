@@ -41,3 +41,11 @@ def test_pickle_round_trip(cls, protocol):
     assert back.args == exc.args
     assert vars(back) == vars(exc)
 
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_cap_exceeded_with_message_round_trip(protocol):
+    exc = errors.CapExceeded(128, "index 140 is above the index cap of 128")
+    back = pickle.loads(pickle.dumps(exc, protocol))
+    assert str(back) == "index 140 is above the index cap of 128"
+    assert back.cap == 128
+    assert back.args == exc.args

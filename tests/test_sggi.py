@@ -1,17 +1,38 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from test_poset_differential import rank3_with_extra_relator
+from test_poset_differential import BUDGET, rank3_with_extra_relator, rank4_with_extra_relator
+from test_toddcox_differential import gamma_tuples
 from tightpoly import engine, sggi
 from tightpoly.errors import BudgetExceeded, InvariantViolation
 from tightpoly.sggi import Orientability
 from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import (
+    Presentation,
     coxeter_presentation,
     gamma_pq_presentation,
     gamma_tuple_presentation,
     lambda_k_presentation,
 )
+
+
+def with_extra_relator(symbol, extra):
+    base = coxeter_presentation(symbol)
+    return Presentation(base.ngens, base.relators + (extra,))
+
+
+def counted_oracle(monkeypatch):
+    """Replace check_intersection_condition by a wrapper that records each
+    call; returns the list of calls and the original function."""
+    oracle = sggi.check_intersection_condition
+    calls = []
+
+    def counted(rep):
+        calls.append(rep)
+        return oracle(rep)
+
+    monkeypatch.setattr(sggi, "check_intersection_condition", counted)
+    return calls, oracle
 
 
 class TestSggiCheck:
@@ -163,3 +184,67 @@ class TestProfile:
         assert prof.is_sggi
         assert not prof.is_string_c_group
         assert prof.intersection_witness == ((0,), (2,))
+
+
+class TestIntervalRoute:
+    """`profile` meets the generator intervals first and runs the exhaustive
+    check only when that route is skipped or a meet fails."""
+
+    def test_string_c_group_skips_the_exhaustive_check(self, monkeypatch):
+        rep = regular_rep(gamma_tuple_presentation((2, 2, 6, 3, 2, 2)))
+
+        def refuse(rep):
+            raise AssertionError("exhaustive intersection check called")
+
+        monkeypatch.setattr(sggi, "check_intersection_condition", refuse)
+        prof = sggi.profile(rep)
+        assert prof.is_string_c_group
+        assert prof.intersection_witness is None
+
+    def test_failed_meet_falls_back_once(self, monkeypatch, rep_degenerate_x0x2):
+        # x0 = x2: every interval of length 2 meets trivially, the whole
+        # interval does not, and the exhaustive check finds the witness.
+        calls, _ = counted_oracle(monkeypatch)
+        prof = sggi.profile(rep_degenerate_x0x2)
+        assert len(calls) == 1
+        assert not prof.is_string_c_group
+        assert prof.intersection_witness == ((0,), (2,))
+
+    def test_same_verdict_and_witness_as_the_oracle(self, monkeypatch):
+        calls, oracle = counted_oracle(monkeypatch)
+        routes = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            st.one_of(
+                rank3_with_extra_relator(),
+                rank4_with_extra_relator(),
+                gamma_tuples.map(gamma_tuple_presentation),
+            )
+        )
+        # One draw for each route, and the smallest quotients that weakened
+        # interval checks accept: x0 = x2 passes every length-2 meet, x0 = x1
+        # passes every longer one.
+        @example(coxeter_presentation((3, 3)))
+        @example(with_extra_relator((2, 2), (0, 2)))
+        @example(with_extra_relator((2, 2), (0, 1)))
+        @example(with_extra_relator((2, 2), (0,)))
+        def check(pres):
+            try:
+                rep = regular_rep(pres, BUDGET)
+            except BudgetExceeded:
+                return
+            calls.clear()
+            prof = sggi.profile(rep)
+            ok, witness = oracle(rep)
+            assert prof.is_string_c_group == (sggi.check_sggi(rep) and ok)
+            assert prof.intersection_witness == witness
+            if not prof.is_sggi or prof.degenerate:
+                routes.add("skipped")
+                assert len(calls) == 1
+            else:
+                routes.add("fallback" if calls else "fast")
+                assert len(calls) <= 1
+
+        check()
+        assert routes == {"fast", "fallback", "skipped"}
