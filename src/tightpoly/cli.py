@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all claims pass, 1 claim failure, 2 bad input (including
-non-admissible tuples, tuples with two adjacent odd entries and parse
-errors), 3 resource budget exhausted, 4 internal error (a failed
+non-admissible tuples, tuples with two adjacent odd entries, parse errors
+and files that cannot be read or written), 3 resource budget exhausted, 4 internal error (a failed
 certificate or invariant: a bug, not a verdict).
 The TIGHTPOLY_MAX_COSETS environment variable raises the default
 enumeration budget; flags override it per run.
@@ -258,10 +258,7 @@ def main(argv=None) -> int:
     except NotAdmissible as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, PresentationParseError, AdjacentOddPair, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, PresentationParseError, AdjacentOddPair, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceeded, CapExceeded) as exc:

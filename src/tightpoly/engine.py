@@ -1,9 +1,11 @@
 """Finite-group computations on permutation representations.
 
-The pipeline encodes a subgroup of a regular representation by its point
-set (`point_orbit`). Element sets from `closure` are plain frozensets of
-permutation tuples: the independent oracle the tests compare point sets
-against, and the element-level toolkit (centrality, generator maps).
+The pipeline reads a regular representation at point 0: a subgroup is its
+point set (`point_orbit`), and an element given as a word is the image of
+point 0 under it (`_image`), the identity exactly when that is 0. Element
+sets from `closure` are plain frozensets of permutation tuples: the
+independent oracle the tests compare point sets against, and the
+element-level toolkit (centrality, generator maps).
 Permutations compose left to right: compose(p, q) applies p first.
 """
 
@@ -59,6 +61,13 @@ def eval_word(rep: PermRep, word: Word) -> Perm:
     for letter in word:
         p = compose(p, rep.gens[letter])
     return p
+
+
+def _image(rep: PermRep, word: Word, point: int = 0) -> int:
+    """The image of a point under a word, its letters applied left to right."""
+    for letter in word:
+        point = rep.gens[letter][point]
+    return point
 
 
 def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) -> frozenset[Perm]:
@@ -148,7 +157,12 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
 
 
 def element_order(rep: PermRep, word: Word) -> int:
-    return perm_order(eval_word(rep, word))
+    """Order of a word's element in a regular rep: the length of the cycle
+    of point 0 under it."""
+    order, point = 1, _image(rep, word)
+    while point != 0:
+        order, point = order + 1, _image(rep, word, point)
+    return order
 
 
 class Conjugation(Enum):
@@ -178,17 +192,17 @@ def check_generator_map(
 ) -> bool:
     """Does x_i -> images[i] extend to a homomorphism into the target group?
 
-    True iff every relator of `src` maps to the identity permutation.
-    Surjectivity is a separate question; see images_generate.
+    True iff every relator of `src` maps to the identity, that is, its image
+    word fixes point 0: `dst_rep` must be regular. Surjectivity is a
+    separate question; see images_generate.
     """
     if len(images) != src.ngens:
         raise ValueError(f"expected {src.ngens} images, got {len(images)}")
-    ident = identity_perm(dst_rep.degree)
     for w in src.relators:
-        image_word: tuple[int, ...] = ()
+        point = 0
         for letter in w:
-            image_word += tuple(images[letter])
-        if eval_word(dst_rep, image_word) != ident:
+            point = _image(dst_rep, images[letter], point)
+        if point != 0:
             return False
     return True
 

@@ -108,31 +108,27 @@ def _klein_four_checks(rep: PermRep, k: int) -> tuple[bool, bool]:
     dihedral quotient of order 6k (certified by order arithmetic plus the
     order of x0 x1 modulo H).
 
-    H is encoded by its point set: in a regular rep an element lies in H
-    exactly when its image of point 0 does, and is the identity exactly
-    when it fixes point 0.
+    H is read at point 0: in a regular rep an element is the identity exactly
+    when it fixes point 0, so H is Klein when 1, a, b, ab give four points
+    and square to 1, and an element lies in H exactly when its image of 0 does.
     """
-    a = rep.gens[2]
-    b = engine.eval_word(rep, (1, 2, 1))
-    elements = (engine.identity_perm(rep.degree), a, b, engine.compose(a, b))
-    subgroup = engine.point_orbit(PermRep(rep.degree, (a, b)), (0, 1))
-    klein = len(subgroup) == 4 and all(h[h[0]] == 0 for h in elements)
-    # A Klein H is exactly `elements`; g h g applied to point 0 is g[h[g[0]]].
+    elements = ((), (2,), (1, 2, 1), (2, 1, 2, 1))
+    subgroup = {engine._image(rep, h) for h in elements}
+    klein = len(subgroup) == 4 and all(engine._image(rep, h + h) == 0 for h in elements)
     normal = klein and all(
-        g[h[g[0]]] in subgroup for g in rep.gens for h in elements
+        engine._image(rep, (g,) + h + (g,)) in subgroup
+        for g in range(len(rep.gens))
+        for h in elements
     )
     if not normal:
         return False, False
-    quotient_order = rep.degree // 4
-    rho01 = engine.eval_word(rep, (0, 1))
-    point = 0
-    image_order = 0
+    point, image_order = 0, 0
     for m in range(1, rep.degree + 1):
-        point = rho01[point]
+        point = engine._image(rep, (0, 1), point)
         if point in subgroup:
             image_order = m
             break
-    dihedral = quotient_order == 6 * k and image_order == 3 * k
+    dihedral = rep.degree // 4 == 6 * k and image_order == 3 * k
     return True, dihedral
 
 

@@ -2,9 +2,10 @@
 
 Every operation here takes the regular representation of the group (the
 output of a trivial-subgroup enumeration, where points are in bijection
-with group elements). Subgroups are then encoded exactly by their point
-sets, and the intersection condition meets point sets instead of
-permutation sets. `profile` first meets the point sets of the n(n+1)/2
+with group elements) and reads it at point 0: an element, given as a word,
+is the identity exactly when it fixes point 0, its order is the length of
+point 0's cycle under it, and a subgroup is exactly its point set. So the
+intersection condition meets point sets instead of permutation sets. `profile` first meets the point sets of the n(n+1)/2
 generator intervals, which suffices for a string group generated by
 involutions; only when that check does not apply or fails does it run
 `check_intersection_condition`, the exhaustive meet over all pairs of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Literal
 
 from . import engine
@@ -48,21 +49,14 @@ class SggiProfile:
 def check_sggi(rep: PermRep) -> bool:
     """Generators square to 1 and non-adjacent pairs commute."""
     n = len(rep.gens)
-    ident = engine.identity_perm(rep.degree)
-    for g in rep.gens:
-        if engine.compose(g, g) != ident:
-            return False
-    for i in range(n):
-        for j in range(i + 2, n):
-            if engine.eval_word(rep, (i, j, i, j)) != ident:
-                return False
-    return True
+    return all(engine._image(rep, (i, i)) == 0 for i in range(n)) and all(
+        engine._image(rep, (i, j, i, j)) == 0 for i in range(n) for j in range(i + 2, n)
+    )
 
 
 def degenerate_generators(rep: PermRep) -> tuple[int, ...]:
-    """Indices of generators equal to the identity."""
-    ident = engine.identity_perm(rep.degree)
-    return tuple(i for i, g in enumerate(rep.gens) if g == ident)
+    """Indices of generators equal to the identity (fixing point 0)."""
+    return tuple(i for i, g in enumerate(rep.gens) if g[0] == 0)
 
 
 def schlafli_of_group(rep: PermRep) -> tuple[int, ...]:
@@ -148,33 +142,29 @@ def quotient_criterion(rep: PermRep, quotient_rep: PermRep, side: Side) -> bool:
     return len(big) == len(small)
 
 
-def _pair_products(rep: PermRep) -> tuple[engine.Perm, ...]:
-    """The products x_i x_j of two distinct generators, which generate the
-    rotation subgroup."""
-    n = len(rep.gens)
-    return tuple(
-        engine.compose(rep.gens[i], rep.gens[j])
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
-
-
 def rotation_subgroup(rep: PermRep) -> frozenset:
     """Element set of the subgroup generated by all products of two generators."""
-    return engine.closure_perms(rep.degree, _pair_products(rep))
+    pairs = (engine.compose(g, h) for g, h in permutations(rep.gens, 2))
+    return engine.closure_perms(rep.degree, pairs)
 
 
 def _rotation_index(rep: PermRep) -> int:
     """Index of the rotation subgroup (all products of two generators) in a
-    regular representation: 1 or 2, as the group is generated by involutions."""
-    pairs = _pair_products(rep)
-    pair_rep = PermRep(degree=rep.degree, gens=pairs)
-    rotations = len(engine.point_orbit(pair_rep, range(len(pairs))))
-    index, rem = divmod(rep.degree, rotations)
-    if rem or index not in (1, 2):
-        raise InvariantViolation(f"rotation subgroup index {rep.degree}/{rotations}")
-    return index
+    regular representation generated by involutions: 2 exactly when the
+    parity of the word length, spread from point 0, is well defined, that
+    is, when every generator changes the parity of every point; else 1."""
+    parity = [-1] * rep.degree
+    parity[0] = 0
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in rep.gens:
+            if parity[g[x]] < 0:
+                parity[g[x]] = 1 - parity[x]
+                frontier.append(g[x])
+    if -1 in parity:
+        raise InvariantViolation(f"{parity.count(-1)} of {rep.degree} points not reached from point 0")
+    return 2 if all(parity[y] != p for g in rep.gens for y, p in zip(g, parity)) else 1
 
 
 def orientability(rep: PermRep) -> Orientability:

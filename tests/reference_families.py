@@ -5,14 +5,16 @@ isomorphism certificate `tightpoly.engine._presents_subgroup`.
 Copied verbatim from the closure-based code: `_klein_four_checks`,
 `check_fap` and `subgroup_2_check` from `families`, `_family_isomorphism`
 from `classifier`. Each builds its subgroup as a frozenset of permutations
-with `engine.closure`/`closure_perms`; tests demand the same answers from
-the point-set versions.
+with `engine.closure`/`closure_perms`, and checks generator maps with the
+permutation-composing `reference_sggi.check_generator_map`; tests demand
+the same answers from the point-set versions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from reference_sggi import check_generator_map
 from tightpoly import engine
 from tightpoly.families import FapSide
 from tightpoly.toddcox import PermRep, group_order, regular_rep
@@ -103,7 +105,7 @@ def subgroup_2_check(
         ):
             part_pres = gamma_tuple_presentation(part)
             images = [(g,) for g in keep]
-            if not engine.check_generator_map(part_pres, rep, images):
+            if not check_generator_map(part_pres, rep, images):
                 return False
             parabolic = engine.closure(rep, keep, cap)
             if len(parabolic) != group_order(part_pres, max_cosets):
@@ -120,6 +122,6 @@ def _family_isomorphism(
     the family relators plus equal orders certifies a bijection.
     """
     images = [(g,) for g in range(len(rep.gens))]
-    if not engine.check_generator_map(family_pres, rep, images):
+    if not check_generator_map(family_pres, rep, images):
         return False
     return group_order(family_pres, max_cosets) == rep.degree

@@ -344,6 +344,23 @@ class TestCli:
     def test_check_missing_file(self):
         assert main(["check", "--presentation", "/nonexistent.pres"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--presentation", "{dir}"],
+            ["atlas", "--max-flags", "12", "--max-rank", "3", "--out", "{dir}"],
+            ["family", "--gamma", "3,6", "--out", "{dir}"],
+        ],
+    )
+    def test_directory_path_is_bad_input(self, tmp_path, capsys, argv):
+        # A directory where a file is read or written is bad input (exit 2,
+        # one line on stderr), not a failed claim.
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_family_round_trip(self, tmp_path):
         path = tmp_path / "g.pres"
         assert main(["family", "--gamma", "3,6,4", "--out", str(path)]) == 0

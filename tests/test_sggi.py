@@ -48,6 +48,13 @@ class TestSggiCheck:
     def test_degenerate_generator_reported(self):
         rep = regular_rep(coxeter_presentation((2,)))
         assert sggi.degenerate_generators(rep) == ()
+        # x0 = 1: in [2, 2] with the extra relator x0, and in the
+        # one-generator group with the relator x0.
+        rep = regular_rep(with_extra_relator((2, 2), (0,)))
+        assert sggi.degenerate_generators(rep) == (0,)
+        rep = regular_rep(Presentation(1, ((0, 0), (0,))))
+        assert rep.degree == 1
+        assert sggi.degenerate_generators(rep) == (0,)
 
 
 class TestSchlafli:
@@ -151,8 +158,9 @@ class TestOrientability:
         assert sggi.orientability(regular_rep(pres)) is Orientability.ORIENTABLE
 
     def test_impossible_index_is_a_typed_error(self):
-        # Not a regular representation: the rotation orbit of point 0 is {0}
-        # in degree 3, index 3. A typed error, so it also holds under -O.
+        # Not a regular representation: the generators reach only point 0 of
+        # 3, so no parity colouring covers every point. A typed error, so it
+        # also holds under -O.
         rep = PermRep(degree=3, gens=((0, 1, 2), (0, 1, 2)))
         with pytest.raises(InvariantViolation):
             sggi.orientability(rep)
