@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
+from math import prod
 
 from . import sggi
 from .atlas import (
@@ -38,7 +40,7 @@ from .errors import (
     TightpolyError,
 )
 from .families import verify_gamma_family
-from .poset import NotEquivelar, build_poset
+from .poset import poset_checks
 from .toddcox import regular_rep
 from .words import (
     coxeter_presentation,
@@ -103,6 +105,10 @@ def cmd_atlas(args) -> int:
         raise InputError(f"--max-rank must be >= 3, got {args.max_rank}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    if os.path.isdir(args.out):  # before the batch, so a bad path costs no work
+        raise InputError(f"--out {args.out}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise InputError(f"--out {args.out}: its directory does not exist")
     tuples = list(admissible_tuples(args.max_flags, args.max_rank))
     worker = functools.partial(atlas_worker, budget=args.budget, timings=args.timings)
     results = run_batch(tuples, worker, jobs=args.jobs)
@@ -157,31 +163,22 @@ def cmd_check(args) -> int:
     if prof.is_string_c_group:
         print("string C-group")
     elif prof.intersection_witness is not None:
-        I, J = prof.intersection_witness
-        print(
-            "intersection condition FAILS at I={%s}, J={%s}"
-            % (",".join(map(str, I)), ",".join(map(str, J)))
-        )
+        I, J = map(_format_symbol, prof.intersection_witness)
+        print(f"intersection condition FAILS at I={I}, J={J}")
     print("orientable" if prof.orientable else "non-orientable")
     print(f"type {_format_symbol(prof.schlafli)}")
-    poset = build_poset(rep)
-    report = poset.verify_polytope()
+    poset, report, flags, sym, tight = poset_checks(rep)
     if not report.passed:
         print(f"NOT a polytope: {report.first_failure}")
         return EXIT_OK
     print("polytope axioms pass")
-    sym = poset.combinatorial_schlafli()
-    if isinstance(sym, NotEquivelar):
-        print(f"not equivelar at slot {sym.position}: sizes {sym.sizes}")
-        return EXIT_OK
-    flags = poset.flag_count()
-    bound = 2
-    for entry in sym:
-        bound *= entry
-    if poset.is_tight():
+    if sym is None:
+        witness = poset.combinatorial_schlafli()
+        print(f"not equivelar at slot {witness.position}: sizes {witness.sizes}")
+    elif tight:
         print(f"tight ({flags} flags)")
     else:
-        print(f"NOT tight ({flags} flags vs {bound})")
+        print(f"NOT tight ({flags} flags vs {2 * prod(sym)})")
     return EXIT_OK
 
 

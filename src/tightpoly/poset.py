@@ -89,7 +89,6 @@ class FacePoset:
         self._below.append((1 << (total + 1)) - 1)
         self._comp = self._comparability()
         self._chains: list[tuple[int, ...]] | None = None
-        self._flags: FlagSystem | None = None
 
     # -- face bookkeeping ---------------------------------------------------
 
@@ -264,9 +263,8 @@ class FacePoset:
 
         The flags are the maximal chains with one face per rank; every such
         chain is maximal, since distinct faces of one rank are never comparable.
+        DiamondViolation is a flag-level diamond check beside `verify_polytope`.
         """
-        if self._flags is not None:
-            return self._flags
         flags = sorted(c for c in self._maximal_chains() if len(c) == self.rank)
         index = {flag: i for i, flag in enumerate(flags)}
         adjacency = []
@@ -287,11 +285,12 @@ class FacePoset:
                     raise DiamondViolation(f"swap at rank {j} of {flag} is not a flag")
                 row.append(adj)
             adjacency.append(tuple(row))
-        self._flags = FlagSystem(flags=tuple(flags), adjacency=tuple(adjacency))
-        return self._flags
+        return FlagSystem(flags=tuple(flags), adjacency=tuple(adjacency))
 
     def flag_count(self) -> int:
-        return len(self.flags_and_adjacency().flags)
+        """Maximal chains of the cached walk with one face per rank: the flags, on a
+        polytope (McMullen-Schulte, 2B). Raises nothing on a non-polytope."""
+        return sum(len(chain) == self.rank for chain in self._maximal_chains())
 
     # -- derived posets -------------------------------------------------------
 
@@ -451,8 +450,7 @@ def poset_checks(rep: PermRep):
     report = poset.verify_polytope()
     if not report.passed:
         return poset, report, 0, None, False
-    flag_count = poset.flag_count()
     sym = poset.combinatorial_schlafli()
-    combinatorial = None if isinstance(sym, NotEquivelar) else sym
-    tight = poset.is_tight() if combinatorial is not None else False
-    return poset, report, flag_count, combinatorial, tight
+    if isinstance(sym, NotEquivelar):
+        return poset, report, poset.flag_count(), None, False
+    return poset, report, poset.flag_count(), sym, poset.is_tight()

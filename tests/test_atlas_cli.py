@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from tightpoly import cli
 from tightpoly.atlas import (
     AtlasFormatError,
     admissible_tuples,
@@ -27,7 +28,7 @@ from tightpoly.errors import (
     RouteDisagreement,
 )
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset
+from tightpoly.poset import FacePoset, NotEquivelar
 from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
 
 
@@ -246,6 +247,10 @@ class TestRunBatch:
             assert list(pool.map(worker, tasks)) == [worker(t) for t in tasks]
 
 
+def no_batch(*args, **kwargs):
+    raise AssertionError("run_batch called")
+
+
 class TestCli:
     def test_verify_pass(self, capsys):
         assert main(["verify", "--tuple", "3,6"]) == 0
@@ -287,28 +292,47 @@ class TestCli:
         assert entries[0].family == "census"
         assert entries[0].source == "census"
 
+    # The check tests pin the whole report, one for each way `check` ends.
     def test_check_gamma_file(self, capsys, tmp_path):
         path = tmp_path / "gamma.pres"
         assert main(["family", "--gamma", "3,6", "--out", str(path)]) == 0
         assert main(["check", "--presentation", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "string C-group" in out
-        assert "tight (36 flags)" in out
-        assert "orientable" in out
-        assert "type {3,6}" in out
+        assert capsys.readouterr().out == (
+            "group order 36, rank 3\nsggi\nstring C-group\norientable\ntype {3,6}\n"
+            "polytope axioms pass\ntight (36 flags)\n"
+        )
 
     def test_check_cube_not_tight(self, capsys, tmp_path):
         path = tmp_path / "cube.pres"
         assert main(["family", "--coxeter", "4,3", "--out", str(path)]) == 0
         assert main(["check", "--presentation", str(path)]) == 0
-        assert "NOT tight (48 flags vs 24)" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "group order 48, rank 3\nsggi\nstring C-group\norientable\ntype {4,3}\n"
+            "polytope axioms pass\nNOT tight (48 flags vs 24)\n"
+        )
 
     def test_check_degenerate_witness(self, capsys, tmp_path):
         text = write_presentation(gamma_tuple_presentation((2, 2)))
         path = tmp_path / "degen.pres"
         path.write_text(text + "rel 0 2\n")
         assert main(["check", "--presentation", str(path)]) == 0
-        assert "intersection condition FAILS at I={0}, J={2}" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "group order 4, rank 3\nsggi\nintersection condition FAILS at I={0}, J={2}\n"
+            "orientable\ntype {2,2}\n"
+            "NOT a polytope: section (1, 0)/(-1, 0) has 1 middle faces, expected 2\n"
+        )
+
+    def test_check_stdout_not_equivelar(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g.pres"
+        assert main(["family", "--gamma", "3,6", "--out", str(path)]) == 0
+        monkeypatch.setattr(
+            FacePoset, "combinatorial_schlafli", lambda self: NotEquivelar(position=2, sizes=(6, 4))
+        )
+        assert main(["check", "--presentation", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "group order 36, rank 3\nsggi\nstring C-group\norientable\ntype {3,6}\n"
+            "polytope axioms pass\nnot equivelar at slot 2: sizes (6, 4)\n"
+        )
 
     def test_check_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.pres"
@@ -352,13 +376,23 @@ class TestCli:
             ["family", "--gamma", "3,6", "--out", "{dir}"],
         ],
     )
-    def test_directory_path_is_bad_input(self, tmp_path, capsys, argv):
+    def test_directory_path_is_bad_input(self, tmp_path, capsys, argv, monkeypatch):
         # A directory where a file is read or written is bad input (exit 2,
-        # one line on stderr), not a failed claim.
+        # one line on stderr, naming the path), not a failed claim. An atlas
+        # rejects it before it runs the batch.
+        monkeypatch.setattr(cli, "run_batch", no_batch)
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+        assert str(tmp_path) in err
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atlas_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        out = tmp_path / "missing" / "a.jsonl"
+        assert main(["atlas", "--max-flags", "12", "--max-rank", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: its directory does not exist\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_family_round_trip(self, tmp_path):

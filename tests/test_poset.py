@@ -4,10 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tightpoly import sggi
-from tightpoly.errors import NotComparable
+from tightpoly.classifier import classify_tight
+from tightpoly.cli import main
+from tightpoly.errors import DiamondViolation, NotComparable
+from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, build_poset
 from tightpoly.toddcox import regular_rep
-from tightpoly.words import coxeter_presentation
+from tightpoly.words import coxeter_presentation, gamma_pq_presentation, write_presentation
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,41 @@ class TestFlags:
     def test_flag_counts(self, poset_gamma36, poset_cube):
         assert poset_gamma36.flag_count() == 36
         assert poset_cube.flag_count() == 48
+
+    def test_flag_count_of_a_non_polytope(self, rep_degenerate_x0x2):
+        # [2,2] with x0 = x2 fails the diamond condition. flag_count counts
+        # its two chains with one face per rank and raises nothing; the
+        # flag-level diamond check in flags_and_adjacency still raises.
+        poset = build_poset(rep_degenerate_x0x2)
+        assert not poset.verify_polytope().passed
+        assert poset.flag_count() == 2
+        with pytest.raises(DiamondViolation):
+            poset.flags_and_adjacency()
+        # A maximal chain that misses a rank is not counted: the edge {2}
+        # holds no vertex.
+        short = FacePoset(2, [[frozenset({0}), frozenset({1})], [frozenset({0, 1}), frozenset({2})]])
+        assert not short.verify_polytope().chain_lengths
+        assert short.flag_count() == 2
+
+    def test_no_flag_system_on_the_verdict_path(self, monkeypatch, tmp_path, capsys):
+        # The family claims, a census and `check` all reach a tightness verdict
+        # with flags_and_adjacency patched to raise.
+        class FlagSystemBuilt(Exception):
+            pass
+
+        def broken(self):
+            raise FlagSystemBuilt
+
+        monkeypatch.setattr(FacePoset, "flags_and_adjacency", broken)
+        verdict = verify_gamma_family((3, 6))
+        assert verdict.passed and verdict.flag_count == 36
+        records = classify_tight(4, 8, require_orientable=True)
+        assert len(records) == 2
+        assert sum(r.isomorphic_to_gamma for r in records) == 1
+        path = tmp_path / "gamma36.pres"
+        path.write_text(write_presentation(gamma_pq_presentation(3, 6)))
+        assert main(["check", "--presentation", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("polytope axioms pass\ntight (36 flags)\n")
 
     def test_adjacency_is_involutive_and_distinct(self, poset_gamma36):
         system = poset_gamma36.flags_and_adjacency()

@@ -4,7 +4,8 @@
 chain enumerators, section generators and flag system; every test here
 builds both over the same levels and demands equal reports (first failure
 text included), equal flag systems, sections and Schlafli symbols, or the
-same exception type with the same message from both.
+same exception type with the same message from both. `flag_count`, read from
+the chain walk, must equal the length of both flag systems on every polytope.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from reference_poset import ReferencePoset
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.errors import BudgetExceeded
-from tightpoly.poset import BOTTOM, FacePoset, build_poset
+from tightpoly.poset import BOTTOM, FacePoset, FlagSystem, build_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import (
     Presentation,
@@ -33,9 +34,17 @@ def outcome(call):
 
 def assert_same(poset: FacePoset) -> None:
     ref = ReferencePoset(poset.rank, poset.levels)
-    assert outcome(poset.verify_polytope) == outcome(ref.verify_polytope)
-    assert outcome(poset.flags_and_adjacency) == outcome(ref.flags_and_adjacency)
+    report = outcome(poset.verify_polytope)
+    assert report == outcome(ref.verify_polytope)
+    flags, ref_flags = outcome(poset.flags_and_adjacency), outcome(ref.flags_and_adjacency)
+    assert flags == ref_flags
     assert outcome(poset.combinatorial_schlafli) == outcome(ref.combinatorial_schlafli)
+    # flag_count reads the chain walk, not the flag system. On a polytope both
+    # count the flags; elsewhere they agree wherever the flag system builds.
+    if report.passed:
+        assert poset.flag_count() == len(flags.flags) == len(ref_flags.flags)
+    elif isinstance(flags, FlagSystem):
+        assert poset.flag_count() == len(flags.flags)
 
 
 def check_presentation(pres: Presentation, data) -> None:
