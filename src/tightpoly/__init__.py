@@ -35,8 +35,8 @@ from .toddcox import (
     perm_rep,
     regular_rep,
 )
-from .engine import Conjugation, closure, element_order
-from .sggi import Orientability, SggiProfile, orientability, profile
+from .engine import element_order
+from .sggi import SggiProfile, profile
 from .poset import FacePoset, FlagSystem, NotEquivelar, PosetReport, build_poset
 from .families import (
     FamilyVerdict,

@@ -89,6 +89,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_CLAIM
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written, naming it, before any work
+    is done for it."""
+    if os.path.isdir(path):
+        raise InputError(f"--out {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise InputError(f"--out {path}: its directory does not exist")
+
+
 def atlas_worker(entries: tuple[int, ...], *, budget: int | None, timings: bool) -> AtlasEntry:
     """Verify one atlas tuple. Module level, so that `run_batch` can send it
     to worker processes."""
@@ -105,10 +114,7 @@ def cmd_atlas(args) -> int:
         raise InputError(f"--max-rank must be >= 3, got {args.max_rank}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    if os.path.isdir(args.out):  # before the batch, so a bad path costs no work
-        raise InputError(f"--out {args.out}: Is a directory")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        raise InputError(f"--out {args.out}: its directory does not exist")
+    _check_out(args.out)
     tuples = list(admissible_tuples(args.max_flags, args.max_rank))
     worker = functools.partial(atlas_worker, budget=args.budget, timings=args.timings)
     results = run_batch(tuples, worker, jobs=args.jobs)
@@ -120,6 +126,8 @@ def cmd_atlas(args) -> int:
 
 def cmd_classify(args) -> int:
     p, q = _parse_pq(args.type)
+    if args.out:
+        _check_out(args.out)
     if args.non_orientable:
         records = census_nonorientable(p, q, index_cap=args.index_cap, max_cosets=args.budget)
         kind = "non-orientable"

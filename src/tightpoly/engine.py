@@ -2,18 +2,18 @@
 
 The pipeline reads a regular representation at point 0: a subgroup is its
 point set (`point_orbit`), and an element given as a word is the image of
-point 0 under it (`_image`), the identity exactly when that is 0. Element
-sets from `closure` are plain frozensets of permutation tuples: the
-independent oracle the tests compare point sets against, and the
-element-level toolkit (centrality, generator maps).
+point 0 under it (`_image`), the identity exactly when that is 0. The
+permutation products (`compose`, `invert`, `perm_order`) serve
+`families.oeo_permutation_rep`, whose action is not regular. The element
+sets the tests compare point sets against are built in the tests from
+`closure_perms`, which stays here because the benchmark traces it by name.
 Permutations compose left to right: compose(p, q) applies p first.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 from .toddcox import PermRep, group_order
@@ -56,13 +56,6 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def eval_word(rep: PermRep, word: Word) -> Perm:
-    p = identity_perm(rep.degree)
-    for letter in word:
-        p = compose(p, rep.gens[letter])
-    return p
-
-
 def _image(rep: PermRep, word: Word, point: int = 0) -> int:
     """The image of a point under a word, its letters applied left to right."""
     for letter in word:
@@ -90,17 +83,12 @@ def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) ->
     return frozenset(elements)
 
 
-def closure(rep: PermRep, gen_indices: Iterable[int], cap: int | None = None) -> frozenset[Perm]:
-    """Element set of the subgroup generated by the indexed generators."""
-    return closure_perms(rep.degree, (rep.gens[i] for i in gen_indices), cap)
-
-
 def point_orbit(rep: PermRep, gen_indices: Iterable[int], start: int = 0) -> frozenset[int]:
     """Orbit of a point under the indexed generators.
 
     For a regular representation the orbit of point 0 under a generator
     subset is exactly the point set of the subgroup it generates, so this
-    encodes the same element set as `closure` without composing a single
+    encodes the subgroup's element set without composing a single
     permutation.
     """
     gens = [rep.gens[i] for i in gen_indices]
@@ -165,28 +153,6 @@ def element_order(rep: PermRep, word: Word) -> int:
     return order
 
 
-class Conjugation(Enum):
-    FIXES = "fixes"
-    INVERTS = "inverts"
-    NEITHER = "neither"
-
-
-def conjugation_class(rep: PermRep, g: Word, w: Word) -> Conjugation:
-    """Classify g w g^-1 relative to w (letters are involutions)."""
-    conj = eval_word(rep, g + w + tuple(reversed(g)))
-    pw = eval_word(rep, w)
-    if conj == pw:
-        return Conjugation.FIXES
-    if conj == invert(pw):
-        return Conjugation.INVERTS
-    return Conjugation.NEITHER
-
-
-def is_central_in(rep: PermRep, word: Word, subgroup: Iterable[Perm]) -> bool:
-    p = eval_word(rep, word)
-    return all(compose(p, h) == compose(h, p) for h in subgroup)
-
-
 def check_generator_map(
     src: Presentation, dst_rep: PermRep, images: Sequence[Word]
 ) -> bool:
@@ -194,7 +160,7 @@ def check_generator_map(
 
     True iff every relator of `src` maps to the identity, that is, its image
     word fixes point 0: `dst_rep` must be regular. Surjectivity is a
-    separate question; see images_generate.
+    separate question, which `_presents_subgroup` settles by orders.
     """
     if len(images) != src.ngens:
         raise ValueError(f"expected {src.ngens} images, got {len(images)}")
@@ -222,51 +188,3 @@ def _presents_subgroup(
     if not check_generator_map(pres, rep, [(g,) for g in gen_indices]):
         return False
     return group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))
-
-
-def images_generate(dst_rep: PermRep, images: Sequence[Word]) -> bool:
-    """Do the image words generate the whole target group?"""
-    image_perms = [eval_word(dst_rep, w) for w in images]
-    full = closure_perms(dst_rep.degree, dst_rep.gens)
-    return len(closure_perms(dst_rep.degree, image_perms)) == len(full)
-
-
-def generator_map_extends(
-    degree: int,
-    gens: Sequence[Perm],
-    images: Sequence[Perm],
-) -> Mapping[Perm, Perm] | None:
-    """Extend gens[i] -> images[i] over the group generated by `gens`.
-
-    Walks the Cayley graph checking edge consistency, which is equivalent to
-    multiplicativity. Returns the full map, or None if the assignment does
-    not extend to a homomorphism.
-    """
-    if len(gens) != len(images):
-        raise ValueError("gens and images must have equal length")
-    target_degree = len(images[0]) if images else degree
-    phi: dict[Perm, Perm] = {identity_perm(degree): identity_perm(target_degree)}
-    frontier = list(phi)
-    while frontier:
-        new = []
-        for a in frontier:
-            fa = phi[a]
-            for g, fg in zip(gens, images):
-                b = compose(a, g)
-                fb = compose(fa, fg)
-                seen = phi.get(b)
-                if seen is None:
-                    if len(phi) >= DEFAULT_ELEMENT_CAP:
-                        raise CapExceeded(DEFAULT_ELEMENT_CAP)
-                    phi[b] = fb
-                    new.append(b)
-                elif seen != fb:
-                    return None
-        frontier = new
-    return phi
-
-
-def is_automorphism_map(phi: Mapping[Perm, Perm]) -> bool:
-    """Is an extended generator map a bijection onto the same group?"""
-    values = set(phi.values())
-    return len(values) == len(phi) and values == set(phi.keys())

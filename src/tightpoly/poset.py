@@ -89,6 +89,7 @@ class FacePoset:
         self._below.append((1 << (total + 1)) - 1)
         self._comp = self._comparability()
         self._chains: list[tuple[int, ...]] | None = None
+        self._schlafli: tuple[int, ...] | NotEquivelar | None = None
 
     # -- face bookkeeping ---------------------------------------------------
 
@@ -327,8 +328,11 @@ class FacePoset:
     def combinatorial_schlafli(self):
         """Sizes of the rank-2 sections, or a NotEquivelar witness.
 
-        Requires the polytope axioms to hold.
+        Requires the polytope axioms to hold. The answer is cached, so
+        `is_tight` and a caller reuse it; an exception is not.
         """
+        if self._schlafli is not None:
+            return self._schlafli
         comp = self._comp
         symbol = []
         for i in range(1, self.rank):
@@ -350,11 +354,13 @@ class FacePoset:
                     if size is None:
                         size = vertices
                     elif size != vertices:
-                        return NotEquivelar(position=i, sizes=(size, vertices))
+                        self._schlafli = NotEquivelar(position=i, sizes=(size, vertices))
+                        return self._schlafli
             if size is None:
                 raise ValueError(f"no rank-2 section at slot {i}")
             symbol.append(size)
-        return tuple(symbol)
+        self._schlafli = tuple(symbol)
+        return self._schlafli
 
     def is_flat(self, k: int, m: int) -> bool:
         """Is every k-face incident with every m-face?"""

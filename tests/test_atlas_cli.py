@@ -251,6 +251,10 @@ def no_batch(*args, **kwargs):
     raise AssertionError("run_batch called")
 
 
+def no_census(*args, **kwargs):
+    raise AssertionError("classify_tight called")
+
+
 class TestCli:
     def test_verify_pass(self, capsys):
         assert main(["verify", "--tuple", "3,6"]) == 0
@@ -374,26 +378,35 @@ class TestCli:
             ["check", "--presentation", "{dir}"],
             ["atlas", "--max-flags", "12", "--max-rank", "3", "--out", "{dir}"],
             ["family", "--gamma", "3,6", "--out", "{dir}"],
+            ["classify", "--type", "3,6", "--orientable", "--out", "{dir}"],
         ],
     )
     def test_directory_path_is_bad_input(self, tmp_path, capsys, argv, monkeypatch):
         # A directory where a file is read or written is bad input (exit 2,
         # one line on stderr, naming the path), not a failed claim. An atlas
-        # rejects it before it runs the batch.
+        # rejects it before it runs the batch, a census before it searches.
         monkeypatch.setattr(cli, "run_batch", no_batch)
+        monkeypatch.setattr(cli, "classify_tight", no_census)
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and "Is a directory" in err
         assert str(tmp_path) in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_atlas_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        # Also for classify, whose --out is checked before the census.
         monkeypatch.setattr(cli, "run_batch", no_batch)
+        monkeypatch.setattr(cli, "classify_tight", no_census)
         out = tmp_path / "missing" / "a.jsonl"
-        assert main(["atlas", "--max-flags", "12", "--max-rank", "3", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: --out {out}: its directory does not exist\n"
-        assert list(tmp_path.iterdir()) == []
+        for argv in (
+            ["atlas", "--max-flags", "12", "--max-rank", "3"],
+            ["classify", "--type", "3,6", "--orientable"],
+        ):
+            assert main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: --out {out}: its directory does not exist\n")
+            assert list(tmp_path.iterdir()) == []
 
     def test_family_round_trip(self, tmp_path):
         path = tmp_path / "g.pres"

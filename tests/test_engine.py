@@ -1,9 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_elements import (
+    Conjugation,
+    closure,
+    conjugation_class,
+    eval_word,
+    generator_map_extends,
+    images_generate,
+    is_automorphism_map,
+    is_central_in,
+    rotation_subgroup,
+)
 from test_poset_differential import BUDGET, rank3_with_extra_relator
 from tightpoly import engine
-from tightpoly.engine import Conjugation, closure_perms, point_orbit
+from tightpoly.engine import closure_perms, point_orbit
 from tightpoly.errors import BudgetExceeded, CapExceeded
 from tightpoly.families import oeo_permutation_rep
 from tightpoly.toddcox import PermRep, enumerate_cosets, perm_rep, regular_rep
@@ -66,15 +77,15 @@ class TestPermBasics:
 
 class TestClosure:
     def test_empty_generators_give_identity(self, rep_gamma36):
-        assert len(engine.closure(rep_gamma36, ())) == 1
+        assert len(closure(rep_gamma36, ())) == 1
 
     def test_parabolic_orders(self, rep_gamma36):
-        assert len(engine.closure(rep_gamma36, (0, 1))) == 6
-        assert len(engine.closure(rep_gamma36, (1, 2))) == 12
+        assert len(closure(rep_gamma36, (0, 1))) == 6
+        assert len(closure(rep_gamma36, (1, 2))) == 12
 
     def test_cap_exceeded(self, rep_gamma36):
         with pytest.raises(CapExceeded):
-            engine.closure(rep_gamma36, (0, 1, 2), cap=10)
+            closure(rep_gamma36, (0, 1, 2), cap=10)
 
 
 class TestElementOrder:
@@ -92,42 +103,40 @@ class TestElementOrder:
 class TestConjugation:
     def test_omega_inverted_by_x1(self, rep_gamma36):
         assert (
-            engine.conjugation_class(rep_gamma36, (1,), (1, 2, 1, 2))
+            conjugation_class(rep_gamma36, (1,), (1, 2, 1, 2))
             is Conjugation.INVERTS
         )
 
     def test_identity_fixes(self, rep_gamma36):
         assert (
-            engine.conjugation_class(rep_gamma36, (), (1, 2, 1, 2))
+            conjugation_class(rep_gamma36, (), (1, 2, 1, 2))
             is Conjugation.FIXES
         )
 
     def test_never_neither_for_even_slot(self, rep_gamma364):
         for g in range(4):
-            outcome = engine.conjugation_class(rep_gamma364, (g,), (1, 2, 1, 2))
+            outcome = conjugation_class(rep_gamma364, (g,), (1, 2, 1, 2))
             assert outcome in (Conjugation.FIXES, Conjugation.INVERTS)
 
 
 class TestCentrality:
     def test_omega_central_in_rotation_subgroup(self, rep_gamma36):
-        from tightpoly.sggi import rotation_subgroup
-
         rot = rotation_subgroup(rep_gamma36)
-        assert engine.is_central_in(rep_gamma36, (1, 2, 1, 2), rot)
+        assert is_central_in(rep_gamma36, (1, 2, 1, 2), rot)
 
     def test_identity_always_central(self, rep_gamma36):
         full = engine.closure_perms(rep_gamma36.degree, rep_gamma36.gens)
-        assert engine.is_central_in(rep_gamma36, (), full)
+        assert is_central_in(rep_gamma36, (), full)
 
     def test_omega_not_central_in_full_group(self, rep_gamma36):
         # Brute-force commutation oracle.
         full = engine.closure_perms(rep_gamma36.degree, rep_gamma36.gens)
-        omega = engine.eval_word(rep_gamma36, (1, 2, 1, 2))
+        omega = eval_word(rep_gamma36, (1, 2, 1, 2))
         commutes = all(
             engine.compose(omega, h) == engine.compose(h, omega) for h in full
         )
         assert not commutes
-        assert not engine.is_central_in(rep_gamma36, (1, 2, 1, 2), full)
+        assert not is_central_in(rep_gamma36, (1, 2, 1, 2), full)
 
 
 class TestPointEncoding:
@@ -144,7 +153,7 @@ class TestPointEncoding:
         n = len(rep.gens)
         for size in range(n + 1):
             for subset in combinations(range(n), size):
-                elements = engine.closure(rep, subset)
+                elements = closure(rep, subset)
                 points = engine.point_orbit(rep, subset)
                 assert len(elements) == len(points)
                 assert points == frozenset(p[0] for p in elements)
@@ -200,7 +209,7 @@ class TestConjugationAcrossBuilders:
                 continue
             omega = (slot - 1, slot) * 2
             for g in range(len(sym) + 1):
-                outcome = engine.conjugation_class(rep, (g,), omega)
+                outcome = conjugation_class(rep, (g,), omega)
                 assert outcome is not Conjugation.NEITHER
 
 
@@ -213,7 +222,7 @@ class TestGeneratorMaps:
         images = [(0, 1) * (p - 1) + (0,), (0,), (1,)]
         pres = gamma_pq_presentation(p, q)
         assert engine.check_generator_map(pres, dq, images)
-        assert engine.images_generate(dq, images)
+        assert images_generate(dq, images)
 
     def test_identity_map(self, rep_gamma36):
         pres = gamma_pq_presentation(3, 6)
@@ -228,16 +237,16 @@ class TestGeneratorMaps:
     def test_mirror_automorphism_of_rotation_group(self, rep_gamma36):
         # s1 -> s1 s2^2, s2 -> s2^-1 extends to an automorphism of the
         # rotation subgroup.
-        s1 = engine.eval_word(rep_gamma36, (0, 1))
-        s2 = engine.eval_word(rep_gamma36, (1, 2))
+        s1 = eval_word(rep_gamma36, (0, 1))
+        s2 = eval_word(rep_gamma36, (1, 2))
         images = [engine.compose(s1, engine.compose(s2, s2)), engine.invert(s2)]
-        phi = engine.generator_map_extends(rep_gamma36.degree, [s1, s2], images)
+        phi = generator_map_extends(rep_gamma36.degree, [s1, s2], images)
         assert phi is not None
-        assert engine.is_automorphism_map(phi)
+        assert is_automorphism_map(phi)
         assert len(phi) == 18
 
     def test_inconsistent_map_returns_none(self, rep_gamma36):
-        s1 = engine.eval_word(rep_gamma36, (0, 1))  # order 3
-        s2 = engine.eval_word(rep_gamma36, (1, 2))  # order 6
-        phi = engine.generator_map_extends(rep_gamma36.degree, [s1], [s2])
+        s1 = eval_word(rep_gamma36, (0, 1))  # order 3
+        s2 = eval_word(rep_gamma36, (1, 2))  # order 6
+        phi = generator_map_extends(rep_gamma36.degree, [s1], [s2])
         assert phi is None

@@ -8,7 +8,7 @@ from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
 from tightpoly.errors import DiamondViolation, NotComparable
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, build_poset
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation, write_presentation
 
@@ -38,14 +38,44 @@ def poset_gamma364(rep_gamma364):
     return build_poset(rep_gamma364)
 
 
+def no_sections(self, lo, hi):
+    raise AssertionError("section read")
+
+
+def triangular_prism() -> FacePoset:
+    """A polyhedron with triangles and squares for faces, so not equivelar.
+    A face's points are the flags through it, so faces meet exactly when
+    they are incident."""
+    verts = [(i, s) for s in range(2) for i in range(3)]
+    edges = [{(i, s), ((i + 1) % 3, s)} for s in range(2) for i in range(3)]
+    edges += [{(i, 0), (i, 1)} for i in range(3)]
+    faces = [{(i, s) for i in range(3)} for s in range(2)]
+    faces += [{(i, 0), ((i + 1) % 3, 0), (i, 1), ((i + 1) % 3, 1)} for i in range(3)]
+    flags = [
+        (v, e, f)
+        for v in verts
+        for e in range(len(edges))
+        for f in range(len(faces))
+        if v in edges[e] and edges[e] <= faces[f]
+    ]
+    ids = [verts, range(len(edges)), range(len(faces))]
+    return FacePoset(
+        3,
+        [
+            [frozenset(k for k, flag in enumerate(flags) if flag[r] == x) for x in ids[r]]
+            for r in range(3)
+        ],
+    )
+
+
 class TestBuild:
     def test_gamma36_counts(self, poset_gamma36, rep_gamma36):
         assert poset_gamma36.face_counts() == (3, 9, 6)
         # |faces of rank i| * |Gamma_i| = |Gamma| is asserted inside the
         # build; spot-check one value independently.
-        from tightpoly import engine
+        from reference_elements import closure
 
-        assert len(engine.closure(rep_gamma36, (1, 2))) * 3 == 36
+        assert len(closure(rep_gamma36, (1, 2))) * 3 == 36
 
     def test_simplex_lattice(self, poset_simplex):
         assert poset_simplex.face_counts() == (4, 6, 4)
@@ -211,6 +241,30 @@ class TestSchlafli:
 
     def test_lambda3(self, rep_lambda3):
         assert build_poset(rep_lambda3).combinatorial_schlafli() == (9, 4)
+
+    @pytest.mark.parametrize(
+        "fixture,sym", [("rep_gamma36", (3, 6)), ("rep_cube", (4, 3)), ("rep_gamma364", (3, 6, 4))]
+    )
+    def test_computed_once_per_poset(self, fixture, sym, request, monkeypatch):
+        # poset_checks computes the symbol; is_tight and a second call read
+        # the cached answer and look at no section again.
+        poset, report, _, symbol, tight = poset_checks(request.getfixturevalue(fixture))
+        assert report.passed and symbol == sym
+        monkeypatch.setattr(FacePoset, "_between_mask", no_sections)
+        assert poset.combinatorial_schlafli() == symbol
+        assert poset.is_tight() == tight
+
+    def test_witness_cached_and_exceptions_not(self, monkeypatch):
+        prism = triangular_prism()
+        assert prism.verify_polytope().passed
+        with monkeypatch.context() as patch:
+            patch.setattr(FacePoset, "_between_mask", no_sections)
+            with pytest.raises(AssertionError):
+                prism.combinatorial_schlafli()
+        witness = prism.combinatorial_schlafli()
+        assert witness == NotEquivelar(position=1, sizes=(3, 4))
+        monkeypatch.setattr(FacePoset, "_between_mask", no_sections)
+        assert prism.combinatorial_schlafli() == witness
 
 
 class TestFlatness:

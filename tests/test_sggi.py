@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_elements import closure, quotient_criterion
 from test_poset_differential import BUDGET, rank3_with_extra_relator, rank4_with_extra_relator
 from test_toddcox_differential import gamma_tuples
-from tightpoly import engine, sggi
+from tightpoly import sggi
 from tightpoly.errors import BudgetExceeded, InvariantViolation
-from tightpoly.sggi import Orientability
 from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import (
     Presentation,
@@ -86,10 +86,10 @@ class TestIntersectionCondition:
 
 
 def closure_route(rep):
-    """The intersection condition on element sets from engine.closure, with
+    """The intersection condition on element sets from `closure`, with
     subsets as sorted tuples: the independent route to the same verdict."""
     subsets = sggi._subsets(len(rep.gens))
-    groups = {I: engine.closure(rep, I) for I in subsets}
+    groups = {I: closure(rep, I) for I in subsets}
     for I in subsets:
         for J in subsets:
             meet = tuple(sorted(set(I) & set(J)))
@@ -117,14 +117,14 @@ class TestClosureRoute:
 class TestQuotientCriterion:
     def test_facet_side(self, rep_gamma36):
         quotient = regular_rep(gamma_pq_presentation(3, 2))
-        assert sggi.quotient_criterion(rep_gamma36, quotient, "facet")
+        assert quotient_criterion(rep_gamma36, quotient, "facet")
 
     def test_vertex_figure_side(self, rep_lambda3, rep_lambda1):
-        assert sggi.quotient_criterion(rep_lambda3, rep_lambda1, "vertexfigure")
+        assert quotient_criterion(rep_lambda3, rep_lambda1, "vertexfigure")
 
     def test_identity_quotient(self, rep_gamma36):
-        assert sggi.quotient_criterion(rep_gamma36, rep_gamma36, "facet")
-        assert sggi.quotient_criterion(rep_gamma36, rep_gamma36, "vertexfigure")
+        assert quotient_criterion(rep_gamma36, rep_gamma36, "facet")
+        assert quotient_criterion(rep_gamma36, rep_gamma36, "vertexfigure")
 
     def test_agrees_with_full_intersection_check(self, rep_gamma36, rep_lambda3):
         # Wherever the criterion certifies, the oracle must agree.
@@ -135,14 +135,14 @@ class TestQuotientCriterion:
 
 class TestOrientability:
     def test_gamma36_orientable(self, rep_gamma36):
-        assert sggi.orientability(rep_gamma36) is Orientability.ORIENTABLE
+        assert sggi.profile(rep_gamma36).orientable
 
     def test_lambda1_non_orientable(self, rep_lambda1):
-        assert sggi.orientability(rep_lambda1) is Orientability.NON_ORIENTABLE
+        assert not sggi.profile(rep_lambda1).orientable
 
     def test_polygon_orientable(self):
         rep = regular_rep(coxeter_presentation((3,)))
-        assert sggi.orientability(rep) is Orientability.ORIENTABLE
+        assert sggi.profile(rep).orientable
 
     @pytest.mark.parametrize(
         "pres",
@@ -155,7 +155,7 @@ class TestOrientability:
     )
     def test_even_relators_imply_orientable(self, pres):
         assert all(len(w) % 2 == 0 for w in pres.relators)
-        assert sggi.orientability(regular_rep(pres)) is Orientability.ORIENTABLE
+        assert sggi.profile(regular_rep(pres)).orientable
 
     def test_impossible_index_is_a_typed_error(self):
         # Not a regular representation: the generators reach only point 0 of
@@ -163,7 +163,7 @@ class TestOrientability:
         # also holds under -O.
         rep = PermRep(degree=3, gens=((0, 1, 2), (0, 1, 2)))
         with pytest.raises(InvariantViolation):
-            sggi.orientability(rep)
+            sggi._rotation_index(rep)
         with pytest.raises(InvariantViolation):
             sggi.profile(rep)
 
