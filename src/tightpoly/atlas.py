@@ -1,10 +1,10 @@
 """Atlas entries, JSONL persistence, and batch tuple enumeration.
 
 One JSON object per line, keys sorted, no timestamps: files are
-byte-identical across runs and worker counts. Wall-time is serialized as 0
-unless real timings are explicitly requested, since the schema carries an
-`ms` field but reproducibility wins. `run_batch` spreads a batch over worker
-processes, capped at the usable cores, and returns results in task order.
+byte-identical across runs and worker counts. The schema carries an `ms`
+field, which is always written as 0: wall time would make files differ
+between runs. `run_batch` spreads a batch over worker processes, capped at
+the usable cores, and returns results in task order.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def load_atlas(path: str) -> list[AtlasEntry]:
     return entries
 
 
-def entry_from_verdict(verdict: FamilyVerdict, ms: int = 0) -> AtlasEntry:
+def entry_from_verdict(verdict: FamilyVerdict) -> AtlasEntry:
     return AtlasEntry(
         schlafli=verdict.schlafli,
         family=verdict.family,
@@ -138,17 +138,17 @@ def entry_from_verdict(verdict: FamilyVerdict, ms: int = 0) -> AtlasEntry:
         orientable=verdict.profile.orientable,
         string_c_group=verdict.profile.is_string_c_group,
         claims=dict(verdict.claims),
-        ms=ms,
     )
 
 
-def entry_from_census_record(record: CensusRecord, ms: int = 0) -> AtlasEntry:
+def entry_from_census_record(record: CensusRecord) -> AtlasEntry:
+    # The census keeps only quotients whose poset is a verified tight polytope.
     claims = {
         "order": record.order == 2 * record.schlafli[0] * record.schlafli[1],
         "type": record.profile.schlafli == record.schlafli,
         "string_c_group": record.profile.is_string_c_group,
-        "tight": record.tight,
-        "polytope": record.polytope_ok,
+        "tight": True,
+        "polytope": True,
         "flags_equal_order": True,
     }
     if record.isomorphic_to_gamma is not None:
@@ -160,11 +160,10 @@ def entry_from_census_record(record: CensusRecord, ms: int = 0) -> AtlasEntry:
         family="census",
         group_order=record.order,
         flag_count=record.order,
-        tight=record.tight,
+        tight=True,
         orientable=record.orientable,
         string_c_group=record.profile.is_string_c_group,
         claims=claims,
-        ms=ms,
         source="census",
     )
 

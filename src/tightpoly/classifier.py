@@ -19,6 +19,16 @@ The pruning rules only ever remove tables that no normal subgroup can
 extend, and the final filter is exact, so the enumeration is sound and
 complete; the test suite cross-checks it against brute-force normal
 subgroup enumeration on finite groups.
+
+The tables need no relabelling, dedup or sort afterwards. A new row is made
+only at the first undefined entry in row-major order, when every entry
+before it is defined and names an older row, and deductions fill entries
+only with rows that exist. So every table is already in breadth-first
+numbering from point 0 in generator order, the standardized form of a coset
+table (Sims, Computation with Finitely Presented Groups, 1994), which is
+unique to its subgroup. Each branch tries the existing rows in increasing
+order before the fresh one, and sibling branches agree on every entry before
+the one they branch on, so the tables come out in strictly increasing order.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine, sggi
-from .errors import AdjacentOddPair, CapExceeded, InvariantViolation
+from .errors import AdjacentOddPair, CapExceeded
 from .poset import poset_checks
 from .toddcox import CosetTable, PermRep, perm_rep
 from .words import (
@@ -40,28 +50,6 @@ from .words import (
 
 DEFAULT_INDEX_CAP = 128
 UNDEF = -1
-
-
-def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical numbering: breadth-first from point 0 in generator order."""
-    n = len(rows)
-    label = [UNDEF] * n
-    label[0] = 0
-    order = [0]
-    next_label = 1
-    for x in order:
-        for g in range(ngens):
-            y = rows[x][g]
-            if label[y] == UNDEF:
-                label[y] = next_label
-                next_label += 1
-                order.append(y)
-    if next_label != n:
-        raise InvariantViolation("table is not transitive")
-    out: list[tuple[int, ...]] = [()] * n
-    for x in range(n):
-        out[label[x]] = tuple(label[v] for v in rows[x])
-    return tuple(out)
 
 
 # Trail tags for backtracking.
@@ -232,7 +220,7 @@ class _NormalSearch:
         # Exact normality filter: the action must be regular.
         perms = tuple(tuple(row[g] for row in rows) for g in range(n))
         if engine.left_action(PermRep(self.nrows, perms)) is not None:
-            self.found.append(_bfs_relabel(rows, n))
+            self.found.append(tuple(rows))
 
     def run(self) -> None:
         self.nodes += 1
@@ -285,8 +273,10 @@ def low_index_normal(
     Each is returned as the coset table of the action on its cosets (the
     regular action of the quotient), in canonical breadth-first numbering;
     subgroup_gens is empty because the subgroup is not parabolic. The result
-    is sorted by table content. Every generator must have its involution
-    relator, as the search builds involutory columns.
+    is sorted by table content, with no repeats. Both hold as the search
+    emits the tables (see the module docstring), so nothing here relabels,
+    dedupes or sorts. Every generator must have its involution relator, as
+    the search builds involutory columns.
     """
     _require_involutions(pres)
     cap = DEFAULT_INDEX_CAP if index_cap is None else index_cap
@@ -298,9 +288,8 @@ def low_index_normal(
         raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
     search = _NormalSearch(pres, index)
     search.run()
-    tables = sorted(set(search.found))
     return [
-        CosetTable(pres=pres, subgroup_gens=frozenset(), table=t) for t in tables
+        CosetTable(pres=pres, subgroup_gens=frozenset(), table=t) for t in search.found
     ]
 
 
@@ -310,9 +299,7 @@ class CensusRecord:
     table: CosetTable
     order: int
     profile: sggi.SggiProfile
-    tight: bool
     orientable: bool
-    polytope_ok: bool
     isomorphic_to_gamma: bool | None
     isomorphic_to_lambda: bool | None
 
@@ -356,9 +343,7 @@ def _census(
                 table=table,
                 order=rep.degree,
                 profile=prof,
-                tight=True,
                 orientable=prof.orientable,
-                polytope_ok=True,
                 isomorphic_to_gamma=(
                     engine._presents_subgroup(gamma_pres, rep, range(3), max_cosets)
                     if gamma_pres is not None
@@ -371,7 +356,6 @@ def _census(
                 ),
             )
         )
-    records.sort(key=lambda r: r.table.table)
     return records
 
 

@@ -6,15 +6,41 @@ cycle key in `dyn_seen`, each rotation appended to the buckets, and both
 undone through the `_BUCKET` and `_DYNKEY` trail tags. `_cycle_key`,
 `_NormalSearch` and `low_index_normal` are copied verbatim; tests demand
 equal tables from both searches, or the same exception type.
+
+`_bfs_relabel` puts a table into breadth-first numbering. Both oracles use
+it, this search and the brute-force enumeration in `test_classifier.py`;
+`tightpoly.classifier` emits its tables in that numbering already.
 """
 
 from __future__ import annotations
 
 from tightpoly import engine
-from tightpoly.classifier import DEFAULT_INDEX_CAP, UNDEF, _bfs_relabel
-from tightpoly.errors import CapExceeded
+from tightpoly.classifier import DEFAULT_INDEX_CAP, UNDEF
+from tightpoly.errors import CapExceeded, InvariantViolation
 from tightpoly.toddcox import CosetTable, PermRep
 from tightpoly.words import Presentation
+
+
+def _bfs_relabel(rows: list[tuple[int, ...]], ngens: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical numbering: breadth-first from point 0 in generator order."""
+    n = len(rows)
+    label = [UNDEF] * n
+    label[0] = 0
+    order = [0]
+    next_label = 1
+    for x in order:
+        for g in range(ngens):
+            y = rows[x][g]
+            if label[y] == UNDEF:
+                label[y] = next_label
+                next_label += 1
+                order.append(y)
+    if next_label != n:
+        raise InvariantViolation("table is not transitive")
+    out: list[tuple[int, ...]] = [()] * n
+    for x in range(n):
+        out[label[x]] = tuple(label[v] for v in rows[x])
+    return tuple(out)
 
 
 def _cycle_key(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from tightpoly.errors import (
     BudgetExceeded,
     DiamondViolation,
     InvariantViolation,
+    PreconditionViolated,
     RelatorViolation,
     RouteDisagreement,
 )
@@ -235,12 +236,12 @@ class TestRunBatch:
         assert pool_sizes == ([] if size is None else [size])
 
     def test_atlas_worker_pickles(self):
-        worker = functools.partial(atlas_worker, budget=None, timings=False)
+        worker = functools.partial(atlas_worker, budget=None)
         back = pickle.loads(pickle.dumps(worker))
         assert back((3, 6)) == entry_from_verdict(verify_gamma_family((3, 6)))
 
     def test_atlas_worker_under_spawn(self):
-        worker = functools.partial(atlas_worker, budget=None, timings=False)
+        worker = functools.partial(atlas_worker, budget=None)
         tasks = [(3, 6), (4, 4)]
         context = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
@@ -350,7 +351,8 @@ class TestCli:
         assert main(["check", "--presentation", str(path), "--budget", "10"]) == 3
 
     @pytest.mark.parametrize(
-        "error", [RelatorViolation, DiamondViolation, InvariantViolation, RouteDisagreement]
+        "error",
+        [RelatorViolation, DiamondViolation, InvariantViolation, RouteDisagreement, PreconditionViolated],
     )
     @pytest.mark.parametrize("command", ["verify", "atlas", "check"])
     def test_internal_error_exit(self, error, command, monkeypatch, capsys, tmp_path):

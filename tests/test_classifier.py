@@ -1,16 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_classifier import _bfs_relabel
+from test_poset_differential import rank3_with_extra_relator
 from tightpoly import engine
 from tightpoly.classifier import (
     _PINNED,
     _NormalSearch,
-    _bfs_relabel,
     census_nonorientable,
     classify_tight,
     low_index_normal,
 )
 from tightpoly.errors import CapExceeded, InvariantViolation
+from tightpoly.poset import poset_checks
 from tightpoly.toddcox import perm_rep, regular_rep
 from tightpoly.words import (
     Presentation,
@@ -93,6 +95,28 @@ class TestBfsRelabel:
     def test_intransitive_table_is_a_typed_error(self):
         with pytest.raises(InvariantViolation):
             _bfs_relabel([(1,), (0,), (3,), (2,)], 1)
+
+
+class TestEmittedNumbering:
+    """`low_index_normal` returns the tables as the search emits them, so the
+    search itself must number each breadth-first and emit them in strictly
+    increasing order."""
+
+    @staticmethod
+    def assert_standardized(pres, index):
+        tables = [t.table for t in low_index_normal(pres, index)]
+        assert all(a < b for a, b in zip(tables, tables[1:])), tables
+        for table in tables:
+            assert _bfs_relabel(list(table), pres.ngens) == table
+
+    @pytest.mark.parametrize("pq", [(3, 6), (4, 8), (6, 6)])
+    def test_census_types(self, pq):
+        self.assert_standardized(coxeter_presentation(pq), 2 * pq[0] * pq[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank3_with_extra_relator(), st.integers(min_value=1, max_value=48))
+    def test_extra_relator_quotients(self, pres, index):
+        self.assert_standardized(pres, index)
 
 
 class TestLowIndexNormal:
@@ -287,7 +311,9 @@ class TestClassify:
         assert record.order == 36
         assert record.isomorphic_to_gamma is True
         assert record.profile.schlafli == (3, 6)
-        assert record.tight and record.orientable and record.polytope_ok
+        assert record.orientable
+        _, report, _, _, tight = poset_checks(perm_rep(record.table))
+        assert report.passed and tight
 
     def test_34_orientable_empty(self):
         assert classify_tight(3, 4, require_orientable=True) == []
