@@ -327,15 +327,15 @@ def _census(
     records = []
     for table in tables:
         rep = perm_rep(table)
-        if sggi.schlafli_of_group(rep) != (p, q):
-            continue
         prof = sggi.profile(rep)
-        if not prof.is_string_c_group:
+        if prof.schlafli != (p, q) or not prof.is_string_c_group:
+            continue
+        # The profile's filters first: a poset is built only for the tables
+        # that pass them all.
+        if orientable is not None and prof.orientable != orientable:
             continue
         *_, tight = poset_checks(rep)
         if not tight:
-            continue
-        if orientable is not None and prof.orientable != orientable:
             continue
         records.append(
             CensusRecord(

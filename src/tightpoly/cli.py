@@ -4,8 +4,8 @@ Exit codes: 0 all claims pass, 1 claim failure, 2 bad input (including
 non-admissible tuples, tuples with two adjacent odd entries, parse errors
 and files that cannot be read or written), 3 resource budget exhausted, 4 internal error (a failed
 certificate or invariant: a bug, not a verdict).
-The TIGHTPOLY_MAX_COSETS environment variable raises the default
-enumeration budget; flags override it per run.
+The coset budget of every enumeration in a run comes from `--budget N`
+(default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .families import verify_gamma_family
 from .poset import poset_checks
-from .toddcox import regular_rep
+from .toddcox import DEFAULT_MAX_COSETS, regular_rep
 from .words import (
     coxeter_presentation,
     gamma_tuple_presentation,
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the family claims for one tuple")
     p_verify.add_argument("--tuple", required=True, help="comma-separated entries, e.g. 3,6")
-    p_verify.add_argument("--budget", type=int, default=None, help="coset budget")
     p_verify.set_defaults(func=cmd_verify)
 
     p_atlas = sub.add_parser("atlas", help="verify every admissible tuple up to a flag bound")
@@ -218,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--max-rank", type=int, required=True)
     p_atlas.add_argument("--out", required=True)
     p_atlas.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the usable cores")
-    p_atlas.add_argument("--budget", type=int, default=None)
     p_atlas.set_defaults(func=cmd_atlas)
 
     p_classify = sub.add_parser("classify", help="census of tight polyhedra of one type")
@@ -228,13 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--non-orientable", action="store_true")
     p_classify.add_argument("--out", default=None)
     p_classify.add_argument("--index-cap", type=int, default=None)
-    p_classify.add_argument("--budget", type=int, default=None)
     p_classify.set_defaults(func=cmd_classify)
 
     p_check = sub.add_parser("check", help="full report for a presentation file")
     p_check.add_argument("--presentation", required=True)
-    p_check.add_argument("--budget", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
+
+    for p in (p_verify, p_atlas, p_classify, p_check):
+        p.add_argument(
+            "--budget", type=int, help=f"coset budget of each enumeration, >= 1 (default {DEFAULT_MAX_COSETS})"
+        )
 
     p_family = sub.add_parser("family", help="emit a builder's presentation file")
     src = p_family.add_mutually_exclusive_group(required=True)
@@ -251,6 +252,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand that enumerates takes --budget; `family` does not.
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise InputError(f"--budget must be >= 1, got {budget}")
         return args.func(args)
     except NotAdmissible as exc:
         print(f"not admissible: {exc}", file=sys.stderr)

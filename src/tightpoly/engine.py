@@ -83,8 +83,8 @@ def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) ->
     return frozenset(elements)
 
 
-def point_orbit(rep: PermRep, gen_indices: Iterable[int], start: int = 0) -> frozenset[int]:
-    """Orbit of a point under the indexed generators.
+def point_orbit(rep: PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
+    """Orbit of point 0 under the indexed generators.
 
     For a regular representation the orbit of point 0 under a generator
     subset is exactly the point set of the subgroup it generates, so this
@@ -92,8 +92,8 @@ def point_orbit(rep: PermRep, gen_indices: Iterable[int], start: int = 0) -> fro
     permutation.
     """
     gens = [rep.gens[i] for i in gen_indices]
-    seen = {start}
-    frontier = [start]
+    seen = {0}
+    frontier = [0]
     while frontier:
         x = frontier.pop()
         for g in gens:

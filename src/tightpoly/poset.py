@@ -100,9 +100,6 @@ class FacePoset:
         i, k = ref
         return self._offsets[i] + k
 
-    def face_rank(self, fid: int) -> int:
-        return self._rank_of[fid]
-
     def face_points(self, fid: int) -> frozenset[int]:
         i = self._rank_of[fid]
         return self.levels[i][fid - self._offsets[i]]

@@ -13,7 +13,6 @@ so also holds under `python -O`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RelatorViolation
@@ -21,19 +20,6 @@ from .words import Presentation, Word, _require_involutions, involution_letter
 
 DEFAULT_MAX_COSETS = 100_000
 UNDEF = -1
-
-
-def default_max_cosets() -> int:
-    env = os.environ.get("TIGHTPOLY_MAX_COSETS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"TIGHTPOLY_MAX_COSETS={env!r} is not an integer") from None
-        if value < 1:
-            raise ValueError(f"TIGHTPOLY_MAX_COSETS={env!r} must be at least 1")
-        return value
-    return DEFAULT_MAX_COSETS
 
 
 @dataclass(frozen=True)
@@ -253,11 +239,11 @@ def enumerate_cosets(
     """Enumerate the cosets of the subgroup generated by a set of generators.
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
-    allocated cosets; a partial table is never returned. The returned table
-    has passed `_certify`.
+    allocated cosets (DEFAULT_MAX_COSETS when None); a partial table is
+    never returned. The returned table has passed `_certify`.
     """
     _require_involutions(pres)
-    budget = default_max_cosets() if max_cosets is None else max_cosets
+    budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     if budget < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = frozenset(subgroup_gens)

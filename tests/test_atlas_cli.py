@@ -256,6 +256,10 @@ def no_census(*args, **kwargs):
     raise AssertionError("classify_tight called")
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
 class TestCli:
     def test_verify_pass(self, capsys):
         assert main(["verify", "--tuple", "3,6"]) == 0
@@ -445,6 +449,29 @@ class TestCli:
         assert main(["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(out), "--jobs", jobs]) == 2
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--tuple", "3,6"],
+            ["atlas", "--max-flags", "12", "--max-rank", "3", "--out", "{dir}/a.jsonl"],
+            ["classify", "--type", "3,3"],
+            ["classify", "--type", "4,8", "--orientable"],
+            ["check", "--presentation", "{dir}/g.pres"],
+        ],
+        ids=["verify", "atlas", "classify-3,3", "classify-4,8-orientable", "check"],
+    )
+    def test_budget_below_one_rejected(self, argv, budget, tmp_path, capsys, monkeypatch):
+        # Checked at the edge, before any work, also where no enumeration
+        # would run ({3,3} has no family certificate to enumerate).
+        pres = tmp_path / "g.pres"
+        pres.write_text(write_presentation(gamma_tuple_presentation((3, 6))))
+        for name in ("verify_gamma_family", "run_batch", "classify_tight", "regular_rep"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main([arg.format(dir=tmp_path) for arg in argv] + ["--budget", budget]) == 2
+        assert capsys.readouterr() == ("", f"error: --budget must be >= 1, got {budget}\n")
+        assert list(tmp_path.iterdir()) == [pres]
 
     def test_atlas_budget_exit_same_at_any_jobs(self, capsys, tmp_path, two_cores):
         errs = []

@@ -4,7 +4,7 @@ import pytest
 
 from reference_elements import closure, images_generate
 from tightpoly import engine
-from tightpoly.errors import NotAdmissible, PreconditionViolated
+from tightpoly.errors import BudgetExceeded, NotAdmissible, PreconditionViolated
 from tightpoly.families import (
     check_fap,
     oeo_permutation_rep,
@@ -78,6 +78,11 @@ class TestLambdaFamily:
         with pytest.raises(ValueError):
             verify_lambda_family(2)
 
+    def test_budget_forwarded(self):
+        with pytest.raises(BudgetExceeded) as err:
+            verify_lambda_family(3, max_cosets=10)
+        assert err.value.budget == 10
+
 
 class TestFap:
     def test_two_faces(self):
@@ -93,6 +98,11 @@ class TestFap:
     def test_unknown_side(self):
         with pytest.raises(ValueError):
             check_fap((3, 6, 4), "faces")
+
+    def test_budget_forwarded(self):
+        with pytest.raises(BudgetExceeded) as err:
+            check_fap((3, 6), "two_faces", max_cosets=5)
+        assert err.value.budget == 5
 
 
 class TestOeoPermutationRep:

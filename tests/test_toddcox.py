@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightpoly import engine
-from tightpoly.cli import EXIT_INPUT, main
 from tightpoly.errors import BudgetExceeded, RelatorViolation
 from tightpoly.toddcox import (
     CosetTable,
@@ -52,17 +51,15 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             enumerate_cosets(gamma_pq_presentation(5, 10), (), max_cosets=10)
 
-    def test_env_override(self, monkeypatch):
+    def test_environment_does_not_set_the_budget(self, monkeypatch):
+        # The budget comes only from the caller's arguments.
         monkeypatch.setenv("TIGHTPOLY_MAX_COSETS", "3")
-        with pytest.raises(BudgetExceeded):
-            enumerate_cosets(gamma_pq_presentation(3, 6))
+        assert enumerate_cosets(gamma_pq_presentation(3, 6)).rows == 36
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_env_override_below_one_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("TIGHTPOLY_MAX_COSETS", value)
-        with pytest.raises(ValueError, match="at least 1"):
-            enumerate_cosets(gamma_pq_presentation(3, 6))
-        assert main(["verify", "--tuple", "3,6"]) == EXIT_INPUT
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            enumerate_cosets(gamma_pq_presentation(3, 6), max_cosets=budget)
 
     def test_requires_involution_relators(self):
         with pytest.raises(ValueError):
