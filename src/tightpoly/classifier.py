@@ -20,6 +20,16 @@ extend, and the final filter is exact, so the enumeration is sound and
 complete; the test suite cross-checks it against brute-force normal
 subgroup enumeration on finite groups.
 
+The orientable census asks only for the quotients whose rotation subgroup
+(the words of even length) has index 2. For the regular action of the
+quotient that means it is bipartite: every generator changes the parity of
+every point. The parity of a point is then the length mod 2 of any word
+that reaches it from point 0, and each row's witness is such a word. So a
+bipartite search rejects an edge a->b whose two witnesses have lengths of
+equal parity, a self-loop among them, before it writes anything. Every
+bipartite completion of a partial table keeps its edges and its witnesses,
+so the rule removes exactly the tables of rotation index 1 and no other.
+
 The tables need no relabelling, dedup or sort afterwards. A new row is made
 only at the first undefined entry in row-major order, when every entry
 before it is defined and names an older row, and deductions fill entries
@@ -80,6 +90,14 @@ class _NormalSearch:
     Definition edges, whose reduced word is (g, g), pin nothing.
     `nodes` counts the calls of `run`, one per search node.
 
+    With `bipartite` set, `_set` also rejects an edge a->b whose witnesses
+    have lengths of equal parity, before any cell or trail write, so a
+    rejected edge costs no undo. A witness reaches its row from row 0, so
+    in a bipartite regular action its length mod 2 is the parity of that
+    row, and such an edge joins two points of one parity. A fresh row's
+    witness is one letter longer than its parent's, so definition edges
+    always pass.
+
     Why the output does not depend on how hard it prunes: every rule only
     rejects, or fills a cell of, a partial table in a way forced on every
     regular completion, because each scanned word is a relation that every
@@ -89,9 +107,10 @@ class _NormalSearch:
     regularity filter in `_emit`.
     """
 
-    def __init__(self, pres: Presentation, index: int):
+    def __init__(self, pres: Presentation, index: int, bipartite: bool = False):
         self.ngens = n = pres.ngens
         self.index = index
+        self.bipartite = bipartite
         self.table = [UNDEF] * (index * n)
         self.nrows = 1
         self.witness: list[tuple[int, ...]] = [()]
@@ -122,6 +141,9 @@ class _NormalSearch:
         back = table[b * n + g]
         if back != UNDEF and back != a:
             return False
+        wa, wb = self.witness[a], self.witness[b]
+        if self.bipartite and len(wa) % 2 == len(wb) % 2:
+            return False
         table[a * n + g] = b
         self.trail.append((_CELL, a * n + g))
         self.worklist.append((a, g))
@@ -129,7 +151,6 @@ class _NormalSearch:
             table[b * n + g] = a
             self.trail.append((_CELL, b * n + g))
             self.worklist.append((b, g))
-        wa, wb = self.witness[a], self.witness[b]
         k = 0
         for x, y in zip(wa, wb):
             if x != y:
@@ -266,7 +287,11 @@ class _NormalSearch:
 
 
 def low_index_normal(
-    pres: Presentation, index: int, index_cap: int | None = None
+    pres: Presentation,
+    index: int,
+    index_cap: int | None = None,
+    *,
+    bipartite: bool = False,
 ) -> list[CosetTable]:
     """All normal subgroups of exactly the given index.
 
@@ -277,6 +302,12 @@ def low_index_normal(
     emits the tables (see the module docstring), so nothing here relabels,
     dedupes or sorts. Every generator must have its involution relator, as
     the search builds involutory columns.
+
+    With `bipartite=True` only the normal subgroups whose quotient action is
+    bipartite are returned: those with every generator changing the parity
+    of every point, so the rotation subgroup has index 2. They are the same
+    tables, in the same order, as the full result filtered to rotation index
+    2, but the search prunes the others as it goes (see `_NormalSearch`).
     """
     _require_involutions(pres)
     cap = DEFAULT_INDEX_CAP if index_cap is None else index_cap
@@ -286,7 +317,7 @@ def low_index_normal(
         raise ValueError(f"index must be >= 1, got {index}")
     if index > cap:
         raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
-    search = _NormalSearch(pres, index)
+    search = _NormalSearch(pres, index, bipartite)
     search.run()
     return [
         CosetTable(pres=pres, subgroup_gens=frozenset(), table=t) for t in search.found
@@ -314,7 +345,11 @@ def _census(
     if p < 2 or q < 2:
         raise ValueError(f"need p, q >= 2, got ({p}, {q})")
     index = 2 * p * q
-    tables = low_index_normal(coxeter_presentation((p, q)), index, index_cap)
+    # An orientable quotient is a bipartite one, so the search skips the
+    # rest; the orientability filter below stays as the cross-check.
+    tables = low_index_normal(
+        coxeter_presentation((p, q)), index, index_cap, bipartite=orientable is True
+    )
 
     try:
         gamma_pres = gamma_tuple_presentation((p, q))
@@ -371,7 +406,9 @@ def classify_tight(
     Enumerates the normal subgroups of the string Coxeter group of index
     exactly 2pq and keeps the quotients that are string C-groups of exact
     type {p, q} whose poset is a verified tight polytope; optionally only
-    the orientable ones.
+    the orientable ones. With `require_orientable` the search itself visits
+    only the bipartite tables (`low_index_normal(..., bipartite=True)`), and
+    each record's profile must still say orientable.
     """
     return _census(p, q, True if require_orientable else None, index_cap, max_cosets)
 

@@ -5,7 +5,8 @@ non-admissible tuples, tuples with two adjacent odd entries, parse errors
 and files that cannot be read or written), 3 resource budget exhausted, 4 internal error (a failed
 certificate or invariant: a bug, not a verdict).
 The coset budget of every enumeration in a run comes from `--budget N`
-(default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work.
+(default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work,
+and so does a `classify --index-cap` below 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .atlas import (
     run_batch,
     write_jsonl_atomic,
 )
-from .classifier import census_nonorientable, classify_tight
+from .classifier import DEFAULT_INDEX_CAP, census_nonorientable, classify_tight
 from .errors import (
     AdjacentOddPair,
     BudgetExceeded,
@@ -225,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--orientable", action="store_true")
     group.add_argument("--non-orientable", action="store_true")
     p_classify.add_argument("--out", default=None)
-    p_classify.add_argument("--index-cap", type=int, default=None)
+    p_classify.add_argument(
+        "--index-cap", type=int, default=None, help=f"largest index searched, >= 1 (default {DEFAULT_INDEX_CAP})"
+    )
     p_classify.set_defaults(func=cmd_classify)
 
     p_check = sub.add_parser("check", help="full report for a presentation file")
@@ -253,9 +256,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Every subcommand that enumerates takes --budget; `family` does not.
-        budget = getattr(args, "budget", None)
-        if budget is not None and budget < 1:
-            raise InputError(f"--budget must be >= 1, got {budget}")
+        # Only `classify` takes --index-cap.
+        for option in ("budget", "index_cap"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise InputError(f"--{option.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except NotAdmissible as exc:
         print(f"not admissible: {exc}", file=sys.stderr)

@@ -424,9 +424,13 @@ class TestCli:
         assert "entries 1 and 2 are both odd" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_classify_index_cap_below_one_rejected(self, cap, capsys):
-        assert main(["classify", "--type", "3,4", "--index-cap", cap]) == 2
-        assert f"index_cap must be >= 1, got {cap}" in capsys.readouterr().err
+    def test_classify_index_cap_below_one_rejected(self, cap, capsys, monkeypatch):
+        # Checked at the edge, next to --budget, so no search starts.
+        for name in ("classify_tight", "census_nonorientable"):
+            monkeypatch.setattr(cli, name, no_work)
+        for mode in ([], ["--orientable"], ["--non-orientable"]):
+            assert main(["classify", "--type", "3,4", "--index-cap", cap] + mode) == 2
+            assert capsys.readouterr() == ("", f"error: --index-cap must be >= 1, got {cap}\n")
 
     def test_classify_index_above_cap(self, capsys):
         assert main(["classify", "--type", "10,7"]) == 3

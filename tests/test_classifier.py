@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_classifier import _bfs_relabel
 from test_poset_differential import rank3_with_extra_relator
-from tightpoly import engine
+from tightpoly import classifier, engine
 from tightpoly.classifier import (
     _PINNED,
     _NormalSearch,
@@ -241,6 +241,25 @@ class TestNormalSearch:
         search.run()
         assert search.nodes == nodes
 
+    @pytest.mark.parametrize("pq, nodes, tables", [((4, 8), 1030, 3), ((6, 8), 5311, 4)])
+    def test_bipartite_search_nodes(self, pq, nodes, tables):
+        # The parity rule of the orientable census: under half the nodes of
+        # the unrestricted search above, and the tables it finds are exactly
+        # its tables of rotation index 2 (test_classifier_differential.py).
+        p, q = pq
+        search = _NormalSearch(coxeter_presentation(pq), 2 * p * q, bipartite=True)
+        search.run()
+        assert (search.nodes, len(search.found)) == (nodes, tables)
+
+    def test_bipartite_rejects_equal_parity_edges_before_writing(self):
+        search = _NormalSearch(coxeter_presentation((4, 8)), 64, bipartite=True)
+        search.nrows = 3
+        search.witness = [(), (0,), (0, 1)]
+        assert not search._set(0, 1, 0)  # a self-loop joins a row to itself
+        assert not search._set(0, 2, 2)  # rows 0 and 2 both have even witnesses
+        assert search.table == [-1] * (64 * 3) and search.trail == []
+        assert search._set(0, 1, 1)
+
     def test_undo_unpins_the_relations_of_a_failed_branch(self):
         search = _RecordedUndo(coxeter_presentation((4, 8)), 64)
         search.run()
@@ -338,6 +357,27 @@ class TestClassify:
         assert len(records) >= 2
         tables = {r.table.table for r in records}
         assert len(tables) == len(records)
+
+    @pytest.mark.parametrize(
+        "census, bipartite, nrecords",
+        [
+            (lambda: classify_tight(4, 6, require_orientable=True), True, 1),
+            (lambda: classify_tight(4, 6, require_orientable=False), False, 3),
+            (lambda: census_nonorientable(4, 6), False, 2),
+        ],
+        ids=["orientable", "all", "non-orientable"],
+    )
+    def test_only_the_orientable_census_searches_bipartite_tables(self, census, bipartite, nrecords, monkeypatch):
+        # {4, 6} has 4 normal subgroups of index 48, 2 of them bipartite.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["bipartite"])
+            return low_index_normal(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "low_index_normal", spy)
+        assert len(census()) == nrecords
+        assert calls == [bipartite]
 
     def test_unfiltered_includes_both_kinds(self):
         records = classify_tight(3, 4, require_orientable=False)
