@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Sequence
 
 from .classifier import CensusRecord
@@ -144,7 +145,7 @@ def entry_from_verdict(verdict: FamilyVerdict) -> AtlasEntry:
 def entry_from_census_record(record: CensusRecord) -> AtlasEntry:
     # The census keeps only quotients whose poset is a verified tight polytope.
     claims = {
-        "order": record.order == 2 * record.schlafli[0] * record.schlafli[1],
+        "order": record.order == 2 * prod(record.schlafli),
         "type": record.profile.schlafli == record.schlafli,
         "string_c_group": record.profile.is_string_c_group,
         "tight": True,

@@ -44,6 +44,7 @@ the one they branch on, so the tables come out in strictly increasing order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import engine, sggi
 from .errors import AdjacentOddPair, CapExceeded
@@ -326,7 +327,7 @@ def low_index_normal(
 
 @dataclass(frozen=True)
 class CensusRecord:
-    schlafli: tuple[int, int]
+    schlafli: tuple[int, ...]
     table: CosetTable
     order: int
     profile: sggi.SggiProfile
@@ -336,34 +337,34 @@ class CensusRecord:
 
 
 def _census(
-    p: int,
-    q: int,
+    sym: tuple[int, ...],
     orientable: bool | None,
     index_cap: int | None,
     max_cosets: int | None,
 ) -> list[CensusRecord]:
-    if p < 2 or q < 2:
-        raise ValueError(f"need p, q >= 2, got ({p}, {q})")
-    index = 2 * p * q
+    """The census behind `classify_tight` and `census_nonorientable`, for a
+    type of any rank; `coxeter_presentation` rejects an entry below 2."""
     # An orientable quotient is a bipartite one, so the search skips the
     # rest; the orientability filter below stays as the cross-check.
     tables = low_index_normal(
-        coxeter_presentation((p, q)), index, index_cap, bipartite=orientable is True
+        coxeter_presentation(sym), 2 * prod(sym), index_cap, bipartite=orientable is True
     )
 
     try:
-        gamma_pres = gamma_tuple_presentation((p, q))
+        gamma_pres = gamma_tuple_presentation(sym)
     except AdjacentOddPair:
         gamma_pres = None
+    # Λ(k) has type {3k, 4} for odd k: a rank-3 family.
     lambda_pres = None
-    if q == 4 and p % 3 == 0 and (p // 3) % 2 == 1:
-        lambda_pres = lambda_k_presentation(p // 3)
+    if len(sym) == 2 and sym[1] == 4 and sym[0] % 6 == 3:
+        lambda_pres = lambda_k_presentation(sym[0] // 3)
 
+    gens = range(len(sym) + 1)
     records = []
     for table in tables:
         rep = perm_rep(table)
         prof = sggi.profile(rep)
-        if prof.schlafli != (p, q) or not prof.is_string_c_group:
+        if prof.schlafli != sym or not prof.is_string_c_group:
             continue
         # The profile's filters first: a poset is built only for the tables
         # that pass them all.
@@ -372,52 +373,47 @@ def _census(
         *_, tight = poset_checks(rep)
         if not tight:
             continue
+        gamma, lam = (
+            None if pres is None else engine._presents_subgroup(pres, rep, gens, max_cosets)
+            for pres in (gamma_pres, lambda_pres)
+        )
         records.append(
             CensusRecord(
-                schlafli=(p, q),
+                schlafli=sym,
                 table=table,
                 order=rep.degree,
                 profile=prof,
                 orientable=prof.orientable,
-                isomorphic_to_gamma=(
-                    engine._presents_subgroup(gamma_pres, rep, range(3), max_cosets)
-                    if gamma_pres is not None
-                    else None
-                ),
-                isomorphic_to_lambda=(
-                    engine._presents_subgroup(lambda_pres, rep, range(3), max_cosets)
-                    if lambda_pres is not None
-                    else None
-                ),
+                isomorphic_to_gamma=gamma,
+                isomorphic_to_lambda=lam,
             )
         )
     return records
 
 
 def classify_tight(
-    p: int,
-    q: int,
+    *sym: int,
     require_orientable: bool,
     index_cap: int | None = None,
     max_cosets: int | None = None,
 ) -> list[CensusRecord]:
-    """Exhaustive census of tight regular polyhedra of one type.
+    """Exhaustive census of tight regular polytopes of type {p_1, ..., p_{n-1}}.
 
-    Enumerates the normal subgroups of the string Coxeter group of index
-    exactly 2pq and keeps the quotients that are string C-groups of exact
-    type {p, q} whose poset is a verified tight polytope; optionally only
-    the orientable ones. With `require_orientable` the search itself visits
-    only the bipartite tables (`low_index_normal(..., bipartite=True)`), and
-    each record's profile must still say orientable.
+    Enumerates the normal subgroups of the string Coxeter group [p_1, ...,
+    p_{n-1}] of index exactly 2·∏p_i, at any rank, and keeps the quotients
+    that are string C-groups of exact type `sym` whose poset is a verified
+    tight polytope; optionally only the orientable ones. With
+    `require_orientable` the search itself visits only the bipartite tables
+    (`low_index_normal(..., bipartite=True)`), and each record's profile
+    must still say orientable.
     """
-    return _census(p, q, True if require_orientable else None, index_cap, max_cosets)
+    return _census(sym, True if require_orientable else None, index_cap, max_cosets)
 
 
 def census_nonorientable(
-    p: int,
-    q: int,
+    *sym: int,
     index_cap: int | None = None,
     max_cosets: int | None = None,
 ) -> list[CensusRecord]:
-    """Tight census restricted to non-orientable quotients."""
-    return _census(p, q, False, index_cap, max_cosets)
+    """Tight census of type `sym` restricted to non-orientable quotients."""
+    return _census(sym, False, index_cap, max_cosets)

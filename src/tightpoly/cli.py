@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 all claims pass, 1 claim failure, 2 bad input (including
-non-admissible tuples, tuples with two adjacent odd entries, parse errors
-and files that cannot be read or written), 3 resource budget exhausted, 4 internal error (a failed
-certificate or invariant: a bug, not a verdict).
+Exit codes: 0 all claims pass, 1 claim failure, 2 bad input, checked before
+any work (non-admissible tuples, two adjacent odd entries, a `classify --type`
+of one entry, parse errors, presentation files that are not UTF-8 or lack an
+involution relator, and files that cannot be read or written), 3 resource
+budget or index cap exhausted, 4 internal error (a failed certificate or
+invariant, or any ValueError from inside a run: a bug, not a verdict).
 The coset budget of every enumeration in a run comes from `--budget N`
 (default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work,
 and so does a `classify --index-cap` below 1.
@@ -40,6 +42,7 @@ from .families import verify_gamma_family
 from .poset import poset_checks
 from .toddcox import DEFAULT_MAX_COSETS, regular_rep
 from .words import (
+    _require_involutions,
     coxeter_presentation,
     gamma_tuple_presentation,
     lambda_k_presentation,
@@ -119,24 +122,26 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p, q = _parse_pq(args.type)
+    sym = _parse_tuple(args.type)
+    if len(sym) < 2:
+        raise InputError(f"--type needs at least two entries, got {args.type!r}")
     if args.out:
         _check_out(args.out)
     if args.non_orientable:
-        records = census_nonorientable(p, q, index_cap=args.index_cap, max_cosets=args.budget)
+        records = census_nonorientable(*sym, index_cap=args.index_cap, max_cosets=args.budget)
         kind = "non-orientable"
     else:
         records = classify_tight(
-            p, q, require_orientable=args.orientable, index_cap=args.index_cap, max_cosets=args.budget
+            *sym, require_orientable=args.orientable, index_cap=args.index_cap, max_cosets=args.budget
         )
         kind = "orientable" if args.orientable else "all"
-    print(f"type {_format_symbol((p, q))} ({kind}): {len(records)} tight record(s)")
+    print(f"type {_format_symbol(sym)} ({kind}): {len(records)} tight record(s)")
     for i, record in enumerate(records, start=1):
         notes = ["orientable" if record.orientable else "non-orientable"]
         if record.isomorphic_to_gamma:
-            notes.append(f"≅ Γ{(p, q)}")
+            notes.append(f"≅ Γ{sym}")
         if record.isomorphic_to_lambda:
-            notes.append(f"≅ Λ({p // 3})")
+            notes.append(f"≅ Λ({sym[0] // 3})")
         print(f"  record {i}: order {record.order}, {', '.join(notes)}")
     if args.out:
         write_jsonl_atomic(
@@ -146,16 +151,13 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_pq(text: str) -> tuple[int, int]:
-    entries = _parse_tuple(text)
-    if len(entries) != 2:
-        raise InputError(f"--type needs exactly two entries, got {text!r}")
-    return entries[0], entries[1]
-
-
 def cmd_check(args) -> int:
-    with open(args.presentation, "r", encoding="utf-8") as fh:
-        pres = parse_presentation(fh.read())
+    try:  # the two ways a readable file is bad input and raises ValueError
+        with open(args.presentation, "r", encoding="utf-8") as fh:
+            pres = parse_presentation(fh.read())
+        _require_involutions(pres)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise InputError(f"{args.presentation}: {exc}") from None
     rep = regular_rep(pres, args.budget)
     prof = sggi.profile(rep)
     print(f"group order {prof.group_order}, rank {prof.rank}")
@@ -220,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the usable cores")
     p_atlas.set_defaults(func=cmd_atlas)
 
-    p_classify = sub.add_parser("classify", help="census of tight polyhedra of one type")
-    p_classify.add_argument("--type", required=True, help="p,q")
+    p_classify = sub.add_parser("classify", help="census of tight polytopes of one type")
+    p_classify.add_argument("--type", required=True, help="p,q[,r,...]: two or more entries")
     group = p_classify.add_mutually_exclusive_group()
     group.add_argument("--orientable", action="store_true")
     group.add_argument("--non-orientable", action="store_true")
@@ -265,15 +267,15 @@ def main(argv=None) -> int:
     except NotAdmissible as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, PresentationParseError, AdjacentOddPair, ValueError, OSError) as exc:
+    except (InputError, PresentationParseError, AdjacentOddPair, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceeded, CapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TightpolyError as exc:
+    except (TightpolyError, ValueError) as exc:
         # Every other error is an internal one: a verdict reports a failed
-        # claim, it never raises one.
+        # claim, never raises one, and bad input is rejected at the edge.
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

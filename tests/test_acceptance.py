@@ -23,6 +23,7 @@ from tightpoly.words import (
     coxeter_presentation,
     gamma_pq_presentation,
     gamma_tuple_presentation,
+    is_admissible,
     lambda_k_presentation,
 )
 
@@ -44,6 +45,16 @@ RANK_GRID = [
 ]
 
 LAMBDA_KS = (1, 3, 5, 7)
+
+# The 23 rank-4 types with entries >= 3 whose index 2pqr fits under the
+# default index cap of 128.
+RANK4_CENSUS_TYPES = [
+    (p, q, r)
+    for p in range(3, 15)
+    for q in range(3, 15)
+    for r in range(3, 15)
+    if 2 * p * q * r <= 128
+]
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:2d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -326,4 +337,30 @@ def test_criterion_12_atlas_determinism(tmp_path):
         ok,
         f"atlas --max-flags 500 --max-rank 4 byte-identical at 1 and 4 workers and equal "
         f"to the pinned sha256 ({lines} entries, {elapsed:.0f}s for two runs)",
+    )
+
+
+def test_criterion_13_rank4_classification():
+    # The theorem in both directions at rank 4: a tight orientably-regular
+    # polytope of the type exists exactly when the type is admissible, and
+    # each one found is the family's Γ.
+    start = time.monotonic()
+    records = {sym: classify_tight(*sym, require_orientable=True) for sym in RANK4_CENSUS_TYPES}
+    elapsed = time.monotonic() - start
+    bad = [sym for sym, recs in records.items() if bool(recs) != bool(is_admissible(sym))]
+    found = {sym: found for sym, found in records.items() if found}
+    for sym, recs in found.items():
+        if any(r.order != 2 * prod(sym) or r.isomorphic_to_gamma is not True for r in recs):
+            bad.append((sym, "gamma"))
+    ok = (
+        len(RANK4_CENSUS_TYPES) == 23
+        and sorted(found) == [(3, 6, 3), (4, 4, 4)]
+        and not bad
+        and elapsed < 30.0
+    )
+    report(
+        13,
+        ok,
+        f"rank-4 existence exact on {len(RANK4_CENSUS_TYPES)} types with 2pqr <= 128 "
+        f"in {elapsed:.1f}s, records for {sorted(found)}" + (f"; failures {bad}" if bad else ""),
     )

@@ -301,6 +301,25 @@ class TestCli:
         assert entries[0].family == "census"
         assert entries[0].source == "census"
 
+    def test_classify_rank4(self, capsys):
+        assert main(["classify", "--type", "3,6,3", "--orientable"]) == 0
+        assert capsys.readouterr().out == (
+            "type {3,6,3} (orientable): 1 tight record(s)\n"
+            "  record 1: order 108, orientable, ≅ Γ(3, 6, 3)\n"
+        )
+
+    def test_classify_one_entry_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classify_tight", no_census)
+        assert main(["classify", "--type", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --type needs at least two entries, got '4'\n"
+
+    def test_classify_rank4_index_above_cap(self, capsys):
+        assert main(["classify", "--type", "4,6,4", "--orientable"]) == 3
+        err = capsys.readouterr().err
+        assert err == "resource limit: index 192 is above the index cap of 128\n"
+
     # The check tests pin the whole report, one for each way `check` ends.
     def test_check_gamma_file(self, capsys, tmp_path):
         path = tmp_path / "gamma.pres"
@@ -374,6 +393,36 @@ class TestCli:
         monkeypatch.setattr(FacePoset, "verify_polytope", broken)
         assert main(argv) == EXIT_INTERNAL == 4
         assert "internal error: planted inconsistency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"gens 2\nrel 0 0\n", "lacks involution relators for generators [1]"),
+            (b"gens 2\nrel 0 0\nrel 1 1\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["no-involution-relator", "not-utf-8"],
+    )
+    def test_check_bad_file_is_bad_input(self, content, message, tmp_path, capsys, monkeypatch):
+        # Both raise a ValueError, caught at the edge: bad input, not an
+        # internal error, and no enumeration starts.
+        monkeypatch.setattr(cli, "regular_rep", no_work)
+        path = tmp_path / "bad.pres"
+        path.write_bytes(content)
+        assert main(["check", "--presentation", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_value_error_inside_a_run_is_internal(self, capsys, monkeypatch):
+        # A ValueError that escapes from inside a run is a bug (exit 4), not
+        # bad input: every bad input is rejected at the edge before it.
+        def broken(*args, **kwargs):
+            raise ValueError("planted inconsistency")
+
+        monkeypatch.setattr(cli, "verify_gamma_family", broken)
+        assert main(["verify", "--tuple", "3,6"]) == EXIT_INTERNAL
+        assert capsys.readouterr() == ("", "internal error: planted inconsistency\n")
 
     def test_check_missing_file(self):
         assert main(["check", "--presentation", "/nonexistent.pres"]) == 2

@@ -1,6 +1,8 @@
-"""Every public name that `engine` and `sggi` define has a caller in the
+"""Every public name that a guarded module defines has a caller in the
 package: the element-set toolkit only the tests use lives in
-`tests/reference_elements.py`, not in `src`.
+`tests/reference_elements.py`, not in `src`. The guard covers `engine`,
+`sggi`, `classifier`, `toddcox`, `errors` and `cli`; `families`, `words`,
+`atlas` and `poset` still hold public names that only the tests call.
 
 The modules are parsed with `ast`, not imported. A name counts as called
 when some top-level statement of a package module other than its own
@@ -15,7 +17,7 @@ from pathlib import Path
 import tightpoly
 
 SRC = Path(tightpoly.__file__).parent
-GUARDED = ("engine", "sggi")
+GUARDED = ("engine", "sggi", "classifier", "toddcox", "errors", "cli")
 # perfbench/run.py traces `engine.closure_perms` by name and its self-test
 # counts the calls, so the function stays, with the cap it defaults to, until
 # the benchmark drops it from its targets. References from inside these
@@ -63,7 +65,7 @@ def uncalled(sources: dict[str, str]) -> list[str]:
     return missing
 
 
-def test_every_public_name_of_engine_and_sggi_has_a_caller_in_src():
+def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(SRC.glob("*.py"))
