@@ -57,6 +57,7 @@ from .words import (
     gamma_tuple_presentation,
     involution_letter,
     lambda_k_presentation,
+    rotations,
 )
 
 DEFAULT_INDEX_CAP = 128
@@ -123,13 +124,10 @@ class _NormalSearch:
         self.nodes = 0
         self.found: list[tuple[tuple[int, ...], ...]] = []
         # Involution relators are built into the edge rule.
-        rotations = sorted({
-            w[t:] + w[:t]
-            for w in pres.relators
-            if involution_letter(w) is None
-            for t in range(len(w))
+        rotated = sorted({
+            r for w in pres.relators if involution_letter(w) is None for r in rotations(w)
         })
-        self.buckets = tuple(tuple(w for w in rotations if w[0] == g) for g in range(n))
+        self.buckets = tuple(tuple(w for w in rotated if w[0] == g) for g in range(n))
 
     # -- constraint recording -------------------------------------------------
 

@@ -61,13 +61,15 @@ class InputError(Exception):
     pass
 
 
-def _parse_tuple(text: str) -> tuple[int, ...]:
+def _parse_tuple(option: str, text: str) -> tuple[int, ...]:
+    """The comma-separated entries that `option` was given; a bad value is
+    bad input, named by its option."""
     try:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError(f"cannot parse tuple {text!r}") from None
+        raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
     if not entries or any(p < 2 for p in entries):
-        raise InputError(f"tuple entries must be integers >= 2, got {text!r}")
+        raise InputError(f"{option} entries must be integers >= 2, got {text!r}")
     return entries
 
 
@@ -76,7 +78,7 @@ def _format_symbol(entries) -> str:
 
 
 def cmd_verify(args) -> int:
-    entries = _parse_tuple(args.tuple)
+    entries = _parse_tuple("--tuple", args.tuple)
     start = time.monotonic()
     verdict = verify_gamma_family(entries, max_cosets=args.budget)
     ms = int((time.monotonic() - start) * 1000)
@@ -122,7 +124,7 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sym = _parse_tuple(args.type)
+    sym = _parse_tuple("--type", args.type)
     if len(sym) < 2:
         raise InputError(f"--type needs at least two entries, got {args.type!r}")
     if args.out:
@@ -188,9 +190,9 @@ def cmd_check(args) -> int:
 
 def cmd_family(args) -> int:
     if args.gamma:
-        pres = gamma_tuple_presentation(_parse_tuple(args.gamma))
+        pres = gamma_tuple_presentation(_parse_tuple("--gamma", args.gamma))
     elif args.coxeter:
-        pres = coxeter_presentation(_parse_tuple(args.coxeter))
+        pres = coxeter_presentation(_parse_tuple("--coxeter", args.coxeter))
     else:
         if args.lambda_k < 1 or args.lambda_k % 2 == 0:
             raise InputError(f"--lambda-k must be odd and positive, got {args.lambda_k}")

@@ -9,6 +9,13 @@ runs on the same presentation produce identical tables. No closing sweep
 follows the pass (`_hlt` says why none is needed); instead each closed
 table is certified once, by `_certify`, which raises RelatorViolation and
 so also holds under `python -O`.
+
+Once a relator w closes from a coset c without a coincidence, the pass
+marks the cosets c * w[:t] at which a rotation of w by t is w or its
+reversal, and skips w there: w closes from them too and stays closed, so
+the skipped scans could not have defined, deduced or merged anything, and
+the tables (and the allocation at which BudgetExceeded is raised) are the
+same as with every scan made.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RelatorViolation
-from .words import Presentation, Word, _require_involutions, involution_letter
+from .words import Presentation, _require_involutions, involution_letter, rotations
 
 DEFAULT_MAX_COSETS = 100_000
 UNDEF = -1
@@ -80,6 +87,22 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
     form a closed cycle. Hence every relator closes from every live coset,
     and each live row is complete because the involution relator of every
     generator was traced from it.
+
+    The skip rule: when a scan of w from c ends closed with no coincidence
+    (a full trace, a meeting of the two traces, or a deduction), then for
+    every t at which the rotation of w by t is w or reversed(w), w also
+    closes from d = c * w[:t] (reading the cycle backward when it is the
+    reversal, as every generator is an involution), and d is marked for w.
+    By the argument above that cycle stays closed, so when d's turn comes
+    the scan of w from d would be a full closed trace: no definition, no
+    deduction, no coincidence. A marked coset skips w, and the pass makes
+    the same definitions in the same order as without the marks. For
+    (x_i x_j)^p every t in 1..2p-1 counts, so the cycle is traced once, not
+    2p times.
+
+    A scan that reads an entry naming a dead coset writes the root back
+    into it. Entries matter only up to `find` (`unify` and the labels in
+    `enumerate_cosets` both resolve them), so this changes no result.
     """
     n = pres.ngens
     table = [UNDEF] * n
@@ -87,9 +110,26 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
     blank = [UNDEF] * n
     for g in subgroup_gens:
         table[g] = 0
-    # An involution relator x_g x_g is kept at its place in relator order as
-    # the generator g: scanning it only ever fills an undefined row entry.
-    plan = [w if (g := involution_letter(w)) is None else g for w in pres.relators]
+    # One plan entry per relator, in relator order. An involution relator
+    # x_g x_g is its generator g: scanning it only ever fills an undefined
+    # row entry. A traced relator w carries its last index; its shifts, the
+    # t > 0 at which its rotation is w or reversed(w); its marks, one byte
+    # per allocated coset; and its path, where a scan from c records the
+    # coset c * w[:t] at position t, so that a closed cycle is marked
+    # without being walked again.
+    size = 64
+    all_marks = []
+    plan = []
+    for w in pres.relators:
+        g = involution_letter(w)
+        if g is not None:
+            plan.append((g, None, 0, None, None, None))
+            continue
+        rev = w[::-1]
+        marks = bytearray(size)
+        all_marks.append(marks)
+        shifts = tuple(t for t, r in enumerate(rotations(w)) if t and (r == w or r == rev))
+        plan.append((0, w, len(w) - 1, shifts, marks, [0] * (len(w) + 1)))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -99,9 +139,15 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
 
     def define(a: int, g: int) -> int:
         # A new coset d = a * x_g, with the involutory reverse edge.
+        nonlocal size
         d = len(parent)
         if d >= budget:
             raise BudgetExceeded(budget)
+        if d == size:
+            # The marks grow by doubling, one byte for every coset allocated.
+            for marks in all_marks:
+                marks.extend(bytes(size))
+            size *= 2
         parent.append(d)
         table.extend(blank)
         table[a * n + g] = d
@@ -143,53 +189,70 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
         current += 1
         if parent[c] != c:
             continue
-        for w in plan:
-            if isinstance(w, int):
-                if table[c * n + w] == UNDEF:
-                    define(c, w)
+        for g, w, last, shifts, marks, path in plan:
+            if w is None:
+                if table[c * n + g] == UNDEF:
+                    define(c, g)
+                continue
+            if marks[c]:
                 continue
             # Scan w from c: forward from the front, backward from the back.
-            last = len(w) - 1
             f, i = c, 0
             b, j = c, last
             while True:
                 while i <= last:
-                    nxt = table[f * n + w[i]]
+                    k = f * n + w[i]
+                    nxt = table[k]
                     if nxt == UNDEF:
                         break
-                    f = nxt if parent[nxt] == nxt else find(nxt)
+                    if parent[nxt] != nxt:
+                        nxt = table[k] = find(nxt)
                     i += 1
+                    path[i] = f = nxt
                 if i > last:
-                    if f != c:
+                    closed = f == c
+                    if not closed:
                         unify(f, c)
                     break
                 if i > j:
                     b, j = c, last
                 while j >= i:
-                    nxt = table[b * n + w[j]]
+                    k = b * n + w[j]
+                    nxt = table[k]
                     if nxt == UNDEF:
                         break
-                    b = nxt if parent[nxt] == nxt else find(nxt)
+                    if parent[nxt] != nxt:
+                        nxt = table[k] = find(nxt)
+                    path[j] = b = nxt
                     j -= 1
                 if j < i:
-                    if f != b:
+                    closed = f == b
+                    if not closed:
                         unify(f, b)
                     break
-                g = w[i]
+                x = w[i]
                 if i == j:
-                    # One gap: deduce f * x_g = b and its involutory reverse.
-                    table[f * n + g] = b
-                    table[b * n + g] = f
+                    # One gap: deduce f * x = b and its involutory reverse.
+                    table[f * n + x] = b
+                    table[b * n + x] = f
+                    closed = True
                     break
                 # Gap of two or more: define a new coset at the first gap.
-                d = define(f, g)
+                d = define(f, x)
                 # Restarting the scan from c now would retrace the same
                 # cosets, as only entries were added. So the forward trace
                 # resumes at d, bounded like a restart by the end of w, and
                 # only if it runs past the backward position does the
                 # backward trace start again from c.
                 f, i = d, i + 1
-            if parent[c] != c:
+                path[i] = d
+            if closed:
+                # The path holds the whole cycle: the forward trace wrote
+                # positions 1..i and the backward trace the rest, with no
+                # coincidence since, so every coset on it is still live.
+                for t in shifts:
+                    marks[path[t]] = 1
+            elif parent[c] != c:
                 break
     return table, parent
 
@@ -206,8 +269,11 @@ def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentati
         if involution_letter(w) is not None:
             continue  # certified by the column check
         # w = u^k acts as the k-th power of u's permutation: trace u from
-        # every coset at once, then raise to the k-th power by squaring.
-        u, k = _period(w)
+        # every coset at once, then raise to the k-th power by squaring. The
+        # length of u is w's period, the smallest shift that rotates w onto
+        # itself (1 for the empty word, which closes everywhere).
+        size = next((t for t, r in enumerate(rotations(w)) if t and r == w), len(w)) or 1
+        u, k = w[:size], len(w) // size
         step = points
         for letter in u:
             step = list(map(columns[letter].__getitem__, step))
@@ -221,14 +287,6 @@ def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentati
         if images != points:
             c = next(c for c in points if images[c] != c)
             raise RelatorViolation(f"relator {w} does not close at coset {c}")
-
-
-def _period(w: Word) -> tuple[Word, int]:
-    """The shortest u and the k with w == u * k."""
-    for size in range(1, len(w)):
-        if len(w) % size == 0 and w[:size] * (len(w) // size) == w:
-            return w[:size], len(w) // size
-    return w, 1
 
 
 def enumerate_cosets(

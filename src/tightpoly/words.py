@@ -12,7 +12,7 @@ any extra relators), so presentation equality is plain syntactic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AdjacentOddPair, PresentationParseError
 
@@ -39,6 +39,17 @@ def involution_letter(w: Word) -> int | None:
     if len(w) == 2 and w[0] == w[1]:
         return w[0]
     return None
+
+
+def rotations(w: Word) -> Iterator[Word]:
+    """The rotations of w in order: the t-th is w[t:] + w[:t], w rotated by t.
+
+    The one relator analysis: the period of w is the smallest t > 0 whose
+    rotation is w, and the t at which the rotation is w or reversed(w) are
+    the positions on w's cycle where w closes again. An iterator, so that a
+    long relator (x_i x_j)^p costs memory linear in p, not quadratic.
+    """
+    return (w[t:] + w[:t] for t in range(len(w)))
 
 
 def _require_involutions(pres: Presentation) -> None:

@@ -320,6 +320,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "resource limit: index 192 is above the index cap of 128\n"
 
+    @pytest.mark.parametrize(
+        "argv, work, err",
+        [
+            (["verify", "--tuple", "3,x"], "verify_gamma_family",
+             "error: --tuple must be comma-separated integers, got '3,x'\n"),
+            (["classify", "--type", "1,4"], "classify_tight",
+             "error: --type entries must be integers >= 2, got '1,4'\n"),
+            (["family", "--gamma", "3,,6"], "gamma_tuple_presentation",
+             "error: --gamma must be comma-separated integers, got '3,,6'\n"),
+            (["family", "--coxeter", "4,1"], "coxeter_presentation",
+             "error: --coxeter entries must be integers >= 2, got '4,1'\n"),
+        ],
+        ids=["tuple", "type", "gamma", "coxeter"],
+    )
+    def test_bad_tuple_names_its_option(self, capsys, monkeypatch, argv, work, err):
+        monkeypatch.setattr(cli, work, no_work)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
     # The check tests pin the whole report, one for each way `check` ends.
     def test_check_gamma_file(self, capsys, tmp_path):
         path = tmp_path / "gamma.pres"

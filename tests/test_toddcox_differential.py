@@ -17,6 +17,7 @@ from tightpoly.words import (
     coxeter_presentation,
     gamma_tuple_presentation,
     lambda_k_presentation,
+    rotations,
 )
 
 
@@ -40,6 +41,11 @@ coxeter_symbols = st.lists(st.integers(min_value=2, max_value=6), min_size=1, ma
 gamma_tuples = st.sampled_from(
     [t for t in admissible_tuples(600, 4) if max(t) <= 12]
 )
+# Admissible tuples of length 4-6 (rank 5-7) with 2 * prod <= 600: many
+# commuting relators (x_i x_j)^2, each of which closes again at every shift.
+high_rank_tuples = st.sampled_from(
+    [t for t in admissible_tuples(600, 7) if len(t) >= 4]
+)
 
 
 @st.composite
@@ -58,6 +64,34 @@ def random_presentations(draw):
     involutions = [(g, g) for g in range(ngens)]
     relators = draw(st.permutations(involutions + extra))
     return Presentation(ngens, tuple(relators))
+
+
+@st.composite
+def symmetric_presentations(draw):
+    # Words that close again at some shift of their own cycle: the relators
+    # of a Coxeter or Γ presentation, each rotated and perhaps reversed, so
+    # the shifts fall at other places, and up to two more words of the forms
+    # u^k and (x,) + v + (y,) + reversed(v) (whose reversal is its rotation
+    # by 1). These reach the scans the kernel skips once a cycle closed.
+    base = draw(
+        st.one_of(
+            coxeter_symbols.map(coxeter_presentation),
+            gamma_tuples.map(gamma_tuple_presentation),
+        )
+    )
+    letters = st.integers(min_value=0, max_value=base.ngens - 1)
+    words = st.lists(letters, max_size=3).map(tuple)
+    power = st.tuples(words.filter(bool), st.integers(min_value=2, max_value=4)).map(
+        lambda uk: uk[0] * uk[1]
+    )
+    mirror = st.tuples(letters, words, letters).map(
+        lambda xvy: (xvy[0],) + xvy[1] + (xvy[2],) + xvy[1][::-1]
+    )
+    relators = []
+    for w in base.relators + tuple(draw(st.lists(st.one_of(power, mirror), max_size=2))):
+        w = draw(st.sampled_from(tuple(rotations(w))))
+        relators.append(w[::-1] if draw(st.booleans()) else w)
+    return Presentation(base.ngens, tuple(draw(st.permutations(relators))))
 
 
 class TestSameTables:
@@ -89,6 +123,18 @@ class TestSameTables:
         pres, gens = case
         assert_same_tables(pres, gens, budget=300)
 
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_with_subgroups(symmetric_presentations()))
+    def test_relators_that_close_at_a_shift(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens)
+
+    @settings(max_examples=30, deadline=None)
+    @given(presentations_with_subgroups(high_rank_tuples.map(gamma_tuple_presentation)))
+    def test_high_rank_gamma_tuples(self, case):
+        pres, gens = case
+        assert_same_tables(pres, gens)
+
 
 class TestSameBudgetBehaviour:
     @settings(max_examples=60, deadline=None)
@@ -116,6 +162,18 @@ class TestSameBudgetBehaviour:
                 enumerate_cosets(pres, (), budget)
         else:
             assert enumerate_cosets(pres, (), budget).rows == 72
+
+    @pytest.mark.parametrize("budget", [287, 288, 381, 382])
+    def test_budget_edge_at_rank_7(self, budget):
+        # Γ(3,2,2,2,3,2) closes with 288 live cosets after allocating 382;
+        # its commuting relators are where the kernel skips the most scans.
+        pres = gamma_tuple_presentation((3, 2, 2, 2, 3, 2))
+        assert_same_tables(pres, (), budget)
+        if budget < 382:
+            with pytest.raises(BudgetExceeded):
+                enumerate_cosets(pres, (), budget)
+        else:
+            assert enumerate_cosets(pres, (), budget).rows == 288
 
 
 class TestCertificate:

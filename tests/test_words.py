@@ -15,6 +15,7 @@ from tightpoly.words import (
     kill_generators,
     lambda_k_presentation,
     parse_presentation,
+    rotations,
     validate_symbol,
     write_presentation,
 )
@@ -35,6 +36,28 @@ class TestInvolutionLetter:
     )
     def test_only_a_squared_letter(self, w, letter):
         assert involution_letter(w) == letter
+
+
+class TestRotations:
+    def shifts(self, w):
+        # The t > 0 at which w closes again on its own cycle, as `_hlt` marks.
+        return [t for t, r in enumerate(rotations(w)) if t and r in (w, w[::-1])]
+
+    def test_rotation_by_t_comes_t_th(self):
+        assert list(rotations((0, 1, 2))) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert list(rotations(())) == []
+
+    @pytest.mark.parametrize("i, j, p", [(0, 1, 2), (0, 1, 3), (1, 2, 5), (0, 3, 2)])
+    def test_dihedral_relator_closes_at_every_shift(self, i, j, p):
+        assert self.shifts((i, j) * p) == list(range(1, 2 * p))
+
+    def test_rotation_onto_the_reversal_only(self):
+        assert self.shifts((0, 0, 1, 1)) == [2]
+
+    @pytest.mark.parametrize("w", [(0, 1, 2, 1, 0), (0, 1, 0, 2, 0, 1, 0), (0,)])
+    def test_palindrome_that_is_not_a_power_has_none(self, w):
+        assert w == w[::-1]
+        assert self.shifts(w) == []
 
 
 class TestCoxeter:
