@@ -7,7 +7,6 @@ from .errors import (
     DiamondViolation,
     InvariantViolation,
     NotAdmissible,
-    NotComparable,
     PreconditionViolated,
     PresentationParseError,
     RelatorViolation,

@@ -94,8 +94,14 @@ def entry_from_json_line(line: str) -> AtlasEntry:
     if obj["family"] not in FAMILIES:
         raise AtlasFormatError(f"unknown family {obj['family']!r}")
     entries = obj["tuple"]
-    if not all(isinstance(p, int) and p >= 2 for p in entries):
+    if not entries or not all(isinstance(p, int) and p >= 2 for p in entries):
         raise AtlasFormatError(f"bad tuple {entries}")
+    # A group has at least one element; a poset that fails the axioms is
+    # written with 0 flags.
+    if obj["group_order"] < 1 or obj["flag_count"] < 0:
+        raise AtlasFormatError(
+            f"bad counts: group_order {obj['group_order']}, flag_count {obj['flag_count']}"
+        )
     claims = obj["claims"]
     if not all(isinstance(v, bool) for v in claims.values()):
         raise AtlasFormatError("claims must be boolean")

@@ -93,9 +93,12 @@ def cmd_verify(args) -> int:
 
 def _check_out(path: str) -> None:
     """Reject an --out path that cannot be written, naming it, before any work
-    is done for it."""
+    is done for it: a directory, a path that names no file (empty, or ending
+    in a separator), or a file in a directory that does not exist."""
     if os.path.isdir(path):
         raise InputError(f"--out {path}: Is a directory")
+    if not os.path.basename(path):
+        raise InputError(f"--out {path!r} names no file")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise InputError(f"--out {path}: its directory does not exist")
 
@@ -127,7 +130,7 @@ def cmd_classify(args) -> int:
     sym = _parse_tuple("--type", args.type)
     if len(sym) < 2:
         raise InputError(f"--type needs at least two entries, got {args.type!r}")
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     if args.non_orientable:
         records = census_nonorientable(*sym, index_cap=args.index_cap, max_cosets=args.budget)
@@ -145,7 +148,7 @@ def cmd_classify(args) -> int:
         if record.isomorphic_to_lambda:
             notes.append(f"≅ Λ({sym[0] // 3})")
         print(f"  record {i}: order {record.order}, {', '.join(notes)}")
-    if args.out:
+    if args.out is not None:
         write_jsonl_atomic(
             args.out, [entry_from_census_record(r).to_json_line() for r in records]
         )
@@ -198,7 +201,8 @@ def cmd_family(args) -> int:
             raise InputError(f"--lambda-k must be odd and positive, got {args.lambda_k}")
         pres = lambda_k_presentation(args.lambda_k)
     text = write_presentation(pres)
-    if args.out:
+    if args.out is not None:
+        _check_out(args.out)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -60,10 +60,6 @@ class DiamondViolation(TightpolyError):
     a poset that passed the axioms, it is an internal bug."""
 
 
-class NotComparable(TightpolyError):
-    """Section endpoints are not incident."""
-
-
 class InvariantViolation(TightpolyError):
     """A structural invariant that holds by construction failed; internal bug."""
 

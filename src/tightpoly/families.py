@@ -175,10 +175,6 @@ class OeoReport:
     orders: tuple[int, int, int]
     relators_ok: dict[str, bool]
 
-    @property
-    def all_ok(self) -> bool:
-        return all(self.relators_ok.values())
-
 
 def oeo_permutation_rep(p1: int, p2: int, p3: int) -> tuple[PermRep, OeoReport]:
     """Rotation-group permutation representation for odd-even-odd triples.

@@ -5,8 +5,9 @@ stored as explicit point sets of the regular action; two faces of different
 ranks are incident exactly when their point sets meet. Faces are numbered by
 their sorted point sets, so builds are deterministic and golden files stable.
 
-The improper least and greatest faces are implicit: rank -1 and rank n are
-represented by the sentinels BOTTOM and TOP in face references.
+The improper least and greatest faces are implicit. Failure messages name
+them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
+the ids -1 and the number of proper faces.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from . import engine
 from .errors import (
     DiamondViolation,
     InvariantViolation,
-    NotComparable,
     PreconditionViolated,
     RouteDisagreement,
 )
 from .toddcox import PermRep
 
-POSET_SCHEMA_VERSION = 1
-
 FaceRef = tuple[int, int]  # (rank, index within rank)
-
-BOTTOM: FaceRef = (-1, 0)
 
 
 @dataclass(frozen=True)
@@ -96,14 +92,6 @@ class FacePoset:
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
 
-    def face_id(self, ref: FaceRef) -> int:
-        i, k = ref
-        return self._offsets[i] + k
-
-    def face_points(self, fid: int) -> frozenset[int]:
-        i = self._rank_of[fid]
-        return self.levels[i][fid - self._offsets[i]]
-
     def _rank_mask(self, i: int) -> int:
         return ((1 << len(self.levels[i])) - 1) << self._offsets[i]
 
@@ -127,26 +115,12 @@ class FacePoset:
         everything = (1 << (self._total + 1)) - 1
         return comp + [everything, everything]
 
-    def leq(self, lo: FaceRef, hi: FaceRef) -> bool:
-        """Order relation; improper faces compare with everything."""
-        if lo[0] == -1 or hi[0] == self.rank:
-            return True
-        if lo[0] > hi[0]:
-            return False
-        if lo[0] == hi[0]:
-            return lo == hi
-        return bool(self._comp[self.face_id(lo)] >> self.face_id(hi) & 1)
-
     def _between_mask(self, lo: int, hi: int) -> int:
         """Bitmask of proper faces strictly between the faces with ids lo and hi."""
         r_lo, r_hi = self._rank_of[lo], self._rank_of[hi]
         if r_hi - r_lo < 2:
             return 0
         return self._below[r_hi] & ~self._below[r_lo + 1] & self._comp[lo] & self._comp[hi]
-
-    @property
-    def top(self) -> FaceRef:
-        return (self.rank, 0)
 
     # -- polytope axioms ----------------------------------------------------
 
@@ -290,36 +264,6 @@ class FacePoset:
         polytope (McMullen-Schulte, 2B). Raises nothing on a non-polytope."""
         return sum(len(chain) == self.rank for chain in self._maximal_chains())
 
-    # -- derived posets -------------------------------------------------------
-
-    def section(self, lo: FaceRef, hi: FaceRef) -> "FacePoset":
-        """Sub-poset of faces strictly between lo and hi, re-ranked."""
-        self._check_ref(lo)
-        self._check_ref(hi)
-        if not self.leq(lo, hi):
-            raise NotComparable(f"{lo} is not below {hi}")
-        new_rank = hi[0] - lo[0] - 1
-        levels = [[] for _ in range(max(new_rank, 0))]
-        mask = self._between_mask(self.face_id(lo), self.face_id(hi))
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            fid = low.bit_length() - 1
-            levels[self._rank_of[fid] - lo[0] - 1].append(self.face_points(fid))
-        return FacePoset(new_rank, levels)
-
-    def _check_ref(self, ref: FaceRef) -> None:
-        i, k = ref
-        if i in (-1, self.rank):
-            if k != 0:
-                raise ValueError(f"bad improper face reference {ref}")
-        elif not (0 <= i < self.rank and 0 <= k < len(self.levels[i])):
-            raise ValueError(f"face reference {ref} out of range")
-
-    def dual(self) -> "FacePoset":
-        """Same faces with ranks reversed."""
-        return FacePoset(self.rank, tuple(reversed(self.levels)))
-
     # -- equivelarity, flatness, tightness -------------------------------------
 
     def combinatorial_schlafli(self):
@@ -386,25 +330,6 @@ class FacePoset:
                 f"flag count route says {by_count}, flatness route says {by_flat}"
             )
         return by_count
-
-    # -- export ----------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        incidence = []
-        comp = self._comp
-        for i in range(self.rank - 1):
-            for a in range(len(self.levels[i])):
-                fa = self._offsets[i] + a
-                for b in range(len(self.levels[i + 1])):
-                    if comp[fa] >> (self._offsets[i + 1] + b) & 1:
-                        incidence.append([i, a, b])
-        return {
-            "schema_version": POSET_SCHEMA_VERSION,
-            "rank": self.rank,
-            "face_counts": list(self.face_counts()),
-            "incidence": incidence,
-            "flag_count": self.flag_count(),
-        }
 
 
 def build_poset(rep: PermRep) -> FacePoset:

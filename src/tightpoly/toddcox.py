@@ -45,8 +45,7 @@ class PermRep:
 class CosetTable:
     """Closed coset table; row c column g is the coset c * x_g.
 
-    Coset 0 is the enumerated subgroup itself (coset 1 in the 1-based dump
-    format used for golden files).
+    Coset 0 is the enumerated subgroup itself.
     """
 
     pres: Presentation
@@ -59,14 +58,6 @@ class CosetTable:
 
     def column(self, g: int) -> tuple[int, ...]:
         return tuple(row[g] for row in self.table)
-
-    def dump(self) -> str:
-        """Stable 1-based text rendering: `coset g0→c g1→c ...` per row."""
-        lines = []
-        for c, row in enumerate(self.table):
-            cells = " ".join(f"g{g}→{v + 1}" for g, v in enumerate(row))
-            lines.append(f"{c + 1} {cells}")
-        return "\n".join(lines) + "\n"
 
 
 def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tuple[list[int], list[int]]:

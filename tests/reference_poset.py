@@ -5,15 +5,23 @@ differential oracle for `tightpoly.poset.FacePoset`.
 `verify_polytope`, flags in `flags_and_adjacency`), the three section
 generators and FaceRef-based `_between_mask`, copied verbatim, over the same
 `(rank, levels)` input as `FacePoset`. Tests demand equal reports, flag
-systems, sections and Schlafli symbols from both, or the same exception.
+systems and Schlafli symbols from both, or the same exception. `section` is
+where the tests take sections from, to rebuild them as `FacePoset`s.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from tightpoly.errors import DiamondViolation, NotComparable, PreconditionViolated
-from tightpoly.poset import BOTTOM, FaceRef, FlagSystem, NotEquivelar, PosetReport
+from tightpoly.errors import DiamondViolation, PreconditionViolated
+from tightpoly.poset import FaceRef, FlagSystem, NotEquivelar, PosetReport
+
+BOTTOM: FaceRef = (-1, 0)
+
+
+class NotComparable(Exception):
+    """Section endpoints are not incident. Not a `TightpolyError`: no code in
+    the package raises it."""
 
 
 class ReferencePoset:

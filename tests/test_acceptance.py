@@ -261,7 +261,7 @@ def test_criterion_09_rotation_permutation_rep():
     for p1, p2, p3 in [(3, 6, 3), (5, 10, 5)]:
         _, rpt = oeo_permutation_rep(p1, p2, p3)
         ok = (
-            rpt.all_ok
+            all(rpt.relators_ok.values())
             and rpt.orders[1] == p2
             and (p2 // 2) % rpt.orders[2] == 0
         )

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -86,6 +87,26 @@ class TestEntryFormat:
         obj["flag_count"] = 35
         with pytest.raises(AtlasFormatError):
             entry_from_json_line(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tuple", []), ("group_order", 0), ("group_order", -5), ("flag_count", -1)],
+    )
+    def test_rejects_empty_tuple_and_bad_counts(self, key, value, tmp_path):
+        obj = json.loads(entry_from_verdict(verify_gamma_family((3, 6))).to_json_line())
+        obj[key] = value
+        with pytest.raises(AtlasFormatError, match="bad tuple|bad counts"):
+            entry_from_json_line(json.dumps(obj))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(AtlasFormatError, match=":1:"):
+            load_atlas(str(path))
+
+    def test_failed_polytope_with_no_flags_round_trips(self):
+        # The families write 0 flags for a poset that fails the axioms.
+        entry = entry_from_verdict(verify_gamma_family((3, 6)))
+        failed = dataclasses.replace(entry, flag_count=0, claims={**entry.claims, "polytope": False})
+        assert entry_from_json_line(failed.to_json_line()) == failed
 
     def test_load_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -481,6 +502,27 @@ class TestCli:
             assert main(argv + ["--out", str(out)]) == 2
             assert capsys.readouterr() == ("", f"error: --out {out}: its directory does not exist\n")
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", "{dir}/none/"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atlas", "--max-flags", "12", "--max-rank", "3"],
+            ["classify", "--type", "3,6", "--orientable"],
+            ["family", "--gamma", "3,6"],
+        ],
+    )
+    def test_out_that_names_no_file(self, out, argv, tmp_path, capsys, monkeypatch):
+        # An empty path, or one ending in a separator, is bad input before any
+        # work: no batch, no census, no presentation on stdout, no file.
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        monkeypatch.setattr(cli, "classify_tight", no_census)
+        monkeypatch.chdir(tmp_path)
+        out = out.format(dir=tmp_path)
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {out!r} names no file\n")
+        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.parent.glob("*.tmp")) == []
 
     def test_family_round_trip(self, tmp_path):
         path = tmp_path / "g.pres"

@@ -13,7 +13,6 @@ SAMPLES = {
     errors.CapExceeded: errors.CapExceeded(7),
     errors.RelatorViolation: errors.RelatorViolation("relator 2 fails at coset 3"),
     errors.DiamondViolation: errors.DiamondViolation("flag 4 has 3 1-adjacent flags"),
-    errors.NotComparable: errors.NotComparable("faces are not incident"),
     errors.InvariantViolation: errors.InvariantViolation("partition sizes differ"),
     errors.RouteDisagreement: errors.RouteDisagreement("routes disagree on {3,6}"),
     errors.PreconditionViolated: errors.PreconditionViolated("needs the polytope axioms"),

@@ -1,12 +1,11 @@
-import json
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_poset_differential import dual, section
 from tightpoly import sggi
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
-from tightpoly.errors import DiamondViolation, NotComparable
+from tightpoly.errors import DiamondViolation
 from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
 from tightpoly.toddcox import regular_rep
@@ -83,9 +82,10 @@ class TestBuild:
 
     def test_digon(self, poset_digon):
         assert poset_digon.face_counts() == (2, 2)
+        # Ids 0 and 1 are the vertices, 2 and 3 the edges.
         for v in range(2):
-            for e in range(2):
-                assert poset_digon.leq((0, v), (1, e))
+            for e in range(2, 4):
+                assert poset_digon._comp[v] >> e & 1
 
     def test_rejects_non_regular_rep(self, rep_gamma36):
         from tightpoly.toddcox import PermRep
@@ -134,19 +134,19 @@ class TestComparability:
     # stay incomparable, and each lies below the edge.
     @example([[frozenset({0, 1}), frozenset({1, 2})], [frozenset({0, 1, 2})]])
     def test_matches_pairwise_intersection(self, levels):
-        # Oracle: distinct faces are comparable when their ranks differ and
-        # their point sets meet.
+        # Oracle: distinct proper faces are comparable when their ranks differ
+        # and their point sets meet. The greatest face (id `total`) and the
+        # least (the last entry) are comparable with every id.
         poset = FacePoset(len(levels), levels)
-        refs = [(i, k) for i, level in enumerate(poset.levels) for k in range(len(level))]
-        for lo in refs:
-            for hi in refs:
-                if lo[0] == hi[0]:
-                    expected = lo == hi
-                else:
-                    expected = lo[0] < hi[0] and bool(
-                        poset.levels[lo[0]][lo[1]] & poset.levels[hi[0]][hi[1]]
-                    )
-                assert poset.leq(lo, hi) == expected
+        faces = [(i, face) for i, level in enumerate(poset.levels) for face in level]
+        total = len(faces)
+        for f, (i, face) in enumerate(faces):
+            expected = 1 << total
+            for g, (j, other) in enumerate(faces):
+                if f == g or i != j and face & other:
+                    expected |= 1 << g
+            assert poset._comp[f] == expected
+        assert poset._comp[total:] == [(1 << (total + 1)) - 1] * 2
 
 
 class TestFlags:
@@ -206,28 +206,21 @@ class TestFlags:
 
 class TestSections:
     def test_facet_section_type(self, poset_gamma364):
-        section = poset_gamma364.section((-1, 0), (3, 0))
-        assert section.rank == 3
-        assert section.combinatorial_schlafli() == (3, 6)
+        facet = section(poset_gamma364, (-1, 0), (3, 0))
+        assert facet.rank == 3
+        assert facet.combinatorial_schlafli() == (3, 6)
 
     def test_vertex_figure_type(self, poset_gamma364):
-        section = poset_gamma364.section((0, 0), (4, 0))
-        assert section.rank == 3
-        assert section.combinatorial_schlafli() == (6, 4)
+        figure = section(poset_gamma364, (0, 0), (4, 0))
+        assert figure.rank == 3
+        assert figure.combinatorial_schlafli() == (6, 4)
 
     def test_rank_difference_one_gives_point(self, poset_gamma36):
         system = poset_gamma36.flags_and_adjacency()
         v, e = system.flags[0][0], system.flags[0][1]
-        section = poset_gamma36.section(
-            poset_gamma36._ref_of(v), poset_gamma36._ref_of(e)
-        )
-        assert section.rank == 0
-        assert section.face_counts() == ()
-
-    def test_not_comparable(self, poset_cube):
-        # Two distinct vertices are never comparable.
-        with pytest.raises(NotComparable):
-            poset_cube.section((0, 0), (0, 1))
+        point = section(poset_gamma36, poset_gamma36._ref_of(v), poset_gamma36._ref_of(e))
+        assert point.rank == 0
+        assert point.face_counts() == ()
 
 
 class TestSchlafli:
@@ -289,7 +282,7 @@ class TestFlatness:
                 for m in range(k + 1, n):
                     for i in range(m + 1, n):
                         faces_flat = all(
-                            poset.section((-1, 0), (i, a)).is_flat(k, m)
+                            section(poset, (-1, 0), (i, a)).is_flat(k, m)
                             for a in range(len(poset.levels[i]))
                         )
                         if faces_flat:
@@ -315,11 +308,11 @@ class TestTightness:
         # force tightness.
         n = poset_gamma364.rank
         facets_tight = all(
-            poset_gamma364.section((-1, 0), (n - 1, a)).is_tight()
+            section(poset_gamma364, (-1, 0), (n - 1, a)).is_tight()
             for a in range(len(poset_gamma364.levels[n - 1]))
         )
         vertex_figures_tight = all(
-            poset_gamma364.section((0, a), (n, 0)).is_tight()
+            section(poset_gamma364, (0, a), (n, 0)).is_tight()
             for a in range(len(poset_gamma364.levels[0]))
         )
         assert facets_tight and vertex_figures_tight
@@ -328,36 +321,18 @@ class TestTightness:
 
 class TestDual:
     def test_type_reverses(self, poset_gamma36):
-        assert poset_gamma36.dual().combinatorial_schlafli() == (6, 3)
+        assert dual(poset_gamma36).combinatorial_schlafli() == (6, 3)
 
     def test_involution(self, poset_cube):
-        double = poset_cube.dual().dual()
+        double = dual(dual(poset_cube))
         assert double.face_counts() == poset_cube.face_counts()
         assert double.flag_count() == poset_cube.flag_count()
         assert double.levels == poset_cube.levels
 
     def test_dual_of_tight_is_tight(self, poset_gamma36, poset_gamma364):
-        assert poset_gamma36.dual().is_tight()
-        assert poset_gamma364.dual().is_tight()
+        assert dual(poset_gamma36).is_tight()
+        assert dual(poset_gamma364).is_tight()
 
     def test_dual_polytope_axioms(self, poset_gamma364):
-        assert poset_gamma364.dual().verify_polytope().passed
+        assert dual(poset_gamma364).verify_polytope().passed
 
-
-class TestExport:
-    def test_schema(self, poset_gamma36):
-        doc = poset_gamma36.to_json()
-        assert doc["schema_version"] == 1
-        assert doc["rank"] == 3
-        assert doc["face_counts"] == [3, 9, 6]
-        assert doc["flag_count"] == 36
-        # Every consecutive-rank incidence lands between valid indices.
-        for i, a, b in doc["incidence"]:
-            assert 0 <= a < doc["face_counts"][i]
-            assert 0 <= b < doc["face_counts"][i + 1]
-        json.dumps(doc)
-
-    def test_deterministic(self, rep_gamma36):
-        a = build_poset(rep_gamma36).to_json()
-        b = build_poset(rep_gamma36).to_json()
-        assert a == b

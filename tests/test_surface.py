@@ -1,14 +1,18 @@
-"""Every public name that a guarded module defines has a caller in the
-package: the element-set toolkit only the tests use lives in
-`tests/reference_elements.py`, not in `src`. The guard covers `engine`,
-`sggi`, `classifier`, `toddcox`, `errors` and `cli`; `families`, `words`,
-`atlas` and `poset` still hold public names that only the tests call.
+"""Every public name in `tightpoly` has a caller in the package: the
+element-set toolkit and the face-poset API that only the tests use live in
+`tests/reference_elements.py` and `tests/reference_poset.py`, not in `src`.
+The guard covers all ten modules, both their top-level names and the public
+methods and properties of their top-level classes.
 
 The modules are parsed with `ast`, not imported. A name counts as called
-when some top-level statement of a package module other than its own
-definition reads it, as a bare name or as an attribute (`engine.point_orbit`);
-imports alone do not count, and `__init__.py` is left out, since its
-re-exports call nothing.
+when some unit of a package module other than its own definition reads it,
+as a bare name or as an attribute (`engine.point_orbit`, `poset.flag_count()`).
+A unit is a top-level statement, except that each method of a top-level
+class is a unit of its own; a method's unit is also part of its class's
+definition, so a class that names itself calls nothing. Imports alone do not
+count, and `__init__.py` is left out, since its re-exports call nothing.
+Methods are matched by name alone, so a method stays alive when any
+attribute of that name is read.
 """
 
 import ast
@@ -17,12 +21,38 @@ from pathlib import Path
 import tightpoly
 
 SRC = Path(tightpoly.__file__).parent
-GUARDED = ("engine", "sggi", "classifier", "toddcox", "errors", "cli")
-# perfbench/run.py traces `engine.closure_perms` by name and its self-test
-# counts the calls, so the function stays, with the cap it defaults to, until
-# the benchmark drops it from its targets. References from inside these
-# definitions keep nothing else alive.
-ALLOWED = {"engine": {"closure_perms", "DEFAULT_ELEMENT_CAP"}}
+GUARDED = (
+    "atlas", "classifier", "cli", "engine", "errors",
+    "families", "poset", "sggi", "toddcox", "words",
+)
+# Entry points that nothing in `src` calls, each with its reason. They are
+# roots, like any caller in `src`: the names they read count as called.
+CLAIM = "a paper claim that only the acceptance tests exercise"
+ENTRY_POINTS = {
+    "words": {"gamma_pq_presentation": "the paper's Γ(p, q); the perfbench self-test builds it"},
+    "families": {
+        "verify_lambda_family": CLAIM,
+        "check_fap": CLAIM,
+        "subgroup_2_check": CLAIM,
+        "oeo_permutation_rep": CLAIM,
+    },
+    "atlas": {"load_atlas": "the atlas reader"},
+}
+# Names that stay only because perfbench/run.py reads them by name, until the
+# next change to the benchmark. References from inside these definitions keep
+# nothing else alive, so what only they use must be allowed here too.
+ALLOWED = {
+    "engine": {
+        "closure_perms": "traced by perfbench; its self-test counts the calls",
+        "DEFAULT_ELEMENT_CAP": "the cap that `closure_perms` defaults to",
+    },
+    "poset": {
+        "FacePoset.flags_and_adjacency": "traced by perfbench as the `poset.flags` counter",
+        "FacePoset.face_counts": "read by perfbench's `poset.faces` counter",
+        "FlagSystem": "what `FacePoset.flags_and_adjacency` returns",
+    },
+    "errors": {"DiamondViolation": "what `FacePoset.flags_and_adjacency` raises"},
+}
 
 
 def defined_names(stmt: ast.stmt) -> set[str]:
@@ -32,33 +62,53 @@ def defined_names(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def read_names(stmt: ast.stmt) -> set[str]:
+def read_names(node: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
     return names
 
 
+def units(stmt: ast.stmt):
+    """(defined names, read names) for a top-level statement and, for a
+    class, each of its methods apart; a method defines `Class.method`."""
+    if not isinstance(stmt, ast.ClassDef):
+        yield defined_names(stmt), read_names(stmt)
+        return
+    methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    rest = [s for s in stmt.body if s not in methods]
+    yield {stmt.name}, set().union(
+        *map(read_names, stmt.decorator_list + stmt.bases + stmt.keywords + rest)
+    )
+    for method in methods:
+        yield {stmt.name, f"{stmt.name}.{method.name}"}, read_names(method)
+
+
 def uncalled(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each public top-level name of a guarded module that
-    no other top-level statement reads, the allowed ones excepted."""
+    """`module.name` for each public top-level name and public method of a
+    guarded module that no other unit reads, the entry points and the
+    allowed names excepted."""
     statements = [
-        (module, defined_names(stmt), read_names(stmt))
+        (module, defs, reads)
         for module, text in sources.items()
         for stmt in ast.parse(text).body
+        for defs, reads in units(stmt)
     ]
     missing = []
     for module in GUARDED:
-        allowed = ALLOWED.get(module, set())
+        allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
         public = set().union(*(d for m, d, _ in statements if m == module))
-        for name in sorted(n for n in public - allowed if not n.startswith("_")):
+        for name in sorted(public - allowed):
+            read_as = name.rpartition(".")[2]
+            if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
+                continue
             if not any(
-                name in reads
+                read_as in reads
                 and not (m == module and name in defs)
-                and not defs & ALLOWED.get(m, set())
+                and not defs & ALLOWED.get(m, {}).keys()
                 for m, defs, reads in statements
             ):
                 missing.append(f"{module}.{name}")
@@ -71,7 +121,10 @@ def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
-    assert set(GUARDED) <= set(sources)
+    assert set(GUARDED) == set(sources)
+    for kept in (ENTRY_POINTS, ALLOWED):
+        assert set(kept) <= set(GUARDED)
+        assert all(reason for names in kept.values() for reason in names.values())
     assert uncalled(sources) == []
 
 
@@ -87,5 +140,29 @@ def test_guard_reports_a_name_only_an_allowed_definition_reads():
         ),
         "sggi": "from .engine import recursive\nclass Verdict:\n    pass\n",
         "cli": "from . import engine, sggi\nengine.used()\n",
+        # An entry point is a root: the helper it alone reads is called.
+        "families": "def check_fap():\n    return helper()\ndef helper():\n    pass\n",
     }
     assert uncalled(sources) == ["engine.HELPER", "engine.recursive", "sggi.Verdict"]
+
+
+def test_guard_reports_a_method_with_no_caller():
+    sources = {
+        "poset": (
+            "class FacePoset:\n"
+            "    def __init__(self):\n        self._x = self.rank_of()\n"
+            "    def rank_of(self):\n        return FacePoset()\n"
+            "    def leq(self):\n        return self.leq()\n"
+            "    @property\n    def top(self):\n        return 0\n"
+            "    def _check_ref(self):\n        pass\n"
+            "    def flags_and_adjacency(self):\n        return self.face_counts()\n"
+            "    def face_counts(self):\n        return HELPER\n"
+            "HELPER = 3\n"
+            "def build_poset():\n    return FacePoset()\n"
+        ),
+        "cli": "from . import poset\nposet.build_poset()\n",
+    }
+    # rank_of is read by __init__; FacePoset names itself in rank_of, and
+    # only build_poset keeps it alive. leq reads only itself; the reads of
+    # the allowed methods keep neither face_counts nor HELPER alive.
+    assert uncalled(sources) == ["poset.FacePoset.leq", "poset.FacePoset.top", "poset.HELPER"]
