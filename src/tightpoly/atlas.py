@@ -3,15 +3,17 @@
 One JSON object per line, keys sorted, no timestamps: files are
 byte-identical across runs and worker counts. The schema carries an `ms`
 field, which is always written as 0: wall time would make files differ
-between runs. `run_batch` spreads a batch over worker processes, capped at
-the usable cores, and returns results in task order.
+between runs. Census lines, and only they, carry `"source": "census"`. The
+reader accepts only what a writer writes, except that `ms` may be any count
+of milliseconds, as older versions wrote real timings. `run_batch` spreads a
+batch over worker processes, capped at the usable cores, and returns results
+in task order.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Sequence
@@ -24,12 +26,6 @@ ATLAS_SCHEMA_VERSION = 1
 
 FAMILIES = ("gamma", "lambda", "census")
 
-# The process umask, read once at import: mkstemp creates files private to
-# the owner, and the atlas keeps the permissions a plain open() would give.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
 @dataclass(frozen=True)
 class AtlasEntry:
     schlafli: tuple[int, ...]
@@ -40,8 +36,6 @@ class AtlasEntry:
     orientable: bool
     string_c_group: bool
     claims: dict[str, bool]
-    ms: int = 0
-    source: str | None = None
 
     def to_json_line(self) -> str:
         obj = {
@@ -54,10 +48,10 @@ class AtlasEntry:
             "orientable": self.orientable,
             "string_c_group": self.string_c_group,
             "claims": self.claims,
-            "ms": self.ms,
+            "ms": 0,
         }
-        if self.source is not None:
-            obj["source"] = self.source
+        if self.family == "census":
+            obj["source"] = "census"
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -86,6 +80,9 @@ def entry_from_json_line(line: str) -> AtlasEntry:
         "claims": dict,
         "ms": int,
     }
+    unknown = sorted(obj.keys() - required.keys() - {"schema_version", "source"})
+    if unknown:
+        raise AtlasFormatError(f"unknown keys {unknown}")
     for key, kind in required.items():
         if key not in obj:
             raise AtlasFormatError(f"missing key {key!r}")
@@ -93,20 +90,28 @@ def entry_from_json_line(line: str) -> AtlasEntry:
             raise AtlasFormatError(f"key {key!r} is not a {kind.__name__}")
     if obj["family"] not in FAMILIES:
         raise AtlasFormatError(f"unknown family {obj['family']!r}")
+    census = obj["family"] == "census"
+    if ("source" in obj) != census or obj.get("source", "census") != "census":
+        raise AtlasFormatError(f"source {obj.get('source')!r} on a {obj['family']} line")
     entries = obj["tuple"]
     if not entries or not all(isinstance(p, int) and p >= 2 for p in entries):
         raise AtlasFormatError(f"bad tuple {entries}")
     # A group has at least one element; a poset that fails the axioms is
     # written with 0 flags.
-    if obj["group_order"] < 1 or obj["flag_count"] < 0:
+    if obj["group_order"] < 1 or obj["flag_count"] < 0 or obj["ms"] < 0:
         raise AtlasFormatError(
-            f"bad counts: group_order {obj['group_order']}, flag_count {obj['flag_count']}"
+            f"bad counts: group_order {obj['group_order']}, "
+            f"flag_count {obj['flag_count']}, ms {obj['ms']}"
         )
     claims = obj["claims"]
-    if not all(isinstance(v, bool) for v in claims.values()):
-        raise AtlasFormatError("claims must be boolean")
-    if all(claims.values()) and obj["flag_count"] != obj["group_order"]:
-        raise AtlasFormatError("verified entry with flag_count != group_order")
+    if not claims or not all(isinstance(v, bool) for v in claims.values()):
+        raise AtlasFormatError("claims must be a non-empty map to booleans")
+    # A verified entry is tight: as many flags as group elements, 2 * prod(tuple).
+    if all(claims.values()) and not obj["flag_count"] == obj["group_order"] == 2 * prod(entries):
+        raise AtlasFormatError(
+            f"verified entry with group_order {obj['group_order']}, "
+            f"flag_count {obj['flag_count']}, tuple {entries}"
+        )
     return AtlasEntry(
         schlafli=tuple(entries),
         family=obj["family"],
@@ -116,8 +121,6 @@ def entry_from_json_line(line: str) -> AtlasEntry:
         orientable=obj["orientable"],
         string_c_group=obj["string_c_group"],
         claims=dict(claims),
-        ms=obj["ms"],
-        source=obj.get("source"),
     )
 
 
@@ -171,7 +174,6 @@ def entry_from_census_record(record: CensusRecord) -> AtlasEntry:
         orientable=record.orientable,
         string_c_group=record.profile.is_string_c_group,
         claims=claims,
-        source="census",
     )
 
 
@@ -203,14 +205,16 @@ def admissible_tuples(max_flags: int, max_rank: int) -> list[tuple[int, ...]]:
 def write_jsonl_atomic(path: str, lines: Sequence[str]) -> None:
     """Write via a temp file and rename; partial output never survives.
 
-    The temp file has a unique name in the target directory, so concurrent
-    writers never share one and no file but `path` is ever replaced.
+    The temp file has a random name in the target directory and is created
+    exclusively, so concurrent writers never share one and no file but
+    `path` is ever replaced. It is made by a plain open(), so it gets the
+    permissions the umask in force gives.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+    tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+        with fh:
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, path)

@@ -295,12 +295,11 @@ def low_index_normal(
     """All normal subgroups of exactly the given index.
 
     Each is returned as the coset table of the action on its cosets (the
-    regular action of the quotient), in canonical breadth-first numbering;
-    subgroup_gens is empty because the subgroup is not parabolic. The result
-    is sorted by table content, with no repeats. Both hold as the search
-    emits the tables (see the module docstring), so nothing here relabels,
-    dedupes or sorts. Every generator must have its involution relator, as
-    the search builds involutory columns.
+    regular action of the quotient), in canonical breadth-first numbering.
+    The result is sorted by table content, with no repeats. Both hold as the
+    search emits the tables (see the module docstring), so nothing here
+    relabels, dedupes or sorts. Every generator must have its involution
+    relator, as the search builds involutory columns.
 
     With `bipartite=True` only the normal subgroups whose quotient action is
     bipartite are returned: those with every generator changing the parity
@@ -318,9 +317,7 @@ def low_index_normal(
         raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
     search = _NormalSearch(pres, index, bipartite)
     search.run()
-    return [
-        CosetTable(pres=pres, subgroup_gens=frozenset(), table=t) for t in search.found
-    ]
+    return [CosetTable(pres=pres, table=t) for t in search.found]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 from . import engine, sggi
 from .errors import NotAdmissible, PreconditionViolated
-from .poset import PosetReport, poset_checks
+from .poset import poset_checks
 from .toddcox import PermRep, group_order, regular_rep
 from .words import (
     Presentation,
@@ -34,11 +34,8 @@ class FamilyVerdict:
     schlafli: tuple[int, ...]
     presentation: Presentation
     group_order: int
-    expected_order: int
     profile: sggi.SggiProfile
-    poset_report: PosetReport
     flag_count: int
-    combinatorial_type: tuple[int, ...] | None
     tight: bool
     claims: dict[str, bool]
 
@@ -76,11 +73,8 @@ def _verdict(
         schlafli=entries,
         presentation=pres,
         group_order=prof.group_order,
-        expected_order=expected,
         profile=prof,
-        poset_report=report,
         flag_count=flag_count,
-        combinatorial_type=combinatorial,
         tight=tight,
         claims=claims,
     )

@@ -29,7 +29,6 @@ FaceRef = tuple[int, int]  # (rank, index within rank)
 
 @dataclass(frozen=True)
 class PosetReport:
-    bounded: bool
     chain_lengths: bool
     connected: bool
     diamond: bool
@@ -37,7 +36,7 @@ class PosetReport:
 
     @property
     def passed(self) -> bool:
-        return self.bounded and self.chain_lengths and self.connected and self.diamond
+        return self.chain_lengths and self.connected and self.diamond
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ class FacePoset:
         """Exhaustive check of the four axioms; reports the first failure."""
         # (a) Unique greatest and least faces hold by construction; the
         # sentinels are single and comparable with every proper face.
-        bounded = True
 
         chain_lengths = True
         chain_failure = None
@@ -168,7 +166,6 @@ class FacePoset:
                     )
 
         return PosetReport(
-            bounded=bounded,
             chain_lengths=chain_lengths,
             connected=connected,
             diamond=diamond,

@@ -36,7 +36,6 @@ class SggiProfile:
     is_string_c_group: bool
     intersection_witness: tuple[Subset, Subset] | None
     orientable: bool
-    rotation_index: int
 
 
 def check_sggi(rep: PermRep) -> bool:
@@ -144,7 +143,6 @@ def profile(rep: PermRep) -> SggiProfile:
     `check_intersection_condition` gives the verdict and the first witness,
     so the profile is the same as from the exhaustive check alone.
     """
-    rot_index = _rotation_index(rep)
     sggi_ok = check_sggi(rep)
     degenerate = degenerate_generators(rep)
     if sggi_ok and not degenerate and _interval_condition(rep):
@@ -159,6 +157,5 @@ def profile(rep: PermRep) -> SggiProfile:
         schlafli=schlafli_of_group(rep),
         is_string_c_group=sggi_ok and c_group,
         intersection_witness=witness,
-        orientable=rot_index == 2,
-        rotation_index=rot_index,
+        orientable=_rotation_index(rep) == 2,
     )

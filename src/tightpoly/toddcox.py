@@ -49,15 +49,11 @@ class CosetTable:
     """
 
     pres: Presentation
-    subgroup_gens: frozenset[int]
     table: tuple[tuple[int, ...], ...]
 
     @property
     def rows(self) -> int:
         return len(self.table)
-
-    def column(self, g: int) -> tuple[int, ...]:
-        return tuple(row[g] for row in self.table)
 
 
 def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tuple[list[int], list[int]]:
@@ -314,7 +310,7 @@ def enumerate_cosets(
             label[x] = label[p]
     rows = tuple(tuple(map(label.__getitem__, table[c * n : c * n + n])) for c in live)
     _certify(len(rows), tuple(zip(*rows)), pres)
-    return CosetTable(pres=pres, subgroup_gens=gens, table=rows)
+    return CosetTable(pres=pres, table=rows)
 
 
 def perm_rep(table: CosetTable) -> PermRep:
@@ -322,7 +318,7 @@ def perm_rep(table: CosetTable) -> PermRep:
 
     Certifies the table, so it also checks tables built elsewhere.
     """
-    gens = tuple(table.column(g) for g in range(table.pres.ngens))
+    gens = tuple(zip(*table.table))
     _certify(table.rows, gens, table.pres)
     return PermRep(degree=table.rows, gens=gens)
 

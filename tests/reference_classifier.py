@@ -295,9 +295,8 @@ def low_index_normal(
     """All normal subgroups of exactly the given index.
 
     Each is returned as the coset table of the action on its cosets (the
-    regular action of the quotient), in canonical breadth-first numbering;
-    subgroup_gens is empty because the subgroup is not parabolic. The result
-    is sorted by table content.
+    regular action of the quotient), in canonical breadth-first numbering.
+    The result is sorted by table content.
     """
     cap = DEFAULT_INDEX_CAP if index_cap is None else index_cap
     if index < 1:
@@ -307,6 +306,4 @@ def low_index_normal(
     search = _NormalSearch(pres, index)
     search.run()
     tables = sorted(set(search.found))
-    return [
-        CosetTable(pres=pres, subgroup_gens=frozenset(), table=t) for t in tables
-    ]
+    return [CosetTable(pres=pres, table=t) for t in tables]

@@ -113,7 +113,6 @@ class ReferencePoset:
 
         # (a) Unique greatest and least faces hold by construction; the
         # sentinels are single and comparable with every proper face.
-        bounded = True
 
         chain_lengths = True
         # (b) Every maximal chain of proper faces must have one face per rank.
@@ -145,7 +144,6 @@ class ReferencePoset:
                 break
 
         return PosetReport(
-            bounded=bounded,
             chain_lengths=chain_lengths,
             connected=connected,
             diamond=diamond,

@@ -34,6 +34,10 @@ from tightpoly.poset import FacePoset, NotEquivelar
 from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
 
 
+# A key deleted from a line, in parametrized cases.
+MISSING = object()
+
+
 class TestAdmissibleTuples:
     def test_f100_r3(self):
         tuples = list(admissible_tuples(100, 3))
@@ -90,7 +94,7 @@ class TestEntryFormat:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("tuple", []), ("group_order", 0), ("group_order", -5), ("flag_count", -1)],
+        [("tuple", []), ("group_order", 0), ("group_order", -5), ("flag_count", -1), ("ms", -3)],
     )
     def test_rejects_empty_tuple_and_bad_counts(self, key, value, tmp_path):
         obj = json.loads(entry_from_verdict(verify_gamma_family((3, 6))).to_json_line())
@@ -101,6 +105,42 @@ class TestEntryFormat:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(AtlasFormatError, match=":1:"):
             load_atlas(str(path))
+
+    @pytest.mark.parametrize(
+        "family,key,value,match",
+        [
+            ("gamma", "source", "census", "source"),
+            ("gamma", "source", 5, "source"),
+            ("census", "source", "gamma", "source"),
+            ("census", "source", None, "source"),
+            ("census", "source", MISSING, "source"),
+            ("gamma", "timings", {}, "unknown keys"),
+            ("gamma", "claims", {}, "claims"),
+            ("gamma", "tuple", [7], "verified entry"),
+            ("census", "tuple", [3, 4], "verified entry"),
+        ],
+    )
+    def test_rejects_what_no_writer_writes(self, family, key, value, match, tmp_path):
+        entry = dataclasses.replace(entry_from_verdict(verify_gamma_family((3, 6))), family=family)
+        obj = json.loads(entry.to_json_line())
+        assert entry_from_json_line(json.dumps(obj)) == entry
+        if value is MISSING:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(AtlasFormatError, match=match):
+            entry_from_json_line(json.dumps(obj))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(entry.to_json_line() + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(AtlasFormatError, match=":2: .*" + match):
+            load_atlas(str(path))
+
+    def test_accepts_timings_of_older_versions(self):
+        # Older versions wrote real timings; the README promises they load.
+        entry = entry_from_verdict(verify_gamma_family((3, 6)))
+        obj = json.loads(entry.to_json_line())
+        obj["ms"] = 17
+        assert entry_from_json_line(json.dumps(obj)) == entry
 
     def test_failed_polytope_with_no_flags_round_trips(self):
         # The families write 0 flags for a poset that fails the axioms.
@@ -168,11 +208,20 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     def test_mode_matches_plain_open(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        plain = tmp_path / "plain.jsonl"
-        write_jsonl_atomic(str(path), ["a"])
-        plain.write_text("a\n")
-        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        # The umask in force when the file is written counts, not the one at
+        # import: first the process umask, then 0o077 set after the import.
+        old = os.umask(0)
+        os.umask(old)
+        for umask in (old, 0o077):
+            path = tmp_path / f"out-{umask:o}.jsonl"
+            plain = tmp_path / f"plain-{umask:o}.jsonl"
+            os.umask(umask)
+            try:
+                write_jsonl_atomic(str(path), ["a"])
+                plain.write_text("a\n")
+            finally:
+                os.umask(old)
+            assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
 def _square(x):
@@ -320,7 +369,7 @@ class TestCli:
         entries = load_atlas(str(path))
         assert len(entries) == 1
         assert entries[0].family == "census"
-        assert entries[0].source == "census"
+        assert '"source":"census"' in path.read_text()
 
     def test_classify_rank4(self, capsys):
         assert main(["classify", "--type", "3,6,3", "--orientable"]) == 0

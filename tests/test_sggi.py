@@ -178,13 +178,13 @@ class TestProfile:
         assert prof.is_string_c_group
         assert prof.intersection_witness is None
         assert prof.orientable
-        assert prof.rotation_index == 2
+        assert sggi._rotation_index(rep_gamma36) == 2
 
     def test_lambda1_profile(self, rep_lambda1):
         prof = sggi.profile(rep_lambda1)
         assert prof.group_order == 24
         assert not prof.orientable
-        assert prof.rotation_index == 1
+        assert sggi._rotation_index(rep_lambda1) == 1
         assert prof.is_string_c_group
 
     def test_degenerate_profile(self, rep_degenerate_x0x2):

@@ -1,18 +1,21 @@
 """Every public name in `tightpoly` has a caller in the package: the
 element-set toolkit and the face-poset API that only the tests use live in
 `tests/reference_elements.py` and `tests/reference_poset.py`, not in `src`.
-The guard covers all ten modules, both their top-level names and the public
-methods and properties of their top-level classes.
+The guard covers all ten modules: their top-level names, and the public
+methods, properties and class-level annotated fields (the dataclass fields)
+of their top-level classes.
 
 The modules are parsed with `ast`, not imported. A name counts as called
-when some unit of a package module other than its own definition reads it,
-as a bare name or as an attribute (`engine.point_orbit`, `poset.flag_count()`).
-A unit is a top-level statement, except that each method of a top-level
-class is a unit of its own; a method's unit is also part of its class's
-definition, so a class that names itself calls nothing. Imports alone do not
-count, and `__init__.py` is left out, since its re-exports call nothing.
-Methods are matched by name alone, so a method stays alive when any
-attribute of that name is read.
+when some unit of a package module other than its own definition reads it.
+A unit is a top-level statement, except that each method and each field of
+a top-level class is a unit of its own; a member's unit is also part of its
+class's definition, so a class that names itself calls nothing. A top-level
+name may be read as a bare name or as an attribute (`engine.point_orbit`);
+a member only as an attribute (`poset.flag_count()`, `report.passed`), so a
+local variable of the same name keeps no member alive. Members are matched
+by name alone, so a member stays alive when any attribute of that name is
+read. Imports alone do not count, and `__init__.py` is left out, since its
+re-exports call nothing.
 """
 
 import ast
@@ -35,6 +38,8 @@ ENTRY_POINTS = {
         "check_fap": CLAIM,
         "subgroup_2_check": CLAIM,
         "oeo_permutation_rep": CLAIM,
+        "OeoReport.orders": "the report of `oeo_permutation_rep`; the acceptance tests read it",
+        "OeoReport.relators_ok": "the report of `oeo_permutation_rep`; the acceptance tests read it",
     },
     "atlas": {"load_atlas": "the atlas reader"},
 }
@@ -50,6 +55,8 @@ ALLOWED = {
         "FacePoset.flags_and_adjacency": "traced by perfbench as the `poset.flags` counter",
         "FacePoset.face_counts": "read by perfbench's `poset.faces` counter",
         "FlagSystem": "what `FacePoset.flags_and_adjacency` returns",
+        "FlagSystem.flags": "read by perfbench's `poset.flags` counter",
+        "FlagSystem.adjacency": "half of the flag system that perfbench holds",
     },
     "errors": {"DiamondViolation": "what `FacePoset.flags_and_adjacency` raises"},
 }
@@ -62,54 +69,64 @@ def defined_names(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def read_names(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+def member_name(stmt: ast.stmt) -> str | None:
+    """The name a method or a class-level annotated field defines, else None."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return stmt.name
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return stmt.target.id
+    return None
+
+
+def read_names(*nodes: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that the nodes read."""
+    names, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attributes.add(sub.attr)
+    return names, attributes
 
 
 def units(stmt: ast.stmt):
-    """(defined names, read names) for a top-level statement and, for a
-    class, each of its methods apart; a method defines `Class.method`."""
+    """(defined names, bare names read, attribute names read) for a
+    top-level statement and, for a class, each of its methods and fields
+    apart; a member defines `Class.member`."""
     if not isinstance(stmt, ast.ClassDef):
-        yield defined_names(stmt), read_names(stmt)
+        yield defined_names(stmt), *read_names(stmt)
         return
-    methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    rest = [s for s in stmt.body if s not in methods]
-    yield {stmt.name}, set().union(
-        *map(read_names, stmt.decorator_list + stmt.bases + stmt.keywords + rest)
-    )
-    for method in methods:
-        yield {stmt.name, f"{stmt.name}.{method.name}"}, read_names(method)
+    members = [s for s in stmt.body if member_name(s)]
+    rest = [s for s in stmt.body if s not in members]
+    yield {stmt.name}, *read_names(*stmt.decorator_list, *stmt.bases, *stmt.keywords, *rest)
+    for member in members:
+        yield {stmt.name, f"{stmt.name}.{member_name(member)}"}, *read_names(member)
 
 
 def uncalled(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each public top-level name and public method of a
-    guarded module that no other unit reads, the entry points and the
-    allowed names excepted."""
+    """`module.name` for each public top-level name, public method and
+    public field of a guarded module that no other unit reads, the entry
+    points and the allowed names excepted."""
     statements = [
-        (module, defs, reads)
+        (module, *unit)
         for module, text in sources.items()
         for stmt in ast.parse(text).body
-        for defs, reads in units(stmt)
+        for unit in units(stmt)
     ]
     missing = []
     for module in GUARDED:
         allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
-        public = set().union(*(d for m, d, _ in statements if m == module))
+        public = set().union(*(d for m, d, _, _ in statements if m == module))
         for name in sorted(public - allowed):
-            read_as = name.rpartition(".")[2]
+            _, dot, read_as = name.rpartition(".")
             if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
                 continue
             if not any(
-                read_as in reads
+                (read_as in attributes or not dot and read_as in names)
                 and not (m == module and name in defs)
                 and not defs & ALLOWED.get(m, {}).keys()
-                for m, defs, reads in statements
+                for m, defs, names, attributes in statements
             ):
                 missing.append(f"{module}.{name}")
     return missing
@@ -166,3 +183,26 @@ def test_guard_reports_a_method_with_no_caller():
     # only build_poset keeps it alive. leq reads only itself; the reads of
     # the allowed methods keep neither face_counts nor HELPER alive.
     assert uncalled(sources) == ["poset.FacePoset.leq", "poset.FacePoset.top", "poset.HELPER"]
+
+
+def test_guard_matches_members_by_attribute_reads_only():
+    sources = {
+        "families": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Verdict:\n"
+            "    order: int\n"
+            "    expected: int\n"
+            "    tight: bool = True\n"
+            "    def passed(self):\n        return self.tight\n"
+            "    def top(self):\n        return 0\n"
+            "def verdict(expected):\n"
+            "    top = expected\n"
+            "    return Verdict(order=top, expected=expected)\n"
+        ),
+        "cli": "from . import families\nv = families.verdict(2)\nprint(v.order, v.passed())\n",
+    }
+    # order and passed are read as attributes, and tight by passed, a unit of
+    # its own. The parameter `expected`, the local `top` and the keywords of
+    # the constructor are no attribute reads.
+    assert uncalled(sources) == ["families.Verdict.expected", "families.Verdict.top"]

@@ -91,11 +91,7 @@ class TestPermRep:
         table = enumerate_cosets(coxeter_presentation((3,)))
         rows = [list(r) for r in table.table]
         rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-        bad = CosetTable(
-            pres=table.pres,
-            subgroup_gens=table.subgroup_gens,
-            table=tuple(tuple(r) for r in rows),
-        )
+        bad = CosetTable(pres=table.pres, table=tuple(tuple(r) for r in rows))
         with pytest.raises(RelatorViolation):
             perm_rep(bad)
 
