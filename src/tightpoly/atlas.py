@@ -106,6 +106,16 @@ def entry_from_json_line(line: str) -> AtlasEntry:
     claims = obj["claims"]
     if not claims or not all(isinstance(v, bool) for v in claims.values()):
         raise AtlasFormatError("claims must be a non-empty map to booleans")
+    # Every writer takes a flag and the claim of the same name from one verdict.
+    flags = {
+        "tight": obj["tight"],
+        "string_c_group": obj["string_c_group"],
+        "orientable": obj["orientable"],
+        "non_orientable": not obj["orientable"],
+    }
+    for key, flag in flags.items():
+        if claims.get(key, flag) != flag:
+            raise AtlasFormatError(f"claim {key!r} is {claims[key]}, but the flags give {flag}")
     # A verified entry is tight: as many flags as group elements, 2 * prod(tuple).
     if all(claims.values()) and not obj["flag_count"] == obj["group_order"] == 2 * prod(entries):
         raise AtlasFormatError(

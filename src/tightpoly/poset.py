@@ -8,6 +8,19 @@ their sorted point sets, so builds are deterministic and golden files stable.
 The improper least and greatest faces are implicit. Failure messages name
 them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
 the ids -1 and the number of proper faces.
+
+A poset from the coset construction is transitive on the faces of each rank
+(McMullen-Schulte, *Abstract Regular Polytopes*, 2E): right multiplication
+by a group element commutes with the left multiplications whose orbits are
+the faces, so it maps each face of rank i to a face of rank i and keeps
+intersections, and the group is transitive on the points. So `build_poset`
+marks one root face per rank, the face that holds point 0, which is face 0
+of its rank since the faces of a rank are disjoint and sorted by point set.
+The verdicts (the chain walk, the section pass, the Schlafli symbol and
+flatness) start only at roots, and each root stands for its whole rank. The
+first failure is unchanged: every loop visits ranks in ascending order and
+the faces of a rank by id, a failure at some face of a rank is a failure at
+every face of that rank, and the root is the first of them.
 """
 
 from __future__ import annotations
@@ -62,9 +75,18 @@ class FacePoset:
     the greatest face is _total and the least face is -1. `_offsets`,
     `_rank_of` and `_comp` end with an entry for the greatest and then one
     for the least face, so index -1 reaches the least face's entry.
+
+    `_roots` is the mask of the faces the verdicts start from. By default it
+    holds every proper face. `transitive=True` promises automorphisms that
+    are transitive on the faces of each rank, as the coset construction
+    gives, and keeps face 0 of each rank only: a walk or a section check
+    from any other face is the image of one from the root of its rank, so
+    its outcome is the same, and the root is the first face of its rank in
+    every loop, so the first failure reported is the same too.
+    `flags_and_adjacency` lists every flag and walks from every face.
     """
 
-    def __init__(self, rank: int, levels):
+    def __init__(self, rank: int, levels, transitive: bool = False):
         self.rank = rank
         self.levels: tuple[tuple[frozenset[int], ...], ...] = tuple(
             tuple(sorted(level, key=sorted)) for level in levels
@@ -83,6 +105,9 @@ class FacePoset:
         self._below = [(1 << offset) - 1 for offset in self._offsets[:-1]]
         self._below.append((1 << (total + 1)) - 1)
         self._comp = self._comparability()
+        self._roots = (1 << total) - 1
+        if transitive:
+            self._roots = sum(m & -m for m in map(self._rank_mask, range(rank)))
         self._chains: list[tuple[int, ...]] | None = None
         self._schlafli: tuple[int, ...] | NotEquivelar | None = None
 
@@ -93,6 +118,16 @@ class FacePoset:
 
     def _rank_mask(self, i: int) -> int:
         return ((1 << len(self.levels[i])) - 1) << self._offsets[i]
+
+    @staticmethod
+    def _ids(mask: int) -> list[int]:
+        """The ids in a bitmask, ascending."""
+        ids = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            ids.append(low.bit_length() - 1)
+        return ids
 
     def _comparability(self) -> list[int]:
         # comp[f] = bitmask of the ids comparable with f: f itself, the proper
@@ -145,11 +180,16 @@ class FacePoset:
         # two middle faces. One pass over the comparable pairs lo < hi at least
         # two ranks apart, in the order: the least face, then the proper faces
         # by id, then the greatest face; the first failure of each is kept.
+        # lo is the least face or a root; above the least face, hi is a root
+        # or the greatest face.
         connected = diamond = True
         connect_failure = diamond_failure = None
         rank_of = self._rank_of
-        for lo in range(-1, self._total):
+        roots = self._roots
+        for lo in [-1, *self._ids(roots)]:
             his = self._comp[lo] & ~self._below[rank_of[lo] + 2]
+            if lo == -1:
+                his &= roots | 1 << self._total
             while his and (connected or diamond):
                 low = his & -his
                 his ^= low
@@ -177,33 +217,37 @@ class FacePoset:
         return (i, fid - self._offsets[i])
 
     def _maximal_chains(self) -> list[tuple[int, ...]]:
-        """Every maximal chain of proper faces once, as ascending face ids.
+        """The maximal chains whose least face is a root, cached."""
+        if self._chains is None:
+            self._chains = self._chains_from(self._roots)
+        return self._chains
+
+    def _chains_from(self, starts: int) -> list[tuple[int, ...]]:
+        """Every maximal chain of proper faces whose least face is in the
+        bitmask `starts` once, as ascending face ids, in depth-first order.
 
         Chains grow upwards from the empty chain, carrying the mask of the
         faces outside the chain comparable with all its members; a chain is
         maximal when that mask is empty. A rank -1 poset has no chains at all.
         """
-        if self._chains is not None:
-            return self._chains
         comp = self._comp
         below = self._below
         rank_of = self._rank_of
         chains: list[tuple[int, ...]] = []
 
-        def grow(chain: tuple[int, ...], shared: int, next_rank: int) -> None:
+        def grow(chain: tuple[int, ...], shared: int, candidates: int) -> None:
             if not shared:
                 chains.append(chain)
                 return
-            m = shared & ~below[next_rank]
-            while m:
-                low = m & -m
-                m ^= low
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
                 f = low.bit_length() - 1
-                grow(chain + (f,), shared & comp[f] & ~low, rank_of[f] + 1)
+                rest = shared & comp[f] & ~low
+                grow(chain + (f,), rest, rest & ~below[rank_of[f] + 1])
 
         if self.rank >= 0:
-            grow((), (1 << self._total) - 1, 0)
-        self._chains = chains
+            grow((), (1 << self._total) - 1, starts)
         return chains
 
     def _section_connected(self, inside: int) -> bool:
@@ -234,7 +278,8 @@ class FacePoset:
         chain is maximal, since distinct faces of one rank are never comparable.
         DiamondViolation is a flag-level diamond check beside `verify_polytope`.
         """
-        flags = sorted(c for c in self._maximal_chains() if len(c) == self.rank)
+        everything = (1 << self._total) - 1
+        flags = sorted(c for c in self._chains_from(everything) if len(c) == self.rank)
         index = {flag: i for i, flag in enumerate(flags)}
         adjacency = []
         for flag in flags:
@@ -257,9 +302,16 @@ class FacePoset:
         return FlagSystem(flags=tuple(flags), adjacency=tuple(adjacency))
 
     def flag_count(self) -> int:
-        """Maximal chains of the cached walk with one face per rank: the flags, on a
-        polytope (McMullen-Schulte, 2B). Raises nothing on a non-polytope."""
-        return sum(len(chain) == self.rank for chain in self._maximal_chains())
+        """Maximal chains with one face per rank: the flags, on a polytope
+        (McMullen-Schulte, 2B). Raises nothing on a non-polytope.
+
+        Each such chain starts at a vertex, and the cached walk holds those
+        that start at a vertex root. Every vertex starts as many, so the
+        vertex roots stand for all the vertices.
+        """
+        walked = sum(len(chain) == self.rank for chain in self._maximal_chains())
+        vertex_roots = (self._roots & self._rank_mask(0)).bit_count() if self.rank > 0 else 0
+        return walked * len(self.levels[0]) // vertex_roots if vertex_roots else walked
 
     # -- equivelarity, flatness, tightness -------------------------------------
 
@@ -271,16 +323,17 @@ class FacePoset:
         """
         if self._schlafli is not None:
             return self._schlafli
-        comp = self._comp
+        top = 1 << self._total
         symbol = []
         for i in range(1, self.rank):
             size: int | None = None
-            lows = (-1,) if i == 1 else range(self._offsets[i - 2], self._offsets[i - 1])
-            his = (self._total,) if i == self.rank - 1 else range(self._offsets[i + 1], self._offsets[i + 2])
+            his = top if i == self.rank - 1 else self._rank_mask(i + 1)
+            if i == 1:  # above the least face, only roots
+                lows, his = [-1], his & (self._roots | top)
+            else:
+                lows = self._ids(self._roots & self._rank_mask(i - 2))
             for lo in lows:
-                for hi in his:
-                    if not comp[lo] >> hi & 1:
-                        continue
+                for hi in self._ids(self._comp[lo] & his):
                     mid = self._between_mask(lo, hi)
                     vertices = (mid & self._rank_mask(i - 1)).bit_count()
                     edges = (mid & self._rank_mask(i)).bit_count()
@@ -301,14 +354,13 @@ class FacePoset:
         return self._schlafli
 
     def is_flat(self, k: int, m: int) -> bool:
-        """Is every k-face incident with every m-face?"""
+        """Is every k-face incident with every m-face? Asks the k-face roots."""
         if not 0 <= k < m <= self.rank - 1:
             raise ValueError(f"need 0 <= k < m <= {self.rank - 1}, got ({k}, {m})")
         mmask = self._rank_mask(m)
-        for a in range(len(self.levels[k])):
-            if self._comp[self._offsets[k] + a] & mmask != mmask:
-                return False
-        return True
+        return all(
+            self._comp[f] & mmask == mmask for f in self._ids(self._roots & self._rank_mask(k))
+        )
 
     def is_tight(self) -> bool:
         """Minimum flag count, checked by two independent routes.
@@ -335,7 +387,10 @@ def build_poset(rep: PermRep) -> FacePoset:
     Points are in bijection with group elements, so the rank-i faces (the
     cosets of the subgroup omitting generator i) are exactly the orbits of
     the points under left multiplication by that subgroup. Face counts are
-    checked against the subgroup orders.
+    checked against the subgroup orders. `left_action` certifies that every
+    column commutes with every left multiplication, so the columns act on the
+    poset by automorphisms, transitively on each rank: the poset is built
+    with `transitive=True`.
     """
     n = len(rep.gens)
     lams = engine.left_action(rep)
@@ -365,7 +420,7 @@ def build_poset(rep: PermRep) -> FacePoset:
         if len(sizes) != 1 or len(blocks) * sizes.pop() != rep.degree:
             raise InvariantViolation(f"coset partition size mismatch at rank {i}")
         levels.append(blocks)
-    return FacePoset(n, levels)
+    return FacePoset(n, levels, transitive=True)
 
 
 def poset_checks(rep: PermRep):

@@ -5,15 +5,18 @@ differential oracle for `tightpoly.poset.FacePoset`.
 `verify_polytope`, flags in `flags_and_adjacency`), the three section
 generators and FaceRef-based `_between_mask`, copied verbatim, over the same
 `(rank, levels)` input as `FacePoset`. Tests demand equal reports, flag
-systems and Schlafli symbols from both, or the same exception. `section` is
-where the tests take sections from, to rebuild them as `FacePoset`s.
+systems and Schlafli symbols from both, or the same exception. Its flag
+count, flatness and two-route tightness ask every face, so they also hold
+`FacePoset`'s root-only verdicts to account. `section` is where the tests
+take sections from, to rebuild them as `FacePoset`s.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterator
 
-from tightpoly.errors import DiamondViolation, PreconditionViolated
+from tightpoly.errors import DiamondViolation, PreconditionViolated, RouteDisagreement
 from tightpoly.poset import FaceRef, FlagSystem, NotEquivelar, PosetReport
 
 BOTTOM: FaceRef = (-1, 0)
@@ -216,10 +219,8 @@ class ReferencePoset:
 
     # -- flags ---------------------------------------------------------------
 
-    def flags_and_adjacency(self) -> FlagSystem:
-        """All flags and, for each flag and rank j, its unique j-adjacent flag."""
-        if self._flags is not None:
-            return self._flags
+    def _flag_list(self) -> list[tuple[int, ...]]:
+        """Every chain with one face per rank, sorted: the flags, on a polytope."""
         comp = self._comparability()
         flags: list[tuple[int, ...]] = []
 
@@ -235,7 +236,16 @@ class ReferencePoset:
                 rec(members + (f,), shared & comp[f], next_rank + 1)
 
         rec((), (1 << self._total) - 1, 0)
-        flags.sort()
+        return sorted(flags)
+
+    def flag_count(self) -> int:
+        return len(self._flag_list())
+
+    def flags_and_adjacency(self) -> FlagSystem:
+        """All flags and, for each flag and rank j, its unique j-adjacent flag."""
+        if self._flags is not None:
+            return self._flags
+        flags = self._flag_list()
         index = {flag: i for i, flag in enumerate(flags)}
         adjacency = []
         for flag in flags:
@@ -318,3 +328,27 @@ class ReferencePoset:
                 raise ValueError(f"no rank-2 section at slot {i}")
             symbol.append(size)
         return tuple(symbol)
+
+    def is_flat(self, k: int, m: int) -> bool:
+        """Is every k-face incident with every m-face? Asks every k-face."""
+        if not 0 <= k < m <= self.rank - 1:
+            raise ValueError(f"need 0 <= k < m <= {self.rank - 1}, got ({k}, {m})")
+        return all(
+            self.leq((k, a), (m, b))
+            for a in range(len(self.levels[k]))
+            for b in range(len(self.levels[m]))
+        )
+
+    def is_tight(self) -> bool:
+        """The two tightness routes, by flag count and by (i, i+2)-flatness,
+        over every face; they must agree."""
+        sym = self.combinatorial_schlafli()
+        if isinstance(sym, NotEquivelar):
+            raise ValueError(f"tightness needs an equivelar poset: {sym}")
+        by_count = self.flag_count() == 2 * prod(sym)
+        by_flat = all(self.is_flat(i, i + 2) for i in range(self.rank - 2))
+        if by_count != by_flat:
+            raise RouteDisagreement(
+                f"flag count route says {by_count}, flatness route says {by_flat}"
+            )
+        return by_count

@@ -29,7 +29,7 @@ from tightpoly.errors import (
     RelatorViolation,
     RouteDisagreement,
 )
-from tightpoly.families import verify_gamma_family
+from tightpoly.families import verify_gamma_family, verify_lambda_family
 from tightpoly.poset import FacePoset, NotEquivelar
 from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
 
@@ -133,6 +133,28 @@ class TestEntryFormat:
         path = tmp_path / "bad.jsonl"
         path.write_text(entry.to_json_line() + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(AtlasFormatError, match=":2: .*" + match):
+            load_atlas(str(path))
+
+    @pytest.mark.parametrize(
+        "verdict,key,value,claim",
+        [
+            ("gamma", "tight", False, "tight"),
+            ("gamma", "string_c_group", False, "string_c_group"),
+            ("gamma", "orientable", False, "orientable"),
+            ("lambda", "orientable", True, "non_orientable"),
+        ],
+    )
+    def test_rejects_flags_that_contradict_their_claims(self, verdict, key, value, claim, tmp_path):
+        # Every claim still passes, so only the flag check catches the edit.
+        made = verify_gamma_family((3, 6)) if verdict == "gamma" else verify_lambda_family(3)
+        obj = json.loads(entry_from_verdict(made).to_json_line())
+        assert all(obj["claims"].values()) and obj[key] != value
+        obj[key] = value
+        with pytest.raises(AtlasFormatError, match=f"claim '{claim}'"):
+            entry_from_json_line(json.dumps(obj))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(AtlasFormatError, match=":1: claim"):
             load_atlas(str(path))
 
     def test_accepts_timings_of_older_versions(self):

@@ -7,12 +7,19 @@ text included), equal flag systems and Schlafli symbols, or the same
 exception type with the same message from both. `flag_count`, read from the
 chain walk, must equal the length of both flag systems on every polytope.
 The same holds on the dual and on one section drawn by the oracle.
+
+`build_poset` gives a poset whose verdicts start at one root face per rank.
+`TestRootWalk` holds it, on the same levels, to a `FacePoset` that starts at
+every face and to the oracle, on quotients of rank 3 to 5 that include
+non-polytopes.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_poset import BOTTOM, ReferencePoset
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
+from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded
 from tightpoly.poset import FacePoset, FlagSystem, build_poset
 from tightpoly.toddcox import regular_rep
@@ -151,3 +158,74 @@ class TestSameVerdicts:
     @given(partition_posets(), st.data())
     def test_point_partitions(self, poset, data):
         check_poset(poset, data)
+
+
+# Rank 3 to 5: Coxeter symbols and admissible tuples of length 2 to 4.
+rank3to5_presentations = st.one_of(
+    st.lists(st.integers(2, 5), min_size=2, max_size=4).map(coxeter_presentation),
+    st.sampled_from([t for t in admissible_tuples(400, 5) if max(t) <= 12]).map(
+        gamma_tuple_presentation
+    ),
+)
+
+
+@st.composite
+def collapsed_quotients(draw):
+    # The base group, or a quotient by one extra relator: two generators
+    # identified (x0 = x2 among them), one killed (a degenerate generator),
+    # or a short word.
+    base = draw(rank3to5_presentations)
+    letters = st.integers(0, base.ngens - 1)
+    extra = draw(
+        st.one_of(
+            st.just(()),
+            st.tuples(letters, letters).filter(lambda ij: ij[0] != ij[1]),
+            st.tuples(letters),
+            st.lists(letters, min_size=2, max_size=6).map(tuple),
+        )
+    )
+    return Presentation(base.ngens, base.relators + ((extra,) if extra else ()))
+
+
+def assert_roots_agree(poset: FacePoset) -> None:
+    """One root per rank, every face a root, and the oracle give the same
+    verdicts, first failure text included."""
+    rooted = FacePoset(poset.rank, poset.levels, transitive=True)
+    every = FacePoset(poset.rank, poset.levels)
+    ref = ReferencePoset(poset.rank, poset.levels)
+    for verdict in ("verify_polytope", "flag_count", "combinatorial_schlafli", "is_tight"):
+        got = [outcome(getattr(p, verdict)) for p in (rooted, every, ref)]
+        assert got[0] == got[1] == got[2], verdict
+    # The root walk is the full walk's chains that start at a root, in order.
+    starts = [c for c in every._maximal_chains() if rooted._roots >> c[0] & 1]
+    assert rooted._maximal_chains() == starts
+
+
+class TestRootWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(collapsed_quotients())
+    def test_quotients_of_rank_3_to_5(self, pres):
+        try:
+            rep = regular_rep(pres, BUDGET)
+        except BudgetExceeded:
+            return
+        assert_roots_agree(build_poset(rep))
+
+    @pytest.mark.parametrize(
+        "pres,flags",
+        [
+            (Presentation(3, coxeter_presentation((2, 2)).relators + ((0, 2),)), 2),
+            (coxeter_presentation((4, 3)), 48),
+            (coxeter_presentation((3, 3, 3)), 120),
+            (Presentation(4, coxeter_presentation((3, 3, 3)).relators + ((1,),)), 1),
+        ],
+        ids=["x0=x2", "{4,3}", "{3,3,3}", "{3,3,3} x1=1"],
+    )
+    def test_fixed_quotients(self, pres, flags):
+        # x0 = x2 fails the diamond condition with one vertex; the cube and
+        # the 4-simplex are polytopes that are not tight, whose flag counts
+        # are not 2 * prod(type); killing x1 in [3, 3, 3] kills the group,
+        # leaving one face per rank and one flag.
+        poset = build_poset(regular_rep(pres))
+        assert poset.flag_count() == flags
+        assert_roots_agree(poset)

@@ -6,9 +6,11 @@ methods, properties and class-level annotated fields (the dataclass fields)
 of their top-level classes.
 
 The modules are parsed with `ast`, not imported. A name counts as called
-when some unit of a package module other than its own definition reads it.
-A unit is a top-level statement, except that each method and each field of
-a top-level class is a unit of its own; a member's unit is also part of its
+when some live unit of a package module other than its own definition reads
+it. A unit is live unless a name it defines is reported, so a name that only
+reported names read is reported too: the guard runs to a fixpoint. A unit is
+a top-level statement, except that each method and each field of a
+top-level class is a unit of its own; a member's unit is also part of its
 class's definition, so a class that names itself calls nothing. A top-level
 name may be read as a bare name or as an attribute (`engine.point_orbit`);
 a member only as an attribute (`poset.flag_count()`, `report.passed`), so a
@@ -106,30 +108,39 @@ def units(stmt: ast.stmt):
 
 def uncalled(sources: dict[str, str]) -> list[str]:
     """`module.name` for each public top-level name, public method and
-    public field of a guarded module that no other unit reads, the entry
-    points and the allowed names excepted."""
+    public field of a guarded module that no other live unit reads, the
+    entry points and the allowed names excepted. The passes repeat until
+    nothing more is reported; each can only report more, so they stop."""
     statements = [
         (module, *unit)
         for module, text in sources.items()
         for stmt in ast.parse(text).body
         for unit in units(stmt)
     ]
-    missing = []
-    for module in GUARDED:
-        allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
-        public = set().union(*(d for m, d, _, _ in statements if m == module))
-        for name in sorted(public - allowed):
-            _, dot, read_as = name.rpartition(".")
-            if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
-                continue
-            if not any(
-                (read_as in attributes or not dot and read_as in names)
-                and not (m == module and name in defs)
-                and not defs & ALLOWED.get(m, {}).keys()
-                for m, defs, names, attributes in statements
-            ):
-                missing.append(f"{module}.{name}")
-    return missing
+    dead: set[str] = set()
+    while True:
+        readers = [
+            (m, defs, names, attributes)
+            for m, defs, names, attributes in statements
+            if not defs & ALLOWED.get(m, {}).keys() and not {f"{m}.{d}" for d in defs} & dead
+        ]
+        missing = []
+        for module in GUARDED:
+            allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
+            public = set().union(*(d for m, d, _, _ in statements if m == module))
+            for name in sorted(public - allowed):
+                _, dot, read_as = name.rpartition(".")
+                if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
+                    continue
+                if not any(
+                    (read_as in attributes or not dot and read_as in names)
+                    and not (m == module and name in defs)
+                    for m, defs, names, attributes in readers
+                ):
+                    missing.append(f"{module}.{name}")
+        if set(missing) == dead:
+            return missing
+        dead = set(missing)
 
 
 def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
@@ -206,3 +217,25 @@ def test_guard_matches_members_by_attribute_reads_only():
     # its own. The parameter `expected`, the local `top` and the keywords of
     # the constructor are no attribute reads.
     assert uncalled(sources) == ["families.Verdict.expected", "families.Verdict.top"]
+
+
+def test_guard_follows_chains_of_unread_names():
+    sources = {
+        "poset": (
+            "class FacePoset:\n"
+            "    def section(self):\n        return self.leq()\n"
+            "    def leq(self):\n        return face_id(self.top)\n"
+            "    top: int = 0\n"
+            "def face_id(ref):\n    return ref\n"
+            "def build_poset():\n    return FacePoset()\n"
+        ),
+        "cli": "from . import poset\nposet.build_poset()\n",
+    }
+    # Nothing reads section; only section reads leq, and only leq reads
+    # face_id and top: a chain of two links below the unread name.
+    assert uncalled(sources) == [
+        "poset.FacePoset.leq",
+        "poset.FacePoset.section",
+        "poset.FacePoset.top",
+        "poset.face_id",
+    ]
