@@ -8,6 +8,10 @@ permutation products (`compose`, `invert`, `perm_order`) serve
 sets the tests compare point sets against are built in the tests from
 `closure_perms`, which stays here because the benchmark traces it by name.
 Permutations compose left to right: compose(p, q) applies p first.
+
+`left_action` is the regularity half of `toddcox._certify_regular`, and
+`_presents_subgroup` reads `toddcox.group_order`, so the two modules import
+each other as modules and read each other's names only at call time.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import toddcox
 from .errors import CapExceeded
-from .toddcox import PermRep, group_order
 from .words import Presentation, Word
 
 DEFAULT_ELEMENT_CAP = 5000
@@ -56,7 +60,7 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def _image(rep: PermRep, word: Word, point: int = 0) -> int:
+def _image(rep: toddcox.PermRep, word: Word, point: int = 0) -> int:
     """The image of a point under a word, its letters applied left to right."""
     for letter in word:
         point = rep.gens[letter][point]
@@ -83,7 +87,7 @@ def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) ->
     return frozenset(elements)
 
 
-def point_orbit(rep: PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
+def point_orbit(rep: toddcox.PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
     """Orbit of point 0 under the indexed generators.
 
     For a regular representation the orbit of point 0 under a generator
@@ -104,13 +108,15 @@ def point_orbit(rep: PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
+def left_action(rep: toddcox.PermRep) -> tuple[Perm, ...] | None:
     """Left-multiplication permutations of the generators on the points of a
     regular representation, or None if the action is not regular.
 
     Built by breadth-first traversal and then certified: each candidate must
     commute with every right-multiplication column, which together with
-    transitivity is equivalent to regularity.
+    transitivity is equivalent to regularity. `toddcox._certify_regular`
+    calls it once per certified table, and the rep carries the result
+    (`PermRep.left`).
     """
     n = len(rep.gens)
     d = rep.degree
@@ -144,7 +150,7 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     return tuple(tuple(row) for row in lam)
 
 
-def element_order(rep: PermRep, word: Word) -> int:
+def element_order(rep: toddcox.PermRep, word: Word) -> int:
     """Order of a word's element in a regular rep: the length of the cycle
     of point 0 under it."""
     order, point = 1, _image(rep, word)
@@ -154,7 +160,7 @@ def element_order(rep: PermRep, word: Word) -> int:
 
 
 def check_generator_map(
-    src: Presentation, dst_rep: PermRep, images: Sequence[Word]
+    src: Presentation, dst_rep: toddcox.PermRep, images: Sequence[Word]
 ) -> bool:
     """Does x_i -> images[i] extend to a homomorphism into the target group?
 
@@ -175,7 +181,7 @@ def check_generator_map(
 
 def _presents_subgroup(
     pres: Presentation,
-    rep: PermRep,
+    rep: toddcox.PermRep,
     gen_indices: Sequence[int],
     max_cosets: int | None,
 ) -> bool:
@@ -187,4 +193,4 @@ def _presents_subgroup(
     """
     if not check_generator_map(pres, rep, [(g,) for g in gen_indices]):
         return False
-    return group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))
+    return toddcox.group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from . import engine
 from .errors import (
     DiamondViolation,
     InvariantViolation,
@@ -391,11 +390,20 @@ def build_poset(rep: PermRep) -> FacePoset:
     column commutes with every left multiplication, so the columns act on the
     poset by automorphisms, transitively on each rank: the poset is built
     with `transitive=True`.
+
+    The left multiplications are the ones the rep's certificate computed in
+    `regular_rep` or `perm_rep` (`rep.left`). That certificate proved the
+    action regular, which is also why it could check the relators at point 0
+    alone: in a regular group an element that fixes one point is the
+    identity. A rep built by hand carries none and is rejected, regular or
+    not.
     """
     n = len(rep.gens)
-    lams = engine.left_action(rep)
+    lams = rep.left
     if lams is None:
-        raise ValueError(f"need a regular action of degree {rep.degree}")
+        raise ValueError(
+            f"need a certified regular action of degree {rep.degree}, from regular_rep or perm_rep"
+        )
     levels = []
     for i in range(n):
         movers = [lams[j] for j in range(n) if j != i]

@@ -1,14 +1,24 @@
 """Coset enumeration for presentations with involutory generators.
 
-One HLT pass over a flat table `table[c * ngens + g]`, with immediate
-deductions; coincidences are processed to completion through a union-find
-before any further scanning. The run is fully deterministic: cosets are
-processed in increasing order, relators in presentation order, and new
-cosets are defined at the first missing entry of the current scan, so two
-runs on the same presentation produce identical tables. No closing sweep
-follows the pass (`_hlt` says why none is needed); instead each closed
-table is certified once, by `_certify`, which raises RelatorViolation and
-so also holds under `python -O`.
+One HLT pass over the cosets of the trivial subgroup, in a flat table
+`table[c * ngens + g]`, with immediate deductions; coincidences are
+processed to completion through a union-find before any further scanning.
+The run is fully deterministic: cosets are processed in increasing order,
+relators in presentation order, and new cosets are defined at the first
+missing entry of the current scan, so two runs on the same presentation
+produce identical tables. No closing sweep follows the pass (`_hlt` says why
+none is needed).
+
+Every closed table, enumerated here or built elsewhere (the census's), is a
+table of a regular action, and is certified once as one by
+`_certify_regular`: the columns are involutive permutations,
+`engine.left_action` succeeds, which proves the action regular, and each
+relator fixes point 0. In a regular group an element that fixes one point is
+the identity (McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a
+relator that closes at coset 0 closes at every coset. A failure raises
+RelatorViolation, so the certificate also holds under `python -O`. The
+left action it computes travels with the table and the rep (`left`), and
+`poset.build_poset` reads it from there.
 
 Once a relator w closes from a coset c without a coincidence, the pass
 marks the cosets c * w[:t] at which a rotation of w by t is w or its
@@ -20,8 +30,9 @@ same as with every scan made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import engine
 from .errors import BudgetExceeded, RelatorViolation
 from .words import Presentation, _require_involutions, involution_letter, rotations
 
@@ -34,30 +45,39 @@ class PermRep:
     """Permutations of the generators on points 0..degree-1.
 
     Permutations act on the right: a word is applied letter by letter, so
-    evaluating (a, b) sends point x to gens[b][gens[a][x]].
+    evaluating (a, b) sends point x to gens[b][gens[a][x]]. A rep that
+    `regular_rep` or `perm_rep` certified carries the left multiplications
+    of the generators that its certificate computed (`left`); it is None on
+    a rep built by hand, and never part of equality.
     """
 
     degree: int
     gens: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CosetTable:
     """Closed coset table; row c column g is the coset c * x_g.
 
-    Coset 0 is the enumerated subgroup itself.
+    Coset 0 is the enumerated subgroup itself. A table from
+    `enumerate_cosets` carries the left action its certificate computed
+    (`left`); it is None on a table built elsewhere, and never part of
+    equality.
     """
 
     pres: Presentation
     table: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def rows(self) -> int:
         return len(self.table)
 
 
-def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tuple[list[int], list[int]]:
-    """One HLT pass to completion over the flat table `table[c * ngens + g]`.
+def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
+    """One HLT pass to completion over the cosets of the trivial subgroup, in
+    the flat table `table[c * ngens + g]`.
 
     Returns the table and the union-find parents; the live cosets are the
     roots. Raises BudgetExceeded when a definition would allocate coset
@@ -95,8 +115,6 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
     table = [UNDEF] * n
     parent = [0]
     blank = [UNDEF] * n
-    for g in subgroup_gens:
-        table[g] = 0
     # One plan entry per relator, in relator order. An involution relator
     # x_g x_g is its generator g: scanning it only ever fills an undefined
     # row entry. A traced relator w carries its last index; its shifts, the
@@ -244,58 +262,54 @@ def _hlt(pres: Presentation, subgroup_gens: frozenset[int], budget: int) -> tupl
     return table, parent
 
 
-def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentation) -> None:
-    """The closed-table certificate: every generator column is an involutive
-    permutation of 0..degree-1, and every other relator closes from every
-    coset. Raises RelatorViolation otherwise."""
+def _certify_regular(
+    degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentation
+) -> tuple[tuple[int, ...], ...]:
+    """The certificate of a closed table over the trivial subgroup: every
+    generator column is an involutive permutation of 0..degree-1, the action
+    is regular (`engine.left_action` succeeds), and every other relator
+    fixes point 0. Returns the left action; raises RelatorViolation
+    otherwise.
+
+    In a regular group an element that fixes one point is the identity, so a
+    relator that fixes point 0 closes from every coset: O(|w|) per relator.
+    A valid action on the cosets of a subgroup that is not normal is
+    rejected, as it is not regular.
+    """
     points = list(range(degree))
     for g, col in enumerate(columns):
         if sorted(col) != points or list(map(col.__getitem__, col)) != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
+    left = engine.left_action(PermRep(degree, columns))
+    if left is None:
+        raise RelatorViolation(f"the action on {degree} cosets is not regular")
     for w in pres.relators:
         if involution_letter(w) is not None:
             continue  # certified by the column check
-        # w = u^k acts as the k-th power of u's permutation: trace u from
-        # every coset at once, then raise to the k-th power by squaring. The
-        # length of u is w's period, the smallest shift that rotates w onto
-        # itself (1 for the empty word, which closes everywhere).
-        size = next((t for t, r in enumerate(rotations(w)) if t and r == w), len(w)) or 1
-        u, k = w[:size], len(w) // size
-        step = points
-        for letter in u:
-            step = list(map(columns[letter].__getitem__, step))
-        images = points
-        while k:
-            if k & 1:
-                images = list(map(step.__getitem__, images))
-            k >>= 1
-            if k:
-                step = list(map(step.__getitem__, step))
-        if images != points:
-            c = next(c for c in points if images[c] != c)
-            raise RelatorViolation(f"relator {w} does not close at coset {c}")
+        point = 0
+        for letter in w:
+            point = columns[letter][point]
+        if point != 0:
+            raise RelatorViolation(f"relator {w} does not close at coset 0")
+    return left
 
 
-def enumerate_cosets(
-    pres: Presentation,
-    subgroup_gens=(),
-    max_cosets: int | None = None,
-) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by a set of generators.
+def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup: the elements of the
+    presented group.
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
     allocated cosets (DEFAULT_MAX_COSETS when None); a partial table is
-    never returned. The returned table has passed `_certify`.
+    never returned. The returned table has passed `_certify_regular`, and
+    carries the left action it computed. As the action is regular, an element
+    that fixes coset 0 is the identity, so each relator is checked at coset 0
+    only.
     """
     _require_involutions(pres)
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     if budget < 1:
         raise ValueError("max_cosets must be >= 1")
-    gens = frozenset(subgroup_gens)
-    for g in gens:
-        if not 0 <= g < pres.ngens:
-            raise ValueError(f"subgroup generator {g} out of range")
-    table, parent = _hlt(pres, gens, budget)
+    table, parent = _hlt(pres, budget)
     # Number the live cosets in order. A dead coset's parent is smaller, so
     # its label is already known; the extra last slot keeps UNDEF (-1)
     # mapping to UNDEF, which the certificate rejects.
@@ -309,29 +323,35 @@ def enumerate_cosets(
         else:
             label[x] = label[p]
     rows = tuple(tuple(map(label.__getitem__, table[c * n : c * n + n])) for c in live)
-    _certify(len(rows), tuple(zip(*rows)), pres)
-    return CosetTable(pres=pres, table=rows)
+    left = _certify_regular(len(rows), tuple(zip(*rows)), pres)
+    return CosetTable(pres=pres, table=rows, left=left)
 
 
 def perm_rep(table: CosetTable) -> PermRep:
     """Permutation images of the generators on the coset indices.
 
-    Certifies the table, so it also checks tables built elsewhere.
+    Certifies the table with `_certify_regular`, so it also checks tables
+    built elsewhere, and they must be tables of a regular action: an element
+    of a regular group that fixes one point is the identity, so the
+    relators are checked at coset 0. The rep carries the left action the
+    certificate computed.
     """
     gens = tuple(zip(*table.table))
-    _certify(table.rows, gens, table.pres)
-    return PermRep(degree=table.rows, gens=gens)
+    left = _certify_regular(table.rows, gens, table.pres)
+    return PermRep(degree=table.rows, gens=gens, left=left)
 
 
 def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
     """Order of the presented group, by enumeration over the trivial subgroup."""
-    return enumerate_cosets(pres, (), max_cosets).rows
+    return enumerate_cosets(pres, max_cosets).rows
 
 
 def regular_rep(pres: Presentation, max_cosets: int | None = None) -> PermRep:
     """Regular permutation representation (enumeration over the trivial subgroup).
 
-    Built from the columns `enumerate_cosets` has already certified.
+    Built from the columns `enumerate_cosets` has already certified, with the
+    left action that certificate computed; as the action is regular, the
+    relators were checked at coset 0 only.
     """
-    table = enumerate_cosets(pres, (), max_cosets)
-    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)))
+    table = enumerate_cosets(pres, max_cosets)
+    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)), left=table.left)

@@ -5,7 +5,9 @@ Moved verbatim out of the package, where no pipeline path called it:
 `eval_word`, `closure`, `Conjugation`, `conjugation_class`, `is_central_in`,
 `images_generate`, `generator_map_extends` and `is_automorphism_map` from
 `engine`, `quotient_criterion` (with `Side`) and `rotation_subgroup` from
-`sggi`. An element here is the permutation its word spells, and a subgroup
+`sggi`. `is_regular`, the element-closure oracle for `engine.left_action`
+and for the regularity check of `toddcox._certify_regular`, is the tests'
+own. An element here is the permutation its word spells, and a subgroup
 is the frozenset of its elements, closed breadth-first by
 `engine.closure_perms`; none of it needs a regular representation.
 """
@@ -24,6 +26,7 @@ from tightpoly.engine import (
     compose,
     identity_perm,
     invert,
+    point_orbit,
 )
 from tightpoly.errors import CapExceeded
 from tightpoly.toddcox import PermRep
@@ -140,3 +143,16 @@ def rotation_subgroup(rep: PermRep) -> frozenset:
     """Element set of the subgroup generated by all products of two generators."""
     pairs = (engine.compose(g, h) for g, h in permutations(rep.gens, 2))
     return engine.closure_perms(rep.degree, pairs)
+
+
+def is_regular(rep: PermRep) -> bool:
+    """Does the group generated by the rep act regularly on its points?
+
+    The element-closure oracle for `engine.left_action`."""
+    try:
+        group = closure_perms(rep.degree, rep.gens, cap=rep.degree + 1)
+    except CapExceeded:
+        return False
+    if len(group) != rep.degree:
+        return False
+    return len(point_orbit(rep, range(len(rep.gens)))) == rep.degree

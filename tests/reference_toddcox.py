@@ -1,18 +1,26 @@
-"""Two-pass reference coset enumerator: the differential oracle for the
-one-pass kernel in `tightpoly.toddcox`.
+"""Two-pass reference coset enumerator and full-trace certificate: the
+differential oracles for the one-pass kernel and the regular certificate in
+`tightpoly.toddcox`.
 
 `_Enumerator` runs the HLT main pass and then a closing sweep that rescans
 every live coset until a sweep changes nothing; `_check_closed` re-traces
 every relator from every coset. `reference_table` runs both on the same
 inputs as `enumerate_cosets`, so tests can demand identical tables and
-identical BudgetExceeded behaviour.
+identical BudgetExceeded behaviour. It also enumerates over a subgroup
+generated by some of the generators, which the kernel does not: that is
+where the tests get coset tables of actions that are not regular.
+
+`_certify` is the full-trace certificate of a closed table: it traces every
+relator from every coset, and so accepts any valid coset action, regular or
+not. `toddcox._certify_regular` must agree with it on regular tables and
+reject every table that is not regular.
 """
 
 from __future__ import annotations
 
-from tightpoly.errors import BudgetExceeded
+from tightpoly.errors import BudgetExceeded, RelatorViolation
 from tightpoly.toddcox import UNDEF, _require_involutions
-from tightpoly.words import Presentation, Word
+from tightpoly.words import Presentation, Word, involution_letter, rotations
 
 
 class _Enumerator:
@@ -191,3 +199,35 @@ def reference_table(
     if not _check_closed(table, pres):
         raise AssertionError("reference enumeration produced an inconsistent table")
     return table
+
+
+def _certify(degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentation) -> None:
+    """The full-trace certificate: every generator column is an involutive
+    permutation of 0..degree-1, and every other relator closes from every
+    coset. Raises RelatorViolation otherwise."""
+    points = list(range(degree))
+    for g, col in enumerate(columns):
+        if sorted(col) != points or list(map(col.__getitem__, col)) != points:
+            raise RelatorViolation(f"column {g} is not an involutive permutation")
+    for w in pres.relators:
+        if involution_letter(w) is not None:
+            continue  # certified by the column check
+        # w = u^k acts as the k-th power of u's permutation: trace u from
+        # every coset at once, then raise to the k-th power by squaring. The
+        # length of u is w's period, the smallest shift that rotates w onto
+        # itself (1 for the empty word, which closes everywhere).
+        size = next((t for t, r in enumerate(rotations(w)) if t and r == w), len(w)) or 1
+        u, k = w[:size], len(w) // size
+        step = points
+        for letter in u:
+            step = list(map(columns[letter].__getitem__, step))
+        images = points
+        while k:
+            if k & 1:
+                images = list(map(step.__getitem__, images))
+            k >>= 1
+            if k:
+                step = list(map(step.__getitem__, step))
+        if images != points:
+            c = next(c for c in points if images[c] != c)
+            raise RelatorViolation(f"relator {w} does not close at coset {c}")

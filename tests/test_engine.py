@@ -10,28 +10,16 @@ from reference_elements import (
     images_generate,
     is_automorphism_map,
     is_central_in,
+    is_regular,
     rotation_subgroup,
 )
+from reference_toddcox import reference_table
 from test_poset_differential import BUDGET, rank3_with_extra_relator
 from tightpoly import engine
-from tightpoly.engine import closure_perms, point_orbit
 from tightpoly.errors import BudgetExceeded, CapExceeded
 from tightpoly.families import oeo_permutation_rep
-from tightpoly.toddcox import PermRep, enumerate_cosets, perm_rep, regular_rep
+from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation
-
-
-def is_regular(rep: PermRep) -> bool:
-    """Does the group generated by the rep act regularly on its points?
-
-    The element-closure oracle for `engine.left_action`."""
-    try:
-        group = closure_perms(rep.degree, rep.gens, cap=rep.degree + 1)
-    except CapExceeded:
-        return False
-    if len(group) != rep.degree:
-        return False
-    return len(point_orbit(rep, range(len(rep.gens)))) == rep.degree
 
 
 # Odd-even-odd triples for `oeo_permutation_rep`: p2 an even divisor of 2*p1
@@ -49,13 +37,16 @@ OEO_TRIPLES = [
 def transitive_reps(draw):
     """A coset action of a drawn [p, q] quotient: on the trivial subgroup it
     is regular, on a nonempty subgroup it is regular only when the subgroup
-    is normal."""
+    is normal. The reference enumerator builds the table, as the kernel
+    enumerates over the trivial subgroup only, and the rep is built from its
+    columns: `perm_rep` rejects every action that is not regular."""
     pres = draw(rank3_with_extra_relator())
     subgroup = draw(st.sets(st.integers(0, 2)))
     try:
-        return perm_rep(enumerate_cosets(pres, subgroup, BUDGET))
+        table = reference_table(pres, subgroup, BUDGET)
     except BudgetExceeded:
         return None
+    return PermRep(len(table), tuple(zip(*table)))
 
 
 class TestPermBasics:

@@ -94,6 +94,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_poset(rep)
 
+    def test_rejects_a_rep_without_its_certificate(self, rep_gamma36):
+        # The left action comes from the certificate of `regular_rep` or
+        # `perm_rep`; the same columns built by hand carry none.
+        from tightpoly.toddcox import PermRep
+
+        assert build_poset(rep_gamma36).flag_count() == 36
+        rep = PermRep(degree=rep_gamma36.degree, gens=rep_gamma36.gens)
+        assert rep == rep_gamma36 and rep.left is None
+        with pytest.raises(ValueError, match="need a certified regular action of degree 36"):
+            build_poset(rep)
+
 
 class TestAxioms:
     @pytest.mark.parametrize(
