@@ -30,6 +30,19 @@ equal parity, a self-loop among them, before it writes anything. Every
 bipartite completion of a partial table keeps its edges and its witnesses,
 so the rule removes exactly the tables of rotation index 1 and no other.
 
+Every census asks only for quotients of exact type {p_1, ..., p_{n-1}}: in
+each record <x_i> has order 2 and <x_i, x_j> has order 2 * m_ij, where
+m_{i,i+1} = p_i and m_ij = 2 for j >= i + 2. A kernel word in at most two
+letters i, j is then trivial in the dihedral group of order 2 * m_ij, so a
+search given the type rejects an edge whose pinned relation uses one or two
+letters and has a length that 2 * m_ij does not divide, before it writes
+anything. This is the low-index procedure's own idea, pruning by what the
+wanted quotients must satisfy (Conder and Dobcsányi, Applications and
+adaptations of the low index subgroups procedure, Math. Comp. 74, 2005).
+The rule never removes a table of exact type, but it sees only the
+relations the search pins, so it may leave some tables without it; the
+census's own filters drop those.
+
 The tables need no relabelling, dedup or sort afterwards. A new row is made
 only at the first undefined entry in row-major order, when every entry
 before it is defined and names an older row, and deductions fill entries
@@ -100,19 +113,59 @@ class _NormalSearch:
     witness is one letter longer than its parent's, so definition edges
     always pass.
 
-    Why the output does not depend on how hard it prunes: every rule only
-    rejects, or fills a cell of, a partial table in a way forced on every
-    regular completion, because each scanned word is a relation that every
-    regular completion satisfies from every row. Weaker pruning can add
-    search nodes but can neither add nor lose a completed table: each
+    With `exact_type` set to a Schläfli symbol (p_1, ..., p_{n-1}), `_set`
+    also rejects an edge whose new pinned relation w uses at most two
+    letters i and j (i = j allowed), unless 2 * m_ij divides len(w), again
+    before any write. Here m_ii = 1, m_{i,i+1} = p_i and m_ij = 2 otherwise,
+    and `periods[i][j]` holds 2 * m_ij. `len(set(w)) <= 2` is the cheap
+    first test, and a relation in three or more letters passes unchecked.
+
+    Why no census record is lost: a record is a string C-group of type
+    `exact_type` whose poset passes `verify_polytope`. No x_i is trivial in
+    it, since then there is one i-face and the diamond condition fails. For
+    j >= i + 2, x_i = x_j breaks the intersection condition, and x_i =
+    x_{i+1} would make their product of order 1, not p_i. Two distinct
+    non-trivial involutions whose product has order m generate the dihedral
+    group of order 2m, so every <x_i, x_j> has order 2 * m_ij, and it is the
+    dihedral group that the Coxeter relators give <x_i, x_j>. A kernel word
+    in letters i and j is therefore trivial in that dihedral group, in any
+    table of exact type. The pinned w is freely reduced: each witness is a path
+    in the tree of definition edges, and an edge whose letter would cancel
+    against either witness is already defined. A freely reduced word in two
+    involutions alternates, so it is trivial in the dihedral group of order
+    2m exactly when 2m divides its length: an odd length gives a reflection
+    and an even one a power of x_i x_j, and a one-letter w = (g,) has odd
+    length. Free and cyclic reduction therefore need not be done: the first
+    has nothing to remove, and the second removes letters in pairs, only
+    from words of odd length, which fail already.
+
+    Why the output does not depend on how hard it prunes: every other rule
+    only rejects, or fills a cell of, a partial table in a way forced on
+    every regular completion, because each scanned word is a relation that
+    every regular completion satisfies from every row. Weaker pruning can
+    add search nodes but can neither add nor lose a completed table: each
     completed table still passes the static relator scans and the exact
-    regularity filter in `_emit`.
+    regularity filter in `_emit`. The parity and exact-type rules are the
+    exceptions on purpose: they remove the completions their census drops.
     """
 
-    def __init__(self, pres: Presentation, index: int, bipartite: bool = False):
+    def __init__(
+        self,
+        pres: Presentation,
+        index: int,
+        bipartite: bool = False,
+        exact_type: tuple[int, ...] | None = None,
+    ):
         self.ngens = n = pres.ngens
         self.index = index
         self.bipartite = bipartite
+        self.periods = None if exact_type is None else tuple(
+            tuple(
+                2 if i == j else 2 * exact_type[min(i, j)] if abs(i - j) == 1 else 4
+                for j in range(n)
+            )
+            for i in range(n)
+        )
         self.table = [UNDEF] * (index * n)
         self.nrows = 1
         self.witness: list[tuple[int, ...]] = [()]
@@ -143,13 +196,6 @@ class _NormalSearch:
         wa, wb = self.witness[a], self.witness[b]
         if self.bipartite and len(wa) % 2 == len(wb) % 2:
             return False
-        table[a * n + g] = b
-        self.trail.append((_CELL, a * n + g))
-        self.worklist.append((a, g))
-        if back == UNDEF and b != a:  # a self-loop is its own reverse edge
-            table[b * n + g] = a
-            self.trail.append((_CELL, b * n + g))
-            self.worklist.append((b, g))
         k = 0
         for x, y in zip(wa, wb):
             if x != y:
@@ -157,7 +203,18 @@ class _NormalSearch:
             k += 1
         w = wa[k:] + (g,) + tuple(reversed(wb[k:]))
         # A definition edge reduces to (g, g), which holds in every table.
-        if w != (g, g) and w not in self.pinned and w not in self.pending:
+        new = w != (g, g) and w not in self.pinned and w not in self.pending
+        periods = self.periods
+        if new and periods is not None and len(set(w)) <= 2 and len(w) % periods[w[0]][w[-1]]:
+            return False
+        table[a * n + g] = b
+        self.trail.append((_CELL, a * n + g))
+        self.worklist.append((a, g))
+        if back == UNDEF and b != a:  # a self-loop is its own reverse edge
+            table[b * n + g] = a
+            self.trail.append((_CELL, b * n + g))
+            self.worklist.append((b, g))
+        if new:
             self.pending.append(w)
         return True
 
@@ -291,8 +348,10 @@ def low_index_normal(
     index_cap: int | None = None,
     *,
     bipartite: bool = False,
+    exact_type: tuple[int, ...] | None = None,
 ) -> list[CosetTable]:
-    """All normal subgroups of exactly the given index.
+    """All normal subgroups of exactly the given index, or with the census
+    keywords the ones a census may keep.
 
     Each is returned as the coset table of the action on its cosets (the
     regular action of the quotient), in canonical breadth-first numbering.
@@ -306,6 +365,16 @@ def low_index_normal(
     of every point, so the rotation subgroup has index 2. They are the same
     tables, in the same order, as the full result filtered to rotation index
     2, but the search prunes the others as it goes (see `_NormalSearch`).
+
+    With `exact_type=sym`, a Schläfli symbol with one entry fewer than the
+    generators, the search also skips the tables in which a relation it
+    pins in one or two generators shows that some <x_i> or <x_i, x_j> is
+    smaller than in the string Coxeter group [sym]. Every table of exact
+    type `sym` is kept, but not every table kept has it. At the census
+    index 2·∏p_i of [sym] the kept tables were exactly those of exact type
+    on all 300 types of rank 3 and 4 with 2·∏p_i <= 128 (the differential
+    tests draw from them); [6, 6] at index 12 keeps one of its 9 tables,
+    none of which has type {6, 6}. Only the census sets it.
     """
     _require_involutions(pres)
     cap = DEFAULT_INDEX_CAP if index_cap is None else index_cap
@@ -315,7 +384,7 @@ def low_index_normal(
         raise ValueError(f"index must be >= 1, got {index}")
     if index > cap:
         raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
-    search = _NormalSearch(pres, index, bipartite)
+    search = _NormalSearch(pres, index, bipartite, exact_type)
     search.run()
     return [CosetTable(pres=pres, table=t) for t in search.found]
 
@@ -338,11 +407,21 @@ def _census(
     max_cosets: int | None,
 ) -> list[CensusRecord]:
     """The census behind `classify_tight` and `census_nonorientable`, for a
-    type of any rank; `coxeter_presentation` rejects an entry below 2."""
+    type of any rank; `coxeter_presentation` rejects an entry below 2.
+
+    Every mode searches with `exact_type=sym`, since every record is a
+    string C-group of exact type `sym`. The profile's type and C-group
+    filters below stay: they cross-check the search, and they drop the
+    tables whose collapse the search's rule cannot see.
+    """
     # An orientable quotient is a bipartite one, so the search skips the
     # rest; the orientability filter below stays as the cross-check.
     tables = low_index_normal(
-        coxeter_presentation(sym), 2 * prod(sym), index_cap, bipartite=orientable is True
+        coxeter_presentation(sym),
+        2 * prod(sym),
+        index_cap,
+        bipartite=orientable is True,
+        exact_type=sym,
     )
 
     try:
@@ -397,10 +476,12 @@ def classify_tight(
     Enumerates the normal subgroups of the string Coxeter group [p_1, ...,
     p_{n-1}] of index exactly 2·∏p_i, at any rank, and keeps the quotients
     that are string C-groups of exact type `sym` whose poset is a verified
-    tight polytope; optionally only the orientable ones. With
-    `require_orientable` the search itself visits only the bipartite tables
-    (`low_index_normal(..., bipartite=True)`), and each record's profile
-    must still say orientable.
+    tight polytope; optionally only the orientable ones. The search itself
+    skips the quotients in which a relation it pins collapses some <x_i> or
+    <x_i, x_j> (`low_index_normal(..., exact_type=sym)`). With
+    `require_orientable` it also visits only the bipartite tables
+    (`bipartite=True`), and each record's profile must still say
+    orientable.
     """
     return _census(sym, True if require_orientable else None, index_cap, max_cosets)
 

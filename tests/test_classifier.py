@@ -251,6 +251,49 @@ class TestNormalSearch:
         search.run()
         assert (search.nodes, len(search.found)) == (nodes, tables)
 
+    @pytest.mark.parametrize(
+        "pq, bipartite, nodes, tables",
+        [
+            ((4, 8), False, 1167, 2),
+            ((4, 8), True, 631, 2),
+            ((6, 8), False, 6786, 2),
+            ((6, 8), True, 3117, 2),
+        ],
+        ids=["4,8", "4,8-bipartite", "6,8", "6,8-bipartite"],
+    )
+    def test_exact_type_search_nodes(self, pq, bipartite, nodes, tables):
+        # The rule of every census: against the pins above, {4, 8} goes
+        # 2230 -> 1167 nodes and 1030 -> 631 bipartite, {6, 8} 12052 -> 6786
+        # and 5311 -> 3117, and the tables whose dihedral subgroups collapse
+        # are gone (test_classifier_differential.py).
+        p, q = pq
+        search = _NormalSearch(coxeter_presentation(pq), 2 * p * q, bipartite, pq)
+        search.run()
+        assert (search.nodes, len(search.found)) == (nodes, tables)
+
+    def test_exact_type_rejects_collapsing_relations_before_writing(self):
+        witness = [(), (0,), (0, 1, 0), (0, 2, 0)]
+        collapsing = [
+            (0, 0, 0),  # a self-loop pins (0,): x0 = 1
+            (2, 1, 0),  # pins (0, 1, 0, 1): (x0 x1)^2 = 1, under p_0 = 4
+            (1, 2, 0),  # pins (0, 2): x0 = x2, for a commuting pair
+        ]
+        search = _NormalSearch(coxeter_presentation((4, 8)), 64, exact_type=(4, 8))
+        search.nrows = 4
+        search.witness = witness
+        for a, g, b in collapsing:
+            assert not search._set(a, g, b)
+        assert search.table == [-1] * (64 * 3) and search.trail == [] and search.pending == []
+        assert search._set(3, 2, 0)  # (0, 2, 0, 2) holds in [4, 8]
+        assert search.pending == [(0, 2, 0, 2)]
+        # Without the exact type the same edges are written and pinned.
+        plain = _NormalSearch(coxeter_presentation((4, 8)), 64)
+        plain.nrows = 4
+        plain.witness = witness
+        for a, g, b in collapsing:
+            assert plain._set(a, g, b)
+        assert plain.pending == [(0,), (0, 1, 0, 1), (0, 2)]
+
     def test_bipartite_rejects_equal_parity_edges_before_writing(self):
         search = _NormalSearch(coxeter_presentation((4, 8)), 64, bipartite=True)
         search.nrows = 3
@@ -369,15 +412,16 @@ class TestClassify:
     )
     def test_only_the_orientable_census_searches_bipartite_tables(self, census, bipartite, nrecords, monkeypatch):
         # {4, 6} has 4 normal subgroups of index 48, 2 of them bipartite.
+        # Every mode passes the type, so the search prunes by it.
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["bipartite"])
+            calls.append((kwargs["bipartite"], kwargs["exact_type"]))
             return low_index_normal(*args, **kwargs)
 
         monkeypatch.setattr(classifier, "low_index_normal", spy)
         assert len(census()) == nrecords
-        assert calls == [bipartite]
+        assert calls == [(bipartite, (4, 6))]
 
     def test_unfiltered_includes_both_kinds(self):
         records = classify_tight(3, 4, require_orientable=False)

@@ -16,9 +16,16 @@ Infinite groups are in the domain, where the brute-force oracle in
 census against the unrestricted search, filtered afterwards to the tables
 of rotation index 2 by `sggi._rotation_index`, the criterion the census's
 orientability filter reads.
+
+`TestExactType` holds the search with the exact-type rule of every census
+against the search without it, filtered afterwards to the tables in which
+every <x_i> has order 2 and every <x_i, x_j> order 2 * m_ij, read off the
+regular rep as orbits of point 0: equal to it at the census index, and
+elsewhere between it and the unfiltered tables.
 """
 
 import functools
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +33,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import CENSUS_TYPES
 from reference_classifier import low_index_normal as reference_low_index_normal
 from test_poset_differential import rank3_with_extra_relator
-from tightpoly import sggi
+from tightpoly import engine, sggi
 from tightpoly.classifier import low_index_normal
 from tightpoly.toddcox import perm_rep
-from tightpoly.words import coxeter_presentation, gamma_pq_presentation
+from tightpoly.words import Presentation, coxeter_presentation, gamma_pq_presentation
 
 entries = st.integers(min_value=2, max_value=8)
 indices = st.integers(min_value=0, max_value=48)  # 0 is rejected by both
@@ -103,3 +110,93 @@ class TestBipartite:
     @given(rank3_with_extra_relator(), indices)
     def test_extra_relator_quotients(self, pres, index):
         assert_same_bipartite(pres, index)
+
+
+def coxeter_order(sym, i, j):
+    # m_ij of the string Coxeter group [sym]: 1 on the diagonal.
+    return 1 if i == j else sym[min(i, j)] if abs(i - j) == 1 else 2
+
+
+def has_exact_type(rep, sym):
+    # In a regular rep the orbit of point 0 under some generators is the
+    # subgroup they generate.
+    n = len(sym) + 1
+    return all(
+        len(engine.point_orbit(rep, (i, j))) == 2 * coxeter_order(sym, i, j)
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+def exact_type_searches(pres, index, sym, bipartite):
+    """The tables of the search with the exact-type rule, the tables of the
+    search without it, and those of the latter that have exact type `sym`."""
+    full = low_index_normal(pres, index, bipartite=bipartite)
+    exact = [t.table for t in full if has_exact_type(perm_rep(t), sym)]
+    pruned = [t.table for t in low_index_normal(pres, index, bipartite=bipartite, exact_type=sym)]
+    return pruned, [t.table for t in full], exact
+
+
+def assert_pruned_between(pres, index, sym, bipartite):
+    # The rule drops only tables without the exact type, and keeps their order.
+    pruned, full, exact = exact_type_searches(pres, index, sym, bipartite)
+    assert [t for t in full if t in pruned] == pruned
+    assert all(t in pruned for t in exact)
+    return pruned, full, exact
+
+
+def assert_same_exact_type(pres, index, sym, bipartite):
+    pruned, _, exact = exact_type_searches(pres, index, sym, bipartite)
+    assert pruned == exact
+
+
+@st.composite
+def quotients_with_room_for_the_type(draw):
+    # [p, q] with a power of a short word as an extra relator, at an index
+    # that 4, 2p and 2q divide, so that some quotients keep the exact type
+    # {p, q} (about one draw in six) and others collapse it.
+    p, q = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    word = draw(st.lists(st.integers(0, 2), min_size=2, max_size=4))
+    extra = tuple(word) * draw(st.integers(1, 6))
+    index = draw(st.sampled_from([d for d in range(4, 97, 4) if d % (2 * p) == 0 and d % (2 * q) == 0]))
+    return Presentation(3, coxeter_presentation((p, q)).relators + (extra,)), index, (p, q)
+
+
+class TestExactType:
+    """At the census index 2 * prod(sym) of a string Coxeter group the rule
+    drops exactly the tables without the exact type. That is a finding, not
+    a theorem: the rule sees only the relations the search pins, and a
+    collapse can follow from longer ones. It held on all 300 types with
+    entries >= 2 and 2 * prod <= 128 in ranks 3 and 4, both bipartite
+    values, which cover the Coxeter groups drawn below. Elsewhere the tests
+    demand only what the proof gives: no table of exact type is lost."""
+
+    @pytest.mark.parametrize("bipartite", [False, True], ids=["plain", "bipartite"])
+    @pytest.mark.parametrize("sym", [(4, 8), (6, 6), (4, 6), (3, 6, 3)], ids=lambda s: ",".join(map(str, s)))
+    def test_ci_census_types(self, sym, bipartite):
+        assert_same_exact_type(coxeter_presentation(sym), 2 * prod(sym), sym, bipartite)
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries, entries, st.booleans())
+    def test_coxeter_groups(self, p, q, bipartite):
+        assert_same_exact_type(coxeter_presentation((p, q)), 2 * p * q, (p, q), bipartite)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 4), min_size=3, max_size=3), st.booleans())
+    def test_rank4_coxeter_groups(self, entries4, bipartite):
+        sym = tuple(entries4)
+        assert_same_exact_type(coxeter_presentation(sym), 2 * prod(sym), sym, bipartite)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quotients_with_room_for_the_type(), st.booleans())
+    def test_extra_relator_quotients(self, case, bipartite):
+        assert_pruned_between(*case, bipartite)
+
+    def test_a_collapse_the_rule_does_not_see(self):
+        # [6, 6] at index 12 has 9 normal subgroups, none of exact type
+        # {6, 6}. In one, <x1, x2> has order 6. On the way to it the search
+        # pins one two-letter relation, (x2 x0)^2, which holds in [6, 6];
+        # the collapse follows from the three-letter ones, so the rule keeps
+        # the table.
+        pruned, full, exact = assert_pruned_between(coxeter_presentation((6, 6)), 12, (6, 6), False)
+        assert (len(pruned), len(full), exact) == (1, 9, [])
