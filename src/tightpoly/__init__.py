@@ -21,7 +21,6 @@ from .words import (
     gamma_pq_presentation,
     gamma_tuple_presentation,
     is_admissible,
-    kill_generators,
     lambda_k_presentation,
     parse_presentation,
     write_presentation,
@@ -37,15 +36,7 @@ from .toddcox import (
 from .engine import element_order
 from .sggi import SggiProfile, profile
 from .poset import FacePoset, FlagSystem, NotEquivelar, PosetReport, build_poset
-from .families import (
-    FamilyVerdict,
-    OeoReport,
-    check_fap,
-    oeo_permutation_rep,
-    subgroup_2_check,
-    verify_gamma_family,
-    verify_lambda_family,
-)
+from .families import FamilyVerdict, verify_gamma_family
 from .classifier import CensusRecord, census_nonorientable, classify_tight, low_index_normal
 from .atlas import ATLAS_SCHEMA_VERSION, AtlasEntry, admissible_tuples, load_atlas
 

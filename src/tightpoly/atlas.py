@@ -3,11 +3,13 @@
 One JSON object per line, keys sorted, no timestamps: files are
 byte-identical across runs and worker counts. The schema carries an `ms`
 field, which is always written as 0: wall time would make files differ
-between runs. Census lines, and only they, carry `"source": "census"`. The
-reader accepts only what a writer writes, except that `ms` may be any count
-of milliseconds, as older versions wrote real timings. `run_batch` spreads a
-batch over worker processes, capped at the usable cores, and returns results
-in task order.
+between runs. Census lines, and only they, carry `"source": "census"`.
+Family `"lambda"` lines come only from the tests' Λ(k) verdict
+(`tests/paper_checks.py`); no command writes them, but `FAMILIES` still
+reads them. The reader accepts only what a writer writes, except that `ms`
+may be any count of milliseconds, as older versions wrote real timings.
+`run_batch` spreads a batch over worker processes, capped at the usable
+cores, and returns results in task order.
 """
 
 from __future__ import annotations

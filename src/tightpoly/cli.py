@@ -62,13 +62,18 @@ class InputError(Exception):
 
 
 def _parse_tuple(option: str, text: str) -> tuple[int, ...]:
-    """The comma-separated entries that `option` was given; a bad value is
-    bad input, named by its option."""
+    """The comma-separated entries that `option` was given, each of ASCII
+    digits only (no sign, no `_`); a bad value is bad input, named by its
+    option."""
+    parts = text.split(",")
+    bad = InputError(f"{option} must be comma-separated integers, got {text!r}")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise bad
     try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
-    if not entries or any(p < 2 for p in entries):
+        entries = tuple(map(int, parts))
+    except ValueError:  # a numeral too long for int()
+        raise bad from None
+    if any(p < 2 for p in entries):
         raise InputError(f"{option} entries must be integers >= 2, got {text!r}")
     return entries
 
@@ -203,8 +208,7 @@ def cmd_family(args) -> int:
     text = write_presentation(pres)
     if args.out is not None:
         _check_out(args.out)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_jsonl_atomic(args.out, text.splitlines())
     else:
         sys.stdout.write(text)
     return EXIT_OK

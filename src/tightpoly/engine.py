@@ -2,12 +2,12 @@
 
 The pipeline reads a regular representation at point 0: a subgroup is its
 point set (`point_orbit`), and an element given as a word is the image of
-point 0 under it (`_image`), the identity exactly when that is 0. The
-permutation products (`compose`, `invert`, `perm_order`) serve
-`families.oeo_permutation_rep`, whose action is not regular. The element
-sets the tests compare point sets against are built in the tests from
-`closure_perms`, which stays here because the benchmark traces it by name.
-Permutations compose left to right: compose(p, q) applies p first.
+point 0 under it (`_image`), the identity exactly when that is 0. The one
+composed permutation left here is in `closure_perms`, which stays because
+the benchmark traces it by name. The element sets the tests compare point
+sets against are built from it in `tests/reference_elements.py`, which also
+holds the permutation products (`compose`, `invert`, `perm_order`); the
+tests' odd-even-odd rotation representation, which is not regular, uses them.
 
 `left_action` is the regularity half of `toddcox._certify_regular`, and
 `_presents_subgroup` reads `toddcox.group_order`, so the two modules import
@@ -16,7 +16,6 @@ each other as modules and read each other's names only at call time.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, Sequence
 
 from . import toddcox
@@ -27,37 +26,6 @@ DEFAULT_ELEMENT_CAP = 5000
 UNASSIGNED = -1
 
 Perm = tuple[int, ...]
-
-
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    return tuple(map(q.__getitem__, p))
-
-
-def invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-def perm_order(p: Perm) -> int:
-    order = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
 
 
 def _image(rep: toddcox.PermRep, word: Word, point: int = 0) -> int:
@@ -71,13 +39,13 @@ def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) ->
     """Breadth-first closure of a generating set; includes the identity."""
     cap = DEFAULT_ELEMENT_CAP if cap is None else cap
     gens = list(perms)
-    elements = {identity_perm(degree)}
+    elements = {tuple(range(degree))}
     frontier = list(elements)
     while frontier:
         new = []
         for p in frontier:
             for g in gens:
-                q = compose(p, g)
+                q = tuple(map(g.__getitem__, p))
                 if q not in elements:
                     if len(elements) >= cap:
                         raise CapExceeded(cap)

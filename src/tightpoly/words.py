@@ -12,7 +12,7 @@ any extra relators), so presentation equality is plain syntactic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import AdjacentOddPair, PresentationParseError
 
@@ -173,35 +173,22 @@ def admissibility_message(sym: Sequence[int], adm: Admissibility) -> str:
     )
 
 
-def kill_generators(pres: Presentation, keep: Iterable[int]) -> Presentation:
-    """Quotient by setting every generator outside `keep` to the identity.
-
-    `keep` must be a nonempty contiguous prefix or suffix of 0..ngens-1.
-    Killed letters are deleted from each relator; relators that become empty
-    are dropped; surviving generators are renumbered densely.
-    """
-    kept = sorted(set(keep))
-    if not kept:
-        raise ValueError("keep must be nonempty")
-    lo, hi = kept[0], kept[-1]
-    if kept != list(range(lo, hi + 1)) or (lo != 0 and hi != pres.ngens - 1):
-        raise ValueError(f"keep {kept} is not a contiguous prefix or suffix")
-    if hi >= pres.ngens:
-        raise ValueError(f"keep {kept} out of range for {pres.ngens} generators")
-    renumber = {g: g - lo for g in kept}
-    rels = []
-    for w in pres.relators:
-        new = tuple(renumber[letter] for letter in w if letter in renumber)
-        if new:
-            rels.append(new)
-    return Presentation(len(kept), tuple(rels))
-
-
 def write_presentation(pres: Presentation) -> str:
     """Plain-text format: `gens N` then one `rel i j k ...` line per relator."""
     lines = [f"gens {pres.ngens}"]
     lines.extend("rel " + " ".join(str(x) for x in w) for w in pres.relators)
     return "\n".join(lines) + "\n"
+
+
+def _numeral(text: str) -> int:
+    """The value of a numeral as write_presentation writes it: ASCII digits
+    with no sign, no `_` and no leading zero. Anything else raises
+    ValueError, so every accepted text writes back byte-equal."""
+    if text.isascii() and text.isdigit():
+        value = int(text)
+        if str(value) == text:
+            return value
+    raise ValueError(f"not a canonical decimal numeral: {text!r}")
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -216,7 +203,7 @@ def parse_presentation(text: str) -> Presentation:
     if len(head) != 2 or head[0] != "gens":
         raise PresentationParseError(1, f"expected 'gens N', got {lines[0]!r}")
     try:
-        ngens = int(head[1])
+        ngens = _numeral(head[1])
     except ValueError:
         raise PresentationParseError(1, f"bad generator count {head[1]!r}") from None
     if ngens < 1:
@@ -227,7 +214,7 @@ def parse_presentation(text: str) -> Presentation:
         if parts[0] != "rel" or len(parts) < 2 or "" in parts:
             raise PresentationParseError(no, f"expected 'rel i j ...', got {line!r}")
         try:
-            w = tuple(int(x) for x in parts[1:])
+            w = tuple(map(_numeral, parts[1:]))
         except ValueError:
             raise PresentationParseError(no, f"bad letter in {line!r}") from None
         for letter in w:

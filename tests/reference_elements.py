@@ -2,10 +2,11 @@
 point-0 readings of `tightpoly.engine` and `tightpoly.sggi` against.
 
 Moved verbatim out of the package, where no pipeline path called it:
-`eval_word`, `closure`, `Conjugation`, `conjugation_class`, `is_central_in`,
-`images_generate`, `generator_map_extends` and `is_automorphism_map` from
-`engine`, `quotient_criterion` (with `Side`) and `rotation_subgroup` from
-`sggi`. `is_regular`, the element-closure oracle for `engine.left_action`
+`identity_perm`, `compose`, `invert`, `perm_order`, `eval_word`, `closure`,
+`Conjugation`, `conjugation_class`, `is_central_in`, `images_generate`,
+`generator_map_extends` and `is_automorphism_map` from `engine`,
+`quotient_criterion` (with `Side`) and `rotation_subgroup` from `sggi`.
+Permutations compose left to right: compose(p, q) applies p first. `is_regular`, the element-closure oracle for `engine.left_action`
 and for the regularity check of `toddcox._certify_regular`, is the tests'
 own. An element here is the permutation its word spells, and a subgroup
 is the frozenset of its elements, closed breadth-first by
@@ -16,21 +17,45 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import permutations
+from math import gcd
 from typing import Iterable, Literal, Mapping, Sequence
 
 from tightpoly import engine
-from tightpoly.engine import (
-    DEFAULT_ELEMENT_CAP,
-    Perm,
-    closure_perms,
-    compose,
-    identity_perm,
-    invert,
-    point_orbit,
-)
+from tightpoly.engine import DEFAULT_ELEMENT_CAP, Perm, closure_perms, point_orbit
 from tightpoly.errors import CapExceeded
 from tightpoly.toddcox import PermRep
 from tightpoly.words import Word
+
+
+def identity_perm(degree: int) -> Perm:
+    return tuple(range(degree))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    return tuple(map(q.__getitem__, p))
+
+
+def invert(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def perm_order(p: Perm) -> int:
+    order = 1
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        order = order * length // gcd(order, length)
+    return order
 
 
 def eval_word(rep: PermRep, word: Word) -> Perm:
@@ -141,7 +166,7 @@ def quotient_criterion(rep: PermRep, quotient_rep: PermRep, side: Side) -> bool:
 
 def rotation_subgroup(rep: PermRep) -> frozenset:
     """Element set of the subgroup generated by all products of two generators."""
-    pairs = (engine.compose(g, h) for g, h in permutations(rep.gens, 2))
+    pairs = (compose(g, h) for g, h in permutations(rep.gens, 2))
     return engine.closure_perms(rep.degree, pairs)
 
 

@@ -1,5 +1,5 @@
 """The family subgroup checks as they were on element sets: the differential
-oracle for the point-set checks in `tightpoly.families` and the shared
+oracle for the point-set checks in `paper_checks` and the shared
 isomorphism certificate `tightpoly.engine._presents_subgroup`.
 
 Copied verbatim from the closure-based code: `_klein_four_checks`,
@@ -15,27 +15,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from reference_elements import closure, eval_word
+from paper_checks import FapSide, kill_generators
+from reference_elements import closure, compose, eval_word, identity_perm
 from reference_sggi import check_generator_map
 from tightpoly import engine
-from tightpoly.families import FapSide
 from tightpoly.toddcox import PermRep, group_order, regular_rep
-from tightpoly.words import gamma_tuple_presentation, kill_generators, validate_symbol
+from tightpoly.words import gamma_tuple_presentation, validate_symbol
 
 
 def _klein_four_checks(rep: PermRep, k: int, cap: int | None) -> tuple[bool, bool]:
     """Normal Klein 4-subgroup generated by x2 and x1 x2 x1, with dihedral
     quotient of order 6k (certified by order arithmetic plus the order of
     x0 x1 modulo the subgroup)."""
-    ident = engine.identity_perm(rep.degree)
+    ident = identity_perm(rep.degree)
     a = rep.gens[2]
     b = eval_word(rep, (1, 2, 1))
     subgroup = engine.closure_perms(rep.degree, [a, b], cap)
     klein = len(subgroup) == 4 and all(
-        engine.compose(h, h) == ident for h in subgroup
+        compose(h, h) == ident for h in subgroup
     )
     normal = klein and all(
-        engine.compose(engine.compose(g, h), g) in subgroup
+        compose(compose(g, h), g) in subgroup
         for g in rep.gens
         for h in subgroup
     )
@@ -46,7 +46,7 @@ def _klein_four_checks(rep: PermRep, k: int, cap: int | None) -> tuple[bool, boo
     power = ident
     image_order = 0
     for m in range(1, rep.degree + 1):
-        power = engine.compose(power, rho01)
+        power = compose(power, rho01)
         if power in subgroup:
             image_order = m
             break

@@ -6,7 +6,7 @@ Copied verbatim from the permutation-composing code: `check_sggi`,
 `sggi`, `element_order` and `check_generator_map` from `engine`.
 `schlafli_of_group` is the `sggi` function with this module's
 `element_order`. Each builds the permutation a word spells with
-`engine.compose` or `reference_elements.eval_word` and compares it with
+`reference_elements.compose` or `eval_word` and compares it with
 `identity_perm`, so it needs no regular representation; tests demand the
 same answers from the point-0 versions on regular ones.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from reference_elements import eval_word
+from reference_elements import compose, eval_word, identity_perm, perm_order
 from tightpoly import engine
 from tightpoly.errors import InvariantViolation
 from tightpoly.toddcox import PermRep
@@ -25,9 +25,9 @@ from tightpoly.words import Presentation, Word
 def check_sggi(rep: PermRep) -> bool:
     """Generators square to 1 and non-adjacent pairs commute."""
     n = len(rep.gens)
-    ident = engine.identity_perm(rep.degree)
+    ident = identity_perm(rep.degree)
     for g in rep.gens:
-        if engine.compose(g, g) != ident:
+        if compose(g, g) != ident:
             return False
     for i in range(n):
         for j in range(i + 2, n):
@@ -38,12 +38,12 @@ def check_sggi(rep: PermRep) -> bool:
 
 def degenerate_generators(rep: PermRep) -> tuple[int, ...]:
     """Indices of generators equal to the identity."""
-    ident = engine.identity_perm(rep.degree)
+    ident = identity_perm(rep.degree)
     return tuple(i for i, g in enumerate(rep.gens) if g == ident)
 
 
 def element_order(rep: PermRep, word: Word) -> int:
-    return engine.perm_order(eval_word(rep, word))
+    return perm_order(eval_word(rep, word))
 
 
 def schlafli_of_group(rep: PermRep) -> tuple[int, ...]:
@@ -58,7 +58,7 @@ def _pair_products(rep: PermRep) -> tuple[engine.Perm, ...]:
     rotation subgroup."""
     n = len(rep.gens)
     return tuple(
-        engine.compose(rep.gens[i], rep.gens[j])
+        compose(rep.gens[i], rep.gens[j])
         for i in range(n)
         for j in range(n)
         if i != j
@@ -87,7 +87,7 @@ def check_generator_map(
     """
     if len(images) != src.ngens:
         raise ValueError(f"expected {src.ngens} images, got {len(images)}")
-    ident = engine.identity_perm(dst_rep.degree)
+    ident = identity_perm(dst_rep.degree)
     for w in src.relators:
         image_word: tuple[int, ...] = ()
         for letter in w:

@@ -7,16 +7,12 @@ from math import prod
 
 import pytest
 
+from paper_checks import check_fap, oeo_permutation_rep, verify_lambda_family
 from reference_elements import Conjugation, conjugation_class, is_central_in, rotation_subgroup
 from tightpoly import sggi
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
-from tightpoly.families import (
-    check_fap,
-    oeo_permutation_rep,
-    verify_gamma_family,
-    verify_lambda_family,
-)
+from tightpoly.families import verify_gamma_family
 from tightpoly.poset import build_poset
 from tightpoly.toddcox import group_order, perm_rep, regular_rep
 from tightpoly.words import (

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from paper_checks import verify_lambda_family
 from tightpoly import cli
 from tightpoly.atlas import (
     AtlasFormatError,
@@ -29,7 +30,7 @@ from tightpoly.errors import (
     RelatorViolation,
     RouteDisagreement,
 )
-from tightpoly.families import verify_gamma_family, verify_lambda_family
+from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar
 from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
 
@@ -423,8 +424,18 @@ class TestCli:
              "error: --gamma must be comma-separated integers, got '3,,6'\n"),
             (["family", "--coxeter", "4,1"], "coxeter_presentation",
              "error: --coxeter entries must be integers >= 2, got '4,1'\n"),
+            # int() takes `_`, a sign, spaces and non-ASCII digits; the
+            # options do not, so `3_0,6` is not the tuple {30,6}.
+            (["verify", "--tuple", "3_0,6"], "verify_gamma_family",
+             "error: --tuple must be comma-separated integers, got '3_0,6'\n"),
+            (["classify", "--type", "+3,6"], "classify_tight",
+             "error: --type must be comma-separated integers, got '+3,6'\n"),
+            (["family", "--gamma", "\u0663,6"], "gamma_tuple_presentation",
+             "error: --gamma must be comma-separated integers, got '\u0663,6'\n"),
+            (["family", "--coxeter", "3, 3"], "coxeter_presentation",
+             "error: --coxeter must be comma-separated integers, got '3, 3'\n"),
         ],
-        ids=["tuple", "type", "gamma", "coxeter"],
+        ids=["tuple", "type", "gamma", "coxeter", "underscore", "sign", "non-ascii", "space"],
     )
     def test_bad_tuple_names_its_option(self, capsys, monkeypatch, argv, work, err):
         monkeypatch.setattr(cli, work, no_work)
@@ -472,6 +483,30 @@ class TestCli:
             "group order 36, rank 3\nsggi\nstring C-group\norientable\ntype {3,6}\n"
             "polytope axioms pass\nnot equivelar at slot 2: sizes (6, 4)\n"
         )
+
+    @pytest.mark.parametrize(
+        "head, numeral", [(True, "+3"), (True, "03"), (False, "0_0"), (False, "\u0660")]
+    )
+    def test_check_non_canonical_numeral_is_bad_input(
+        self, head, numeral, capsys, tmp_path, monkeypatch
+    ):
+        # A presentation file holds numerals only as write_presentation
+        # writes them, in the `gens` line or in an appended relator.
+        path = tmp_path / "c33.pres"
+        assert main(["family", "--coxeter", "3,3", "--out", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if head:
+            lines[0] = f"gens {numeral}"
+        else:
+            lines.append(f"rel {numeral} 1")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "regular_rep", no_work)
+        capsys.readouterr()
+        assert main(["check", "--presentation", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: line {1 if head else len(lines)}: ")
+        assert err.count("\n") == 1
 
     def test_check_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.pres"
@@ -594,6 +629,24 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: --out {out!r} names no file\n")
         assert list(tmp_path.iterdir()) == []
         assert list(tmp_path.parent.glob("*.tmp")) == []
+
+    def test_family_out_bytes_equal_stdout(self, tmp_path, capsys):
+        path = tmp_path / "g.pres"
+        assert main(["family", "--gamma", "3,6"]) == 0
+        assert main(["family", "--gamma", "3,6", "--out", str(path)]) == 0
+        assert path.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_family_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # family --out writes through the atlas's atomic writer: a write that
+        # fails at the rename leaves neither the file nor its temp file.
+        def refuse(src, dst):
+            raise OSError(f"refused: {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "g.pres"
+        assert main(["family", "--gamma", "3,6", "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: refused: {path}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_family_round_trip(self, tmp_path):
         path = tmp_path / "g.pres"

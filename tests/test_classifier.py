@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_classifier import _bfs_relabel
+from reference_elements import compose, identity_perm
 from test_poset_differential import rank3_with_extra_relator
 from tightpoly import classifier, engine
 from tightpoly.classifier import (
@@ -37,7 +38,7 @@ def direct_normal_subgroups(pres):
         while frontier:
             x = frontier.pop()
             for g in rep.gens:
-                y = engine.compose(engine.compose(g, x), g)
+                y = compose(compose(g, x), g)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -45,7 +46,7 @@ def direct_normal_subgroups(pres):
         classes.append(cls)
         for x in cls:
             assigned[x] = cls
-    ident = engine.identity_perm(rep.degree)
+    ident = identity_perm(rep.degree)
     others = [c for c in classes if ident not in c]
     normals = []
     for bits in range(1 << len(others)):
@@ -55,7 +56,7 @@ def direct_normal_subgroups(pres):
                 subset |= cls
         if len(elements) % len(subset) != 0:
             continue
-        if all(engine.compose(a, b) in subset for a in subset for b in subset):
+        if all(compose(a, b) in subset for a in subset for b in subset):
             normals.append(frozenset(subset))
     return rep, normals
 
@@ -68,13 +69,13 @@ def coset_table_of_normal(rep, normal, ngens):
     for e in sorted(elements):
         if e in coset_of:
             continue
-        coset = frozenset(engine.compose(n, e) for n in normal)
+        coset = frozenset(compose(n, e) for n in normal)
         idx = len(cosets)
         cosets.append(coset)
         for x in coset:
             coset_of[x] = idx
     # Reorder so the subgroup itself is coset 0.
-    ident = engine.identity_perm(rep.degree)
+    ident = identity_perm(rep.degree)
     base = coset_of[ident]
     order = [base] + [i for i in range(len(cosets)) if i != base]
     relabel = {old: new for new, old in enumerate(order)}
@@ -82,7 +83,7 @@ def coset_table_of_normal(rep, normal, ngens):
     for old, coset in enumerate(cosets):
         e = next(iter(coset))
         for g in range(ngens):
-            rows[relabel[old]][g] = relabel[coset_of[engine.compose(e, rep.gens[g])]]
+            rows[relabel[old]][g] = relabel[coset_of[compose(e, rep.gens[g])]]
     return _bfs_relabel([tuple(r) for r in rows], ngens)
 
 

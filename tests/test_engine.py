@@ -1,23 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper_checks import oeo_permutation_rep
 from reference_elements import (
     Conjugation,
     closure,
+    compose,
     conjugation_class,
     eval_word,
     generator_map_extends,
     images_generate,
+    invert,
     is_automorphism_map,
     is_central_in,
     is_regular,
+    perm_order,
     rotation_subgroup,
 )
 from reference_toddcox import reference_table
 from test_poset_differential import BUDGET, rank3_with_extra_relator
 from tightpoly import engine
 from tightpoly.errors import BudgetExceeded, CapExceeded
-from tightpoly.families import oeo_permutation_rep
 from tightpoly.toddcox import PermRep, regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation
 
@@ -53,17 +56,17 @@ class TestPermBasics:
     def test_compose_applies_left_then_right(self):
         p = (1, 2, 0)
         q = (0, 2, 1)
-        assert engine.compose(p, q) == (2, 1, 0)
+        assert compose(p, q) == (2, 1, 0)
 
     def test_invert(self):
         p = (2, 0, 1)
-        assert engine.invert(p) == (1, 2, 0)
-        assert engine.compose(p, engine.invert(p)) == (0, 1, 2)
+        assert invert(p) == (1, 2, 0)
+        assert compose(p, invert(p)) == (0, 1, 2)
 
     def test_perm_order(self):
-        assert engine.perm_order((0, 1, 2)) == 1
-        assert engine.perm_order((1, 0, 3, 2)) == 2
-        assert engine.perm_order((1, 2, 0, 4, 3)) == 6
+        assert perm_order((0, 1, 2)) == 1
+        assert perm_order((1, 0, 3, 2)) == 2
+        assert perm_order((1, 2, 0, 4, 3)) == 6
 
 
 class TestClosure:
@@ -124,7 +127,7 @@ class TestCentrality:
         full = engine.closure_perms(rep_gamma36.degree, rep_gamma36.gens)
         omega = eval_word(rep_gamma36, (1, 2, 1, 2))
         commutes = all(
-            engine.compose(omega, h) == engine.compose(h, omega) for h in full
+            compose(omega, h) == compose(h, omega) for h in full
         )
         assert not commutes
         assert not is_central_in(rep_gamma36, (1, 2, 1, 2), full)
@@ -155,7 +158,7 @@ class TestPointEncoding:
         # Left multiplications commute with the right action.
         for lam in lams:
             for g in rep_gamma36.gens:
-                assert engine.compose(lam, g) == engine.compose(g, lam)
+                assert compose(lam, g) == compose(g, lam)
 
     def test_left_action_rejects_non_regular(self):
         rep, _ = oeo_permutation_rep(3, 6, 3)  # order 54 on 18 points
@@ -230,7 +233,7 @@ class TestGeneratorMaps:
         # rotation subgroup.
         s1 = eval_word(rep_gamma36, (0, 1))
         s2 = eval_word(rep_gamma36, (1, 2))
-        images = [engine.compose(s1, engine.compose(s2, s2)), engine.invert(s2)]
+        images = [compose(s1, compose(s2, s2)), invert(s2)]
         phi = generator_map_extends(rep_gamma36.degree, [s1, s2], images)
         assert phi is not None
         assert is_automorphism_map(phi)

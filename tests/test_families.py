@@ -2,16 +2,11 @@ from math import prod
 
 import pytest
 
+from paper_checks import check_fap, oeo_permutation_rep, subgroup_2_check, verify_lambda_family
 from reference_elements import closure, images_generate
 from tightpoly import engine
 from tightpoly.errors import BudgetExceeded, NotAdmissible, PreconditionViolated
-from tightpoly.families import (
-    check_fap,
-    oeo_permutation_rep,
-    subgroup_2_check,
-    verify_gamma_family,
-    verify_lambda_family,
-)
+from tightpoly.families import verify_gamma_family
 from tightpoly.sggi import schlafli_of_group
 from tightpoly.toddcox import group_order, regular_rep
 from tightpoly.words import gamma_tuple_presentation

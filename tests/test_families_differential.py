@@ -11,10 +11,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import paper_checks
 import reference_families as ref
 from test_poset_differential import BUDGET, rank3_with_extra_relator
 from test_toddcox_differential import gamma_tuples
-from tightpoly import engine, families
+from tightpoly import engine
 from tightpoly.classifier import census_nonorientable
 from tightpoly.errors import AdjacentOddPair, BudgetExceeded
 from tightpoly.toddcox import PermRep, perm_rep, regular_rep
@@ -56,7 +57,7 @@ def test_klein_four_checks_match_closure_route():
         rep, k = case
         if rep is None:  # the enumeration ran out of budget
             return
-        got = families._klein_four_checks(rep, k)
+        got = paper_checks._klein_four_checks(rep, k)
         assert got == ref._klein_four_checks(rep, k, None)
         seen.add(got)
 
@@ -134,7 +135,7 @@ def test_isomorphism_certificate_matches_on_lambda_types(p):
 @settings(max_examples=40, deadline=None)
 @given(gamma_tuples, st.sampled_from(("two_faces", "co_faces")))
 def test_check_fap_matches_closure_route(sym, side):
-    assert families.check_fap(sym, side) == ref.check_fap(sym, side)
+    assert paper_checks.check_fap(sym, side) == ref.check_fap(sym, side)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +147,7 @@ def test_subgroup_2_check_matches_closure_route(entries, slot):
     except (AdjacentOddPair, BudgetExceeded) as exc:
         expected = type(exc)
     try:
-        got = families.subgroup_2_check(entries, BUDGET)
+        got = paper_checks.subgroup_2_check(entries, BUDGET)
     except (AdjacentOddPair, BudgetExceeded) as exc:
         got = type(exc)
     assert got == expected

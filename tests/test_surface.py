@@ -1,6 +1,7 @@
 """Every public name in `tightpoly` has a caller in the package: the
-element-set toolkit and the face-poset API that only the tests use live in
-`tests/reference_elements.py` and `tests/reference_poset.py`, not in `src`.
+element-set toolkit, the face-poset API and the paper's lemma checks that
+only the tests use live in `tests/reference_elements.py`,
+`tests/reference_poset.py` and `tests/paper_checks.py`, not in `src`.
 The guard covers all ten modules: their top-level names, and the public
 methods, properties and class-level annotated fields (the dataclass fields)
 of their top-level classes.
@@ -17,7 +18,9 @@ a member only as an attribute (`poset.flag_count()`, `report.passed`), so a
 local variable of the same name keeps no member alive. Members are matched
 by name alone, so a member stays alive when any attribute of that name is
 read. Imports alone do not count, and `__init__.py` is left out, since its
-re-exports call nothing.
+re-exports call nothing. An entry point or allowed name is itself an
+error when its module does not define it or a live unit outside the
+allowed definitions already reads it, so no exception outlives its need.
 """
 
 import ast
@@ -30,20 +33,12 @@ GUARDED = (
     "atlas", "classifier", "cli", "engine", "errors",
     "families", "poset", "sggi", "toddcox", "words",
 )
-# Entry points that nothing in `src` calls, each with its reason. They are
-# roots, like any caller in `src`: the names they read count as called.
-CLAIM = "a paper claim that only the acceptance tests exercise"
+# Entry points that nothing in `src` calls, each with the reader outside it
+# that keeps it. They are roots, like any caller in `src`: the names they
+# read count as called.
 ENTRY_POINTS = {
     "words": {"gamma_pq_presentation": "the paper's Γ(p, q); the perfbench self-test builds it"},
-    "families": {
-        "verify_lambda_family": CLAIM,
-        "check_fap": CLAIM,
-        "subgroup_2_check": CLAIM,
-        "oeo_permutation_rep": CLAIM,
-        "OeoReport.orders": "the report of `oeo_permutation_rep`; the acceptance tests read it",
-        "OeoReport.relators_ok": "the report of `oeo_permutation_rep`; the acceptance tests read it",
-    },
-    "atlas": {"load_atlas": "the atlas reader"},
+    "atlas": {"load_atlas": "the atlas reader; CI reads every atlas and census file back with it"},
 }
 # Names that stay only because perfbench/run.py reads them by name, until the
 # next change to the benchmark. References from inside these definitions keep
@@ -106,41 +101,81 @@ def units(stmt: ast.stmt):
         yield {stmt.name, f"{stmt.name}.{member_name(member)}"}, *read_names(member)
 
 
-def uncalled(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each public top-level name, public method and
-    public field of a guarded module that no other live unit reads, the
-    entry points and the allowed names excepted. The passes repeat until
-    nothing more is reported; each can only report more, so they stop."""
-    statements = [
+def all_units(sources: dict[str, str]) -> list[tuple[str, set[str], set[str], set[str]]]:
+    """(module, defined names, bare names read, attribute names read) for
+    every unit of every module."""
+    return [
         (module, *unit)
         for module, text in sources.items()
         for stmt in ast.parse(text).body
         for unit in units(stmt)
     ]
+
+
+def live_readers(found: list, dead: set[str]) -> list:
+    """The units that keep what they read alive: neither an allowed
+    definition nor one that defines a reported name."""
+    return [
+        (m, defs, names, attributes)
+        for m, defs, names, attributes in found
+        if not defs & ALLOWED.get(m, {}).keys() and not {f"{m}.{d}" for d in defs} & dead
+    ]
+
+
+def is_read(module: str, name: str, readers: list) -> bool:
+    """Does a reader other than the name's own definition read it? A member
+    (`Class.member`) counts only as an attribute read."""
+    _, dot, read_as = name.rpartition(".")
+    return any(
+        (read_as in attributes or not dot and read_as in names)
+        and not (m == module and name in defs)
+        for m, defs, names, attributes in readers
+    )
+
+
+def uncalled(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each public top-level name, public method and
+    public field of a guarded module that no other live unit reads, the
+    entry points and the allowed names excepted. The passes repeat until
+    nothing more is reported; each can only report more, so they stop."""
+    found = all_units(sources)
     dead: set[str] = set()
     while True:
-        readers = [
-            (m, defs, names, attributes)
-            for m, defs, names, attributes in statements
-            if not defs & ALLOWED.get(m, {}).keys() and not {f"{m}.{d}" for d in defs} & dead
-        ]
+        readers = live_readers(found, dead)
         missing = []
         for module in GUARDED:
             allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
-            public = set().union(*(d for m, d, _, _ in statements if m == module))
+            public = set().union(*(d for m, d, _, _ in found if m == module))
             for name in sorted(public - allowed):
-                _, dot, read_as = name.rpartition(".")
+                _, _, read_as = name.rpartition(".")
                 if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
                     continue
-                if not any(
-                    (read_as in attributes or not dot and read_as in names)
-                    and not (m == module and name in defs)
-                    for m, defs, names, attributes in readers
-                ):
+                if not is_read(module, name, readers):
                     missing.append(f"{module}.{name}")
         if set(missing) == dead:
             return missing
         dead = set(missing)
+
+
+def stale_exceptions(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each entry point or allowed name, of a module in
+    `sources`, that its module does not define, or that a live unit other
+    than an allowed definition already reads: an exception left behind for
+    a name that moved, or one that is no longer needed."""
+    found = all_units(sources)
+    readers = live_readers(found, set(uncalled(sources)))
+    stale = []
+    for kept in (ENTRY_POINTS, ALLOWED):
+        for module, names in kept.items():
+            if module not in sources:
+                continue
+            defined = set().union(*(d for m, d, _, _ in found if m == module))
+            stale += [
+                f"{module}.{name}"
+                for name in names
+                if name not in defined or is_read(module, name, readers)
+            ]
+    return sorted(stale)
 
 
 def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
@@ -154,6 +189,7 @@ def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
         assert set(kept) <= set(GUARDED)
         assert all(reason for names in kept.values() for reason in names.values())
     assert uncalled(sources) == []
+    assert stale_exceptions(sources) == []
 
 
 def test_guard_reports_a_name_only_an_allowed_definition_reads():
@@ -169,9 +205,38 @@ def test_guard_reports_a_name_only_an_allowed_definition_reads():
         "sggi": "from .engine import recursive\nclass Verdict:\n    pass\n",
         "cli": "from . import engine, sggi\nengine.used()\n",
         # An entry point is a root: the helper it alone reads is called.
-        "families": "def check_fap():\n    return helper()\ndef helper():\n    pass\n",
+        "atlas": "def load_atlas():\n    return helper()\ndef helper():\n    pass\n",
     }
     assert uncalled(sources) == ["engine.HELPER", "engine.recursive", "sggi.Verdict"]
+
+
+def test_guard_reports_stale_exceptions():
+    sources = {
+        "words": "def gamma_pq_presentation():\n    pass\n",
+        "atlas": "def read_atlas():\n    pass\n",
+        "engine": (
+            "DEFAULT_ELEMENT_CAP = 1\n"
+            "def closure_perms():\n    return DEFAULT_ELEMENT_CAP\n"
+        ),
+        "cli": (
+            "from . import atlas, words\n"
+            "words.gamma_pq_presentation()\n"
+            "atlas.read_atlas()\n"
+        ),
+        "sggi": "from . import engine\ndef unread():\n    return engine.closure_perms()\n",
+    }
+    # The reader guard names none of the stale entries.
+    assert uncalled(sources) == ["sggi.unread"]
+    # atlas no longer defines load_atlas, and a live unit reads
+    # gamma_pq_presentation. An unread unit reads closure_perms, and only an
+    # allowed definition reads DEFAULT_ELEMENT_CAP, so both entries hold.
+    assert stale_exceptions(sources) == ["atlas.load_atlas", "words.gamma_pq_presentation"]
+    sources["cli"] += "from . import engine\nengine.closure_perms()\n"
+    assert stale_exceptions(sources) == [
+        "atlas.load_atlas",
+        "engine.closure_perms",
+        "words.gamma_pq_presentation",
+    ]
 
 
 def test_guard_reports_a_method_with_no_caller():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from paper_checks import kill_generators
 from tightpoly.errors import AdjacentOddPair, PresentationParseError
 from tightpoly.toddcox import group_order
 from tightpoly.words import (
@@ -12,7 +13,6 @@ from tightpoly.words import (
     gamma_tuple_presentation,
     involution_letter,
     is_admissible,
-    kill_generators,
     lambda_k_presentation,
     parse_presentation,
     rotations,
@@ -249,6 +249,18 @@ words = st.lists(
 ).map(tuple)
 
 
+# Numerals as write_presentation writes them, three times in four, and the
+# near misses int() takes.
+numerals = st.sampled_from(
+    ["0", "1", "2", "3"] * 6 + ["00", "01", "+1", "-0", "1_0", "\u0661", "\u00b9", " 1"]
+)
+near_presentations = st.builds(
+    lambda head, rels: f"gens {head}\n" + "".join(f"rel {' '.join(w)}\n" for w in rels),
+    numerals,
+    st.lists(st.lists(numerals, min_size=1, max_size=4), max_size=4),
+) | st.text(alphabet="gensrl 0123+-_\u0660\n", max_size=24)
+
+
 class TestTextFormat:
     @given(words)
     def test_round_trip(self, relators):
@@ -271,9 +283,25 @@ class TestTextFormat:
             ("gens 2\nrel 0  1\n", 2),
             ("gens 2\nrelate 0\n", 2),
             ("gens 2\nrel 0 1", 2),
+            # Numerals that int() takes but write_presentation never writes.
+            ("gens +3\n", 1),
+            ("gens 03\n", 1),
+            ("gens \u00b2\n", 1),
+            ("gens 2\nrel 0_0 1\n", 2),
+            ("gens 2\nrel \u0660 \u0660\n", 2),
+            ("gens 2\nrel 00 1\n", 2),
+            ("gens 2\nrel -0 1\n", 2),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(PresentationParseError) as err:
             parse_presentation(text)
         assert err.value.line_no == line
+
+    @given(near_presentations)
+    def test_accepted_text_writes_back_byte_equal(self, text):
+        try:
+            pres = parse_presentation(text)
+        except PresentationParseError:
+            return
+        assert write_presentation(pres) == text
