@@ -25,15 +25,14 @@ from .words import (
     parse_presentation,
     write_presentation,
 )
+from .engine import PermRep, element_order
 from .toddcox import (
     CosetTable,
-    PermRep,
     enumerate_cosets,
     group_order,
     perm_rep,
     regular_rep,
 )
-from .engine import element_order
 from .sggi import SggiProfile, profile
 from .poset import FacePoset, FlagSystem, NotEquivelar, PosetReport, build_poset
 from .families import FamilyVerdict, verify_gamma_family

@@ -58,11 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Sequence
 
 from . import engine, sggi
+from .engine import PermRep
 from .errors import AdjacentOddPair, CapExceeded
 from .poset import poset_checks
-from .toddcox import CosetTable, PermRep, perm_rep
+from .toddcox import CosetTable, group_order, perm_rep
 from .words import (
     Presentation,
     _require_involutions,
@@ -400,6 +402,20 @@ class CensusRecord:
     isomorphic_to_lambda: bool | None
 
 
+def _presents_subgroup(
+    pres: Presentation, rep: PermRep, gen_indices: Sequence[int], max_cosets: int | None
+) -> bool:
+    """Is x_i -> gen_indices[i] an isomorphism from the group of `pres` onto
+    the subgroup of a regular rep generated by the indexed generators?
+
+    The relators holding on the images give a surjection onto the subgroup,
+    so equal orders certify a bijection.
+    """
+    if not engine.check_generator_map(pres, rep, [(g,) for g in gen_indices]):
+        return False
+    return group_order(pres, max_cosets) == len(engine.point_orbit(rep, gen_indices))
+
+
 def _census(
     sym: tuple[int, ...],
     orientable: bool | None,
@@ -448,7 +464,7 @@ def _census(
         if not tight:
             continue
         gamma, lam = (
-            None if pres is None else engine._presents_subgroup(pres, rep, gens, max_cosets)
+            None if pres is None else _presents_subgroup(pres, rep, gens, max_cosets)
             for pres in (gamma_pres, lambda_pres)
         )
         records.append(

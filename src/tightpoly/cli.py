@@ -2,8 +2,9 @@
 
 Exit codes: 0 all claims pass, 1 claim failure, 2 bad input, checked before
 any work (non-admissible tuples, two adjacent odd entries, a `classify --type`
-of one entry, parse errors, presentation files that are not UTF-8 or lack an
-involution relator, and files that cannot be read or written), 3 resource
+of one entry, parse errors, integer options that are not ASCII digits after
+an optional `-`, presentation files that are not UTF-8 or lack an involution
+relator, and files that cannot be read or written), 3 resource
 budget or index cap exhausted, 4 internal error (a failed certificate or
 invariant, or any ValueError from inside a run: a bug, not a verdict).
 The coset budget of every enumeration in a run comes from `--budget N`
@@ -76,6 +77,16 @@ def _parse_tuple(option: str, text: str) -> tuple[int, ...]:
     if any(p < 2 for p in entries):
         raise InputError(f"{option} entries must be integers >= 2, got {text!r}")
     return entries
+
+
+def _integer(text: str) -> int:
+    """The value of an integer option: ASCII digits after an optional `-`.
+    `int()` would also take `_`, `+`, spaces and non-ASCII digits; argparse
+    reports the rest as bad input."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be ASCII digits after an optional '-', got {text!r}")
+    return int(text)
 
 
 def _format_symbol(entries) -> str:
@@ -226,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_atlas = sub.add_parser("atlas", help="verify every admissible tuple up to a flag bound")
-    p_atlas.add_argument("--max-flags", type=int, required=True)
-    p_atlas.add_argument("--max-rank", type=int, required=True)
+    p_atlas.add_argument("--max-flags", type=_integer, required=True)
+    p_atlas.add_argument("--max-rank", type=_integer, required=True)
     p_atlas.add_argument("--out", required=True)
-    p_atlas.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the usable cores")
+    p_atlas.add_argument("--jobs", type=_integer, default=1, help="worker processes, capped at the usable cores")
     p_atlas.set_defaults(func=cmd_atlas)
 
     p_classify = sub.add_parser("classify", help="census of tight polytopes of one type")
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--non-orientable", action="store_true")
     p_classify.add_argument("--out", default=None)
     p_classify.add_argument(
-        "--index-cap", type=int, default=None, help=f"largest index searched, >= 1 (default {DEFAULT_INDEX_CAP})"
+        "--index-cap", type=_integer, default=None, help=f"largest index searched, >= 1 (default {DEFAULT_INDEX_CAP})"
     )
     p_classify.set_defaults(func=cmd_classify)
 
@@ -249,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_verify, p_atlas, p_classify, p_check):
         p.add_argument(
-            "--budget", type=int, help=f"coset budget of each enumeration, >= 1 (default {DEFAULT_MAX_COSETS})"
+            "--budget", type=_integer, help=f"coset budget of each enumeration, >= 1 (default {DEFAULT_MAX_COSETS})"
         )
 
     p_family = sub.add_parser("family", help="emit a builder's presentation file")
     src = p_family.add_mutually_exclusive_group(required=True)
     src.add_argument("--gamma", help="tuple for the tight family quotient")
     src.add_argument("--coxeter", help="tuple for the string Coxeter group")
-    src.add_argument("--lambda-k", type=int, help="odd k for the non-orientable family")
+    src.add_argument("--lambda-k", type=_integer, help="odd k for the non-orientable family")
     p_family.add_argument("--out", default=None)
     p_family.set_defaults(func=cmd_family)
 

@@ -1,4 +1,5 @@
-"""Finite-group computations on permutation representations.
+"""Finite-group computations on permutation representations (`PermRep`,
+which `toddcox` builds and certifies).
 
 The pipeline reads a regular representation at point 0: a subgroup is its
 point set (`point_orbit`), and an element given as a word is the image of
@@ -8,17 +9,13 @@ the benchmark traces it by name. The element sets the tests compare point
 sets against are built from it in `tests/reference_elements.py`, which also
 holds the permutation products (`compose`, `invert`, `perm_order`); the
 tests' odd-even-odd rotation representation, which is not regular, uses them.
-
-`left_action` is the regularity half of `toddcox._certify_regular`, and
-`_presents_subgroup` reads `toddcox.group_order`, so the two modules import
-each other as modules and read each other's names only at call time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import toddcox
 from .errors import CapExceeded
 from .words import Presentation, Word
 
@@ -28,7 +25,21 @@ UNASSIGNED = -1
 Perm = tuple[int, ...]
 
 
-def _image(rep: toddcox.PermRep, word: Word, point: int = 0) -> int:
+@dataclass(frozen=True)
+class PermRep:
+    """Permutations of the generators on points 0..degree-1.
+
+    Permutations act on the right: a word is applied letter by letter, so
+    evaluating (a, b) sends point x to gens[b][gens[a][x]]. The pipeline's
+    reps come from `toddcox.regular_rep` or `toddcox.perm_rep`, whose
+    certificate proved the action regular; the rep is its columns alone.
+    """
+
+    degree: int
+    gens: tuple[Perm, ...]
+
+
+def _image(rep: PermRep, word: Word, point: int = 0) -> int:
     """The image of a point under a word, its letters applied left to right."""
     for letter in word:
         point = rep.gens[letter][point]
@@ -55,7 +66,7 @@ def closure_perms(degree: int, perms: Iterable[Perm], cap: int | None = None) ->
     return frozenset(elements)
 
 
-def point_orbit(rep: toddcox.PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
+def point_orbit(rep: PermRep, gen_indices: Iterable[int]) -> frozenset[int]:
     """Orbit of point 0 under the indexed generators.
 
     For a regular representation the orbit of point 0 under a generator
@@ -76,15 +87,14 @@ def point_orbit(rep: toddcox.PermRep, gen_indices: Iterable[int]) -> frozenset[i
     return frozenset(seen)
 
 
-def left_action(rep: toddcox.PermRep) -> tuple[Perm, ...] | None:
+def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     """Left-multiplication permutations of the generators on the points of a
     regular representation, or None if the action is not regular.
 
     Built by breadth-first traversal and then certified: each candidate must
     commute with every right-multiplication column, which together with
     transitivity is equivalent to regularity. `toddcox._certify_regular`
-    calls it once per certified table, and the rep carries the result
-    (`PermRep.left`).
+    calls it once per certified table and keeps only the verdict.
     """
     n = len(rep.gens)
     d = rep.degree
@@ -118,7 +128,7 @@ def left_action(rep: toddcox.PermRep) -> tuple[Perm, ...] | None:
     return tuple(tuple(row) for row in lam)
 
 
-def element_order(rep: toddcox.PermRep, word: Word) -> int:
+def element_order(rep: PermRep, word: Word) -> int:
     """Order of a word's element in a regular rep: the length of the cycle
     of point 0 under it."""
     order, point = 1, _image(rep, word)
@@ -128,13 +138,14 @@ def element_order(rep: toddcox.PermRep, word: Word) -> int:
 
 
 def check_generator_map(
-    src: Presentation, dst_rep: toddcox.PermRep, images: Sequence[Word]
+    src: Presentation, dst_rep: PermRep, images: Sequence[Word]
 ) -> bool:
     """Does x_i -> images[i] extend to a homomorphism into the target group?
 
     True iff every relator of `src` maps to the identity, that is, its image
     word fixes point 0: `dst_rep` must be regular. Surjectivity is a
-    separate question, which `_presents_subgroup` settles by orders.
+    separate question, which `classifier._presents_subgroup` settles by
+    orders.
     """
     if len(images) != src.ngens:
         raise ValueError(f"expected {src.ngens} images, got {len(images)}")
@@ -145,20 +156,3 @@ def check_generator_map(
         if point != 0:
             return False
     return True
-
-
-def _presents_subgroup(
-    pres: Presentation,
-    rep: toddcox.PermRep,
-    gen_indices: Sequence[int],
-    max_cosets: int | None,
-) -> bool:
-    """Is x_i -> gen_indices[i] an isomorphism from the group of `pres` onto
-    the subgroup of a regular rep generated by the indexed generators?
-
-    The relators holding on the images give a surjection onto the subgroup,
-    so equal orders certify a bijection.
-    """
-    if not check_generator_map(pres, rep, [(g,) for g in gen_indices]):
-        return False
-    return toddcox.group_order(pres, max_cosets) == len(point_orbit(rep, gen_indices))

@@ -18,9 +18,10 @@ from math import prod
 from typing import Sequence
 
 from . import sggi
+from .engine import PermRep
 from .errors import NotAdmissible
 from .poset import poset_checks
-from .toddcox import PermRep, regular_rep
+from .toddcox import regular_rep
 from .words import (
     Presentation,
     admissibility_message,

@@ -1,21 +1,26 @@
 """Face posets from the coset construction, and the polytope axioms.
 
-Proper faces of rank i are the cosets of the subgroup omitting generator i,
-stored as explicit point sets of the regular action; two faces of different
-ranks are incident exactly when their point sets meet. Faces are numbered by
-their sorted point sets, so builds are deterministic and golden files stable.
+Proper faces of rank i are the cosets gΓ_i of the subgroup Γ_i omitting
+generator i: the orbits of the points under the rep's own columns x_j,
+j != i. They are stored as explicit point sets of the regular action; two
+faces of different ranks are incident exactly when their point sets meet.
+Inversion maps each gΓ_i onto Γ_i g^-1 and keeps intersections, so the
+cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
+*Abstract Regular Polytopes*, 2E). Faces are numbered by their sorted point
+sets, so builds are deterministic and golden files stable.
 
 The improper least and greatest faces are implicit. Failure messages name
 them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
 the ids -1 and the number of proper faces.
 
-A poset from the coset construction is transitive on the faces of each rank
-(McMullen-Schulte, *Abstract Regular Polytopes*, 2E): right multiplication
-by a group element commutes with the left multiplications whose orbits are
-the faces, so it maps each face of rank i to a face of rank i and keeps
-intersections, and the group is transitive on the points. So `build_poset`
-marks one root face per rank, the face that holds point 0, which is face 0
-of its rank since the faces of a rank are disjoint and sorted by point set.
+A poset from the coset construction is transitive on the faces of each rank:
+the certificate of a rep (`toddcox._certify_regular`) proved its action
+regular, so left multiplication by each group element is a permutation of
+the points that commutes with the columns. It maps each coset gΓ_i to the
+coset hgΓ_i, so each face of rank i to a face of rank i, keeps
+intersections, and is transitive on the points. So `build_poset` marks one
+root face per rank, the face that holds point 0, which is face 0 of its
+rank since the faces of a rank are disjoint and sorted by point set.
 The verdicts (the chain walk, the section pass, the Schlafli symbol and
 flatness) start only at roots, and each root stands for its whole rank. The
 first failure is unchanged: every loop visits ranks in ascending order and
@@ -34,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     RouteDisagreement,
 )
-from .toddcox import PermRep
+from .engine import PermRep
 
 FaceRef = tuple[int, int]  # (rank, index within rank)
 
@@ -384,29 +389,18 @@ def build_poset(rep: PermRep) -> FacePoset:
     """Coset construction over a regular representation.
 
     Points are in bijection with group elements, so the rank-i faces (the
-    cosets of the subgroup omitting generator i) are exactly the orbits of
-    the points under left multiplication by that subgroup. Face counts are
-    checked against the subgroup orders. `left_action` certifies that every
-    column commutes with every left multiplication, so the columns act on the
-    poset by automorphisms, transitively on each rank: the poset is built
-    with `transitive=True`.
-
-    The left multiplications are the ones the rep's certificate computed in
-    `regular_rep` or `perm_rep` (`rep.left`). That certificate proved the
-    action regular, which is also why it could check the relators at point 0
-    alone: in a regular group an element that fixes one point is the
-    identity. A rep built by hand carries none and is rejected, regular or
-    not.
+    cosets gΓ_i of the subgroup omitting generator i) are exactly the orbits
+    of the points under the columns of the other generators. Face counts are
+    checked against the subgroup orders. The rep must come from `regular_rep`
+    or `perm_rep`, whose certificate proved the action regular: then the
+    left multiplications act on the poset by automorphisms, transitively on
+    each rank, and the poset is built with `transitive=True`. Only the
+    columns are read.
     """
     n = len(rep.gens)
-    lams = rep.left
-    if lams is None:
-        raise ValueError(
-            f"need a certified regular action of degree {rep.degree}, from regular_rep or perm_rep"
-        )
     levels = []
     for i in range(n):
-        movers = [lams[j] for j in range(n) if j != i]
+        movers = [rep.gens[j] for j in range(n) if j != i]
         assigned = [False] * rep.degree
         blocks = []
         for start in range(rep.degree):
@@ -417,8 +411,8 @@ def build_poset(rep: PermRep) -> FacePoset:
             frontier = [start]
             while frontier:
                 x = frontier.pop()
-                for lam in movers:
-                    y = lam[x]
+                for col in movers:
+                    y = col[x]
                     if not assigned[y]:
                         assigned[y] = True
                         orbit.add(y)

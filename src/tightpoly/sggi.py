@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import engine
+from .engine import PermRep
 from .errors import InvariantViolation
-from .toddcox import PermRep
 
 Subset = tuple[int, ...]
 

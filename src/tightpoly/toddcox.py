@@ -17,8 +17,8 @@ relator fixes point 0. In a regular group an element that fixes one point is
 the identity (McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a
 relator that closes at coset 0 closes at every coset. A failure raises
 RelatorViolation, so the certificate also holds under `python -O`. The
-left action it computes travels with the table and the rep (`left`), and
-`poset.build_poset` reads it from there.
+certificate is a pure check: it returns nothing, and the left action it
+computes is carried nowhere. `poset.build_poset` needs only the columns.
 
 Once a relator w closes from a coset c without a coincidence, the pass
 marks the cosets c * w[:t] at which a rotation of w by t is w or its
@@ -30,9 +30,10 @@ same as with every scan made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine
+from .engine import PermRep
 from .errors import BudgetExceeded, RelatorViolation
 from .words import Presentation, _require_involutions, involution_letter, rotations
 
@@ -41,34 +42,16 @@ UNDEF = -1
 
 
 @dataclass(frozen=True)
-class PermRep:
-    """Permutations of the generators on points 0..degree-1.
-
-    Permutations act on the right: a word is applied letter by letter, so
-    evaluating (a, b) sends point x to gens[b][gens[a][x]]. A rep that
-    `regular_rep` or `perm_rep` certified carries the left multiplications
-    of the generators that its certificate computed (`left`); it is None on
-    a rep built by hand, and never part of equality.
-    """
-
-    degree: int
-    gens: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class CosetTable:
     """Closed coset table; row c column g is the coset c * x_g.
 
     Coset 0 is the enumerated subgroup itself. A table from
-    `enumerate_cosets` carries the left action its certificate computed
-    (`left`); it is None on a table built elsewhere, and never part of
-    equality.
+    `enumerate_cosets` has passed `_certify_regular`; `perm_rep` certifies
+    a table built elsewhere.
     """
 
     pres: Presentation
     table: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def rows(self) -> int:
@@ -264,12 +247,11 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
 
 def _certify_regular(
     degree: int, columns: tuple[tuple[int, ...], ...], pres: Presentation
-) -> tuple[tuple[int, ...], ...]:
+) -> None:
     """The certificate of a closed table over the trivial subgroup: every
     generator column is an involutive permutation of 0..degree-1, the action
     is regular (`engine.left_action` succeeds), and every other relator
-    fixes point 0. Returns the left action; raises RelatorViolation
-    otherwise.
+    fixes point 0. Returns nothing; raises RelatorViolation otherwise.
 
     In a regular group an element that fixes one point is the identity, so a
     relator that fixes point 0 closes from every coset: O(|w|) per relator.
@@ -280,8 +262,7 @@ def _certify_regular(
     for g, col in enumerate(columns):
         if sorted(col) != points or list(map(col.__getitem__, col)) != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
-    left = engine.left_action(PermRep(degree, columns))
-    if left is None:
+    if engine.left_action(PermRep(degree, columns)) is None:
         raise RelatorViolation(f"the action on {degree} cosets is not regular")
     for w in pres.relators:
         if involution_letter(w) is not None:
@@ -291,7 +272,6 @@ def _certify_regular(
             point = columns[letter][point]
         if point != 0:
             raise RelatorViolation(f"relator {w} does not close at coset 0")
-    return left
 
 
 def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
@@ -300,10 +280,9 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
     allocated cosets (DEFAULT_MAX_COSETS when None); a partial table is
-    never returned. The returned table has passed `_certify_regular`, and
-    carries the left action it computed. As the action is regular, an element
-    that fixes coset 0 is the identity, so each relator is checked at coset 0
-    only.
+    never returned. The returned table has passed `_certify_regular`. As the
+    action is regular, an element that fixes coset 0 is the identity, so each
+    relator is checked at coset 0 only.
     """
     _require_involutions(pres)
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
@@ -323,8 +302,8 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
         else:
             label[x] = label[p]
     rows = tuple(tuple(map(label.__getitem__, table[c * n : c * n + n])) for c in live)
-    left = _certify_regular(len(rows), tuple(zip(*rows)), pres)
-    return CosetTable(pres=pres, table=rows, left=left)
+    _certify_regular(len(rows), tuple(zip(*rows)), pres)
+    return CosetTable(pres=pres, table=rows)
 
 
 def perm_rep(table: CosetTable) -> PermRep:
@@ -333,12 +312,11 @@ def perm_rep(table: CosetTable) -> PermRep:
     Certifies the table with `_certify_regular`, so it also checks tables
     built elsewhere, and they must be tables of a regular action: an element
     of a regular group that fixes one point is the identity, so the
-    relators are checked at coset 0. The rep carries the left action the
-    certificate computed.
+    relators are checked at coset 0.
     """
     gens = tuple(zip(*table.table))
-    left = _certify_regular(table.rows, gens, table.pres)
-    return PermRep(degree=table.rows, gens=gens, left=left)
+    _certify_regular(table.rows, gens, table.pres)
+    return PermRep(degree=table.rows, gens=gens)
 
 
 def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
@@ -349,9 +327,8 @@ def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
 def regular_rep(pres: Presentation, max_cosets: int | None = None) -> PermRep:
     """Regular permutation representation (enumeration over the trivial subgroup).
 
-    Built from the columns `enumerate_cosets` has already certified, with the
-    left action that certificate computed; as the action is regular, the
-    relators were checked at coset 0 only.
+    Built from the columns `enumerate_cosets` has already certified; as the
+    action is regular, the relators were checked at coset 0 only.
     """
     table = enumerate_cosets(pres, max_cosets)
-    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)), left=table.left)
+    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)))

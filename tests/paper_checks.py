@@ -21,6 +21,7 @@ from typing import Iterable, Literal, Sequence
 
 from reference_elements import compose, identity_perm, invert, perm_order
 from tightpoly import engine
+from tightpoly.classifier import _presents_subgroup
 from tightpoly.errors import PreconditionViolated
 from tightpoly.families import FamilyVerdict, _verdict
 from tightpoly.toddcox import PermRep, group_order, regular_rep
@@ -203,7 +204,7 @@ def subgroup_2_check(sym: Sequence[int], max_cosets: int | None = None) -> bool:
     n = len(entries) + 1
     rep = regular_rep(gamma_tuple_presentation(entries), max_cosets)
     return all(
-        engine._presents_subgroup(gamma_tuple_presentation(part), rep, keep, max_cosets)
+        _presents_subgroup(gamma_tuple_presentation(part), rep, keep, max_cosets)
         for i in slots
         for keep, part in ((range(0, i + 1), entries[:i]), (range(i - 1, n), entries[i - 1 :]))
     )

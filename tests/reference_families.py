@@ -1,6 +1,6 @@
 """The family subgroup checks as they were on element sets: the differential
 oracle for the point-set checks in `paper_checks` and the shared
-isomorphism certificate `tightpoly.engine._presents_subgroup`.
+isomorphism certificate `tightpoly.classifier._presents_subgroup`.
 
 Copied verbatim from the closure-based code: `_klein_four_checks`,
 `check_fap` and `subgroup_2_check` from `families`, `_family_isomorphism`

@@ -9,6 +9,12 @@ systems and Schlafli symbols from both, or the same exception. Its flag
 count, flatness and two-route tightness ask every face, so they also hold
 `FacePoset`'s root-only verdicts to account. `section` is where the tests
 take sections from, to rebuild them as `FacePoset`s.
+
+`left_levels` is the face build `build_poset` made before it read the rep's
+own columns: the cosets Γ_i g, as the orbits of the left multiplications
+that `engine.left_action` computes. Inversion maps them onto the cosets
+gΓ_i that `build_poset` takes, so the two posets are isomorphic but number
+their faces differently; tests compare their verdicts, not their levels.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 from math import prod
 from typing import Iterator
 
+from tightpoly import engine
+from tightpoly.engine import PermRep
 from tightpoly.errors import DiamondViolation, PreconditionViolated, RouteDisagreement
 from tightpoly.poset import FaceRef, FlagSystem, NotEquivelar, PosetReport
 
@@ -352,3 +360,35 @@ class ReferencePoset:
                 f"flag count route says {by_count}, flatness route says {by_flat}"
             )
         return by_count
+
+
+def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
+    """The rank-i faces of a regular rep as the cosets Γ_i g: the orbits of
+    the points under the left multiplications by the generators other than
+    x_i. Raises ValueError on a rep whose action is not regular."""
+    lams = engine.left_action(rep)
+    if lams is None:
+        raise ValueError(f"the action on {rep.degree} points is not regular")
+    n = len(rep.gens)
+    levels = []
+    for i in range(n):
+        movers = [lams[j] for j in range(n) if j != i]
+        assigned = [False] * rep.degree
+        blocks = []
+        for start in range(rep.degree):
+            if assigned[start]:
+                continue
+            orbit = {start}
+            assigned[start] = True
+            frontier = [start]
+            while frontier:
+                x = frontier.pop()
+                for lam in movers:
+                    y = lam[x]
+                    if not assigned[y]:
+                        assigned[y] = True
+                        orbit.add(y)
+                        frontier.append(y)
+            blocks.append(frozenset(orbit))
+        levels.append(blocks)
+    return levels

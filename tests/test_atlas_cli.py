@@ -442,6 +442,39 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize(
+        "argv, work, option, value",
+        [
+            (["verify", "--tuple", "3,6", "--budget", "1_000"], "verify_gamma_family", "--budget", "1_000"),
+            (["family", "--lambda-k", "\u0663"], "lambda_k_presentation", "--lambda-k", "\u0663"),
+            (["atlas", "--max-flags", " 100", "--max-rank", "+4", "--jobs", "\u0661", "--out", "{dir}/a.jsonl"],
+             "run_batch", "--max-flags", " 100"),
+            (["atlas", "--max-flags", "100", "--max-rank", "+4", "--out", "{dir}/a.jsonl"],
+             "run_batch", "--max-rank", "+4"),
+            (["atlas", "--max-flags", "100", "--max-rank", "4", "--jobs", "\u0661", "--out", "{dir}/a.jsonl"],
+             "run_batch", "--jobs", "\u0661"),
+            (["classify", "--type", "3,4", "--index-cap", "1_28"], "classify_tight", "--index-cap", "1_28"),
+            (["check", "--presentation", "{dir}/g.pres", "--budget", "-"], "regular_rep", "--budget", "-"),
+        ],
+        ids=["budget-underscore", "lambda-k-non-ascii", "max-flags-space", "max-rank-sign", "jobs-non-ascii",
+             "index-cap-underscore", "budget-bare-minus"],
+    )
+    def test_integer_option_not_a_plain_decimal(self, argv, work, option, value, tmp_path, capsys, monkeypatch):
+        # int() takes `_`, a sign, spaces and non-ASCII digits; the integer
+        # options take ASCII digits after an optional `-` only. argparse
+        # rejects the rest: exit 2, nothing on stdout, no work, no traceback.
+        monkeypatch.setattr(cli, work, no_work)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(dir=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"tightpoly {argv[0]}: error: argument {option}: "
+            f"must be ASCII digits after an optional '-', got {value!r}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     # The check tests pin the whole report, one for each way `check` ends.
     def test_check_gamma_file(self, capsys, tmp_path):
         path = tmp_path / "gamma.pres"

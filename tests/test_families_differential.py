@@ -15,8 +15,7 @@ import paper_checks
 import reference_families as ref
 from test_poset_differential import BUDGET, rank3_with_extra_relator
 from test_toddcox_differential import gamma_tuples
-from tightpoly import engine
-from tightpoly.classifier import census_nonorientable
+from tightpoly.classifier import _presents_subgroup, census_nonorientable
 from tightpoly.errors import AdjacentOddPair, BudgetExceeded
 from tightpoly.toddcox import PermRep, perm_rep, regular_rep
 from tightpoly.words import Presentation, gamma_tuple_presentation, lambda_k_presentation
@@ -113,7 +112,7 @@ def test_isomorphism_certificate_matches_on_drawn_quotients():
         except BudgetExceeded:
             expected = BudgetExceeded
         try:
-            got = engine._presents_subgroup(base, rep, range(3), BUDGET)
+            got = _presents_subgroup(base, rep, range(3), BUDGET)
         except BudgetExceeded:
             got = BudgetExceeded
         assert got == expected

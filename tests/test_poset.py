@@ -87,24 +87,6 @@ class TestBuild:
             for e in range(2, 4):
                 assert poset_digon._comp[v] >> e & 1
 
-    def test_rejects_non_regular_rep(self, rep_gamma36):
-        from tightpoly.toddcox import PermRep
-
-        rep = PermRep(degree=3, gens=((1, 0, 2), (0, 2, 1)))
-        with pytest.raises(ValueError):
-            build_poset(rep)
-
-    def test_rejects_a_rep_without_its_certificate(self, rep_gamma36):
-        # The left action comes from the certificate of `regular_rep` or
-        # `perm_rep`; the same columns built by hand carry none.
-        from tightpoly.toddcox import PermRep
-
-        assert build_poset(rep_gamma36).flag_count() == 36
-        rep = PermRep(degree=rep_gamma36.degree, gens=rep_gamma36.gens)
-        assert rep == rep_gamma36 and rep.left is None
-        with pytest.raises(ValueError, match="need a certified regular action of degree 36"):
-            build_poset(rep)
-
 
 class TestAxioms:
     @pytest.mark.parametrize(

@@ -12,12 +12,17 @@ The same holds on the dual and on one section drawn by the oracle.
 `TestRootWalk` holds it, on the same levels, to a `FacePoset` that starts at
 every face and to the oracle, on quotients of rank 3 to 5 that include
 non-polytopes.
+
+`build_poset` takes the faces as the cosets gΓ_i, the orbits of the rep's
+own columns. `TestLeftCosets` holds its verdicts to those of the earlier
+build, the cosets Γ_i g from the left action (`reference_poset.left_levels`).
+The two number their faces differently, so only verdicts are compared.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_poset import BOTTOM, ReferencePoset
+from reference_poset import BOTTOM, ReferencePoset, left_levels
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded
@@ -229,3 +234,25 @@ class TestRootWalk:
         poset = build_poset(regular_rep(pres))
         assert poset.flag_count() == flags
         assert_roots_agree(poset)
+
+
+class TestLeftCosets:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            collapsed_quotients(),
+            gamma_tuples.map(gamma_tuple_presentation),
+            coxeter_symbols.map(coxeter_presentation),
+        )
+    )
+    def test_same_verdicts_as_the_left_action_build(self, pres):
+        # The report with its first-failure text, the flag count, the symbol
+        # and tightness, or the same exception from both.
+        try:
+            rep = regular_rep(pres, BUDGET)
+        except BudgetExceeded:
+            return
+        built = build_poset(rep)
+        left = FacePoset(built.rank, left_levels(rep), transitive=True)
+        for verdict in ("verify_polytope", "flag_count", "combinatorial_schlafli", "is_tight"):
+            assert outcome(getattr(built, verdict)) == outcome(getattr(left, verdict)), verdict
