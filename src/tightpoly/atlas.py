@@ -1,6 +1,6 @@
 """Atlas entries, JSONL persistence, and batch tuple enumeration.
 
-One JSON object per line, keys sorted, no timestamps: files are
+One JSON object per line, compact, keys sorted, no timestamps: files are
 byte-identical across runs and worker counts. The schema carries an `ms`
 field, which is always written as 0: wall time would make files differ
 between runs. Census lines, and only they, carry `"source": "census"`.
@@ -124,6 +124,9 @@ def entry_from_json_line(line: str) -> AtlasEntry:
             f"verified entry with group_order {obj['group_order']}, "
             f"flag_count {obj['flag_count']}, tuple {entries}"
         )
+    # Every writer writes compact JSON with sorted keys, each key once.
+    if line != json.dumps(obj, sort_keys=True, separators=(",", ":")):
+        raise AtlasFormatError("not in the writer's form: compact JSON, keys sorted, each once")
     return AtlasEntry(
         schlafli=tuple(entries),
         family=obj["family"],
@@ -138,11 +141,10 @@ def entry_from_json_line(line: str) -> AtlasEntry:
 
 def load_atlas(path: str) -> list[AtlasEntry]:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Lines end at "\n" only, so a "\r" before it stays in the line.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
             try:
                 entries.append(entry_from_json_line(line))
             except AtlasFormatError as exc:

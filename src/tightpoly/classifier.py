@@ -79,11 +79,6 @@ DEFAULT_INDEX_CAP = 128
 UNDEF = -1
 
 
-# Trail tags for backtracking.
-_CELL = 0
-_PINNED = 1
-
-
 class _NormalSearch:
     """Backtracking over based transitive tables of the exact index.
 
@@ -171,7 +166,7 @@ class _NormalSearch:
         self.table = [UNDEF] * (index * n)
         self.nrows = 1
         self.witness: list[tuple[int, ...]] = [()]
-        self.trail: list[tuple] = []
+        self.trail: list[int] = []  # the table indices written, in order
         self.worklist: list[tuple[int, int]] = []
         self.pending: list[tuple[int, ...]] = []
         self.pinned: list[tuple[int, ...]] = []
@@ -210,11 +205,11 @@ class _NormalSearch:
         if new and periods is not None and len(set(w)) <= 2 and len(w) % periods[w[0]][w[-1]]:
             return False
         table[a * n + g] = b
-        self.trail.append((_CELL, a * n + g))
+        self.trail.append(a * n + g)
         self.worklist.append((a, g))
         if back == UNDEF and b != a:  # a self-loop is its own reverse edge
             table[b * n + g] = a
-            self.trail.append((_CELL, b * n + g))
+            self.trail.append(b * n + g)
             self.worklist.append((b, g))
         if new:
             self.pending.append(w)
@@ -263,7 +258,6 @@ class _NormalSearch:
                 # first keeps its own scan from queueing it again.
                 w = pending.pop()
                 pinned.append(w)
-                self.trail.append((_PINNED,))
                 for c in range(self.nrows):
                     if not scan(c, w):
                         return False
@@ -282,12 +276,10 @@ class _NormalSearch:
     # -- search ------------------------------------------------------------------
 
     def _first_undefined(self) -> int:
-        table = self.table
-        limit = self.nrows * self.ngens
-        for idx in range(limit):
-            if table[idx] == UNDEF:
-                return idx
-        return -1
+        try:
+            return self.table.index(UNDEF, 0, self.nrows * self.ngens)
+        except ValueError:
+            return -1
 
     def _emit(self) -> None:
         if self.nrows != self.index:
@@ -310,7 +302,7 @@ class _NormalSearch:
             self._emit()
             return
         a, g = divmod(idx, self.ngens)
-        mark = len(self.trail)
+        mark = (len(self.trail), len(self.pinned))
         n = self.ngens
         for b in range(self.nrows):
             if self.table[b * n + g] == UNDEF:
@@ -328,17 +320,16 @@ class _NormalSearch:
             self.witness.pop()
             self.nrows -= 1
 
-    def _undo(self, mark: int) -> None:
-        # Restore the table and pinned relations to what they were at
-        # `mark`, and drop the three queues of unfinished work.
-        trail = self.trail
+    def _undo(self, mark: tuple[int, int]) -> None:
+        # `mark` is the lengths of the trail and of `pinned` at the branch
+        # point. Reset the cells written since, cut both lists back to those
+        # lengths, and drop the three queues of unfinished work.
+        cells, pins = mark
         table = self.table
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry[0] == _CELL:
-                table[entry[1]] = UNDEF
-            else:
-                self.pinned.pop()
+        for idx in self.trail[cells:]:
+            table[idx] = UNDEF
+        del self.trail[cells:]
+        del self.pinned[pins:]
         self.worklist.clear()
         self.pending.clear()
         self.fresh.clear()

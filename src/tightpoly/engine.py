@@ -105,10 +105,7 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     seen = [False] * d
     seen[0] = True
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        y = queue[qi]
-        qi += 1
+    for y in queue:  # the loop visits the points appended as it runs
         for k in range(n):
             x = gens[k][y]
             if not seen[x]:
@@ -116,7 +113,7 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
                 for j in range(n):
                     lam[j][x] = gens[k][lam[j][y]]
                 queue.append(x)
-    if not all(seen):
+    if len(queue) < d:
         return None
     for j in range(n):
         lj = lam[j]

@@ -6,8 +6,9 @@ j != i. They are stored as explicit point sets of the regular action; two
 faces of different ranks are incident exactly when their point sets meet.
 Inversion maps each gΓ_i onto Γ_i g^-1 and keeps intersections, so the
 cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
-*Abstract Regular Polytopes*, 2E). Faces are numbered by their sorted point
-sets, so builds are deterministic and golden files stable.
+*Abstract Regular Polytopes*, 2E). `build_poset` gives the faces of each
+rank in increasing order of least point, and faces are numbered in the order
+given, so builds are deterministic and golden files stable.
 
 The improper least and greatest faces are implicit. Failure messages name
 them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
@@ -20,7 +21,7 @@ the points that commutes with the columns. It maps each coset gΓ_i to the
 coset hgΓ_i, so each face of rank i to a face of rank i, keeps
 intersections, and is transitive on the points. So `build_poset` marks one
 root face per rank, the face that holds point 0, which is face 0 of its
-rank since the faces of a rank are disjoint and sorted by point set.
+rank since the faces of a rank come in increasing order of least point.
 The verdicts (the chain walk, the section pass, the Schlafli symbol and
 flatness) start only at roots, and each root stands for its whole rank. The
 first failure is unchanged: every loop visits ranks in ascending order and
@@ -75,6 +76,8 @@ class FlagSystem:
 class FacePoset:
     """Ranked poset of proper faces with incidence by point-set intersection.
 
+    Faces are numbered in the order `levels` gives them, rank by rank;
+    `build_poset` gives each rank in increasing order of least point.
     Inside, faces are ids: the proper faces are 0 .. _total - 1 in rank order,
     the greatest face is _total and the least face is -1. `_offsets`,
     `_rank_of` and `_comp` end with an entry for the greatest and then one
@@ -92,9 +95,7 @@ class FacePoset:
 
     def __init__(self, rank: int, levels, transitive: bool = False):
         self.rank = rank
-        self.levels: tuple[tuple[frozenset[int], ...], ...] = tuple(
-            tuple(sorted(level, key=sorted)) for level in levels
-        )
+        self.levels: tuple[tuple[frozenset[int], ...], ...] = tuple(map(tuple, levels))
         if len(self.levels) != max(rank, 0):
             raise ValueError(f"rank {rank} needs {rank} proper levels, got {len(self.levels)}")
         self._offsets: list[int] = []  # id of the first face of each rank
@@ -390,12 +391,13 @@ def build_poset(rep: PermRep) -> FacePoset:
 
     Points are in bijection with group elements, so the rank-i faces (the
     cosets gΓ_i of the subgroup omitting generator i) are exactly the orbits
-    of the points under the columns of the other generators. Face counts are
-    checked against the subgroup orders. The rep must come from `regular_rep`
-    or `perm_rep`, whose certificate proved the action regular: then the
-    left multiplications act on the poset by automorphisms, transitively on
-    each rank, and the poset is built with `transitive=True`. Only the
-    columns are read.
+    of the points under the columns of the other generators. The orbits start
+    at points 0, 1, 2, ... in turn, so each rank comes in increasing order of
+    least point. Face counts are checked against the subgroup orders. The rep
+    must come from `regular_rep` or `perm_rep`, whose certificate proved the
+    action regular: then the left multiplications act on the poset by
+    automorphisms, transitively on each rank, and the poset is built with
+    `transitive=True`. Only the columns are read.
     """
     n = len(rep.gens)
     levels = []

@@ -250,8 +250,9 @@ def _certify_regular(
 ) -> None:
     """The certificate of a closed table over the trivial subgroup: every
     generator column is an involutive permutation of 0..degree-1, the action
-    is regular (`engine.left_action` succeeds), and every other relator
-    fixes point 0. Returns nothing; raises RelatorViolation otherwise.
+    of the rep on those columns is regular (`engine.left_action` succeeds),
+    and every other relator fixes point 0, read as `engine._image` reads any
+    word. Returns nothing; raises RelatorViolation otherwise.
 
     In a regular group an element that fixes one point is the identity, so a
     relator that fixes point 0 closes from every coset: O(|w|) per relator.
@@ -262,15 +263,11 @@ def _certify_regular(
     for g, col in enumerate(columns):
         if sorted(col) != points or list(map(col.__getitem__, col)) != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
-    if engine.left_action(PermRep(degree, columns)) is None:
+    rep = PermRep(degree, columns)
+    if engine.left_action(rep) is None:
         raise RelatorViolation(f"the action on {degree} cosets is not regular")
     for w in pres.relators:
-        if involution_letter(w) is not None:
-            continue  # certified by the column check
-        point = 0
-        for letter in w:
-            point = columns[letter][point]
-        if point != 0:
+        if involution_letter(w) is None and engine._image(rep, w) != 0:
             raise RelatorViolation(f"relator {w} does not close at coset 0")
 
 

@@ -317,14 +317,14 @@ ATLAS_500_4_SHA256 = "bc30185a862bfea8cce881b6607be000ad02a50daa0a8f6ef151805bcf
 
 
 def test_criterion_12_atlas_determinism(tmp_path):
-    paths = [str(tmp_path / name) for name in ("one.jsonl", "jobs.jsonl")]
+    paths = [tmp_path / name for name in ("one.jsonl", "jobs.jsonl")]
     start = time.monotonic()
-    assert main(["atlas", "--max-flags", "500", "--max-rank", "4", "--out", paths[0]]) == 0
+    assert main(["atlas", "--max-flags", "500", "--max-rank", "4", "--out", str(paths[0])]) == 0
     assert main(
-        ["atlas", "--max-flags", "500", "--max-rank", "4", "--out", paths[1], "--jobs", "4"]
+        ["atlas", "--max-flags", "500", "--max-rank", "4", "--out", str(paths[1]), "--jobs", "4"]
     ) == 0
     elapsed = time.monotonic() - start
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [p.read_bytes() for p in paths]
     digests = {hashlib.sha256(blob).hexdigest() for blob in blobs}
     ok = blobs[0] == blobs[1] and digests == {ATLAS_500_4_SHA256}
     lines = blobs[0].count(b"\n")

@@ -39,6 +39,11 @@ from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_
 MISSING = object()
 
 
+def writer_form(obj) -> str:
+    """The one form every atlas writer has written: compact, keys sorted."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 class TestAdmissibleTuples:
     def test_f100_r3(self):
         tuples = list(admissible_tuples(100, 3))
@@ -124,7 +129,7 @@ class TestEntryFormat:
     def test_rejects_what_no_writer_writes(self, family, key, value, match, tmp_path):
         entry = dataclasses.replace(entry_from_verdict(verify_gamma_family((3, 6))), family=family)
         obj = json.loads(entry.to_json_line())
-        assert entry_from_json_line(json.dumps(obj)) == entry
+        assert entry_from_json_line(writer_form(obj)) == entry
         if value is MISSING:
             del obj[key]
         else:
@@ -163,7 +168,33 @@ class TestEntryFormat:
         entry = entry_from_verdict(verify_gamma_family((3, 6)))
         obj = json.loads(entry.to_json_line())
         obj["ms"] = 17
-        assert entry_from_json_line(json.dumps(obj)) == entry
+        assert entry_from_json_line(writer_form(obj)) == entry
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: json.dumps(json.loads(line)),
+            lambda line: json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")),
+            lambda line: line.replace('"tight":true,"tuple"', '"tight":false,"tuple"')[:-1]
+            + ',"tight":true}',
+            lambda line: line + "\r",
+            lambda line: "",
+        ],
+        ids=["spaces", "unsorted-keys", "repeated-key", "trailing-cr", "blank-line"],
+    )
+    def test_rejects_lines_in_another_form(self, edit, tmp_path):
+        # Each edited line but the blank one decodes to the writer's own
+        # object (json keeps the last of a repeated key), yet no writer
+        # writes it, so neither the line nor a file holding it loads.
+        line = entry_from_verdict(verify_gamma_family((3, 6))).to_json_line()
+        bad = edit(line)
+        assert bad != line and (not bad or json.loads(bad) == json.loads(line))
+        with pytest.raises(AtlasFormatError, match="writer's form|bad JSON"):
+            entry_from_json_line(bad)
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(f"{line}\n{bad}\n{line}\n".encode())
+        with pytest.raises(AtlasFormatError, match=":2: "):
+            load_atlas(str(path))
 
     def test_failed_polytope_with_no_flags_round_trips(self):
         # The families write 0 flags for a poset that fails the axioms.

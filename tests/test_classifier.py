@@ -6,7 +6,7 @@ from reference_elements import compose, identity_perm
 from test_poset_differential import rank3_with_extra_relator
 from tightpoly import classifier, engine
 from tightpoly.classifier import (
-    _PINNED,
+    UNDEF,
     _NormalSearch,
     census_nonorientable,
     classify_tight,
@@ -186,8 +186,8 @@ class TestLowIndexNormal:
 
 class _RecordedUndo(_NormalSearch):
     """Records each backtrack: whether the branch ended in a failed
-    propagation, the pinned relations before it, the number of them whose
-    trail tags lie below the mark, and the pinned relations after it."""
+    propagation, the pinned relations before it, the number of them the
+    mark holds, and the pinned relations after it."""
 
     def __init__(self, pres, index):
         super().__init__(pres, index)
@@ -200,7 +200,7 @@ class _RecordedUndo(_NormalSearch):
         return ok
 
     def _undo(self, mark):
-        at_mark = sum(1 for entry in self.trail[:mark] if entry[0] == _PINNED)
+        at_mark = mark[1]
         before = len(self.pinned)
         super()._undo(mark)
         self.undos.append((self.failed, before, at_mark, len(self.pinned)))
@@ -303,6 +303,17 @@ class TestNormalSearch:
         assert not search._set(0, 2, 2)  # rows 0 and 2 both have even witnesses
         assert search.table == [-1] * (64 * 3) and search.trail == []
         assert search._set(0, 1, 1)
+
+    def test_first_undefined_looks_only_at_the_rows_defined(self):
+        search = _NormalSearch(coxeter_presentation((4, 8)), 64)
+        search.nrows = 2
+        search.table[:6] = [1, 0, 0, 0, 1, 1]
+        # Rows 2 to 63 are all UNDEF, but no row past nrows is open yet.
+        assert search._first_undefined() == -1
+        search.table[4] = UNDEF
+        assert search._first_undefined() == 4
+        search.table[1] = UNDEF
+        assert search._first_undefined() == 1
 
     def test_undo_unpins_the_relations_of_a_failed_branch(self):
         search = _RecordedUndo(coxeter_presentation((4, 8)), 64)

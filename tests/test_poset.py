@@ -108,6 +108,15 @@ class TestAxioms:
         assert not report.chain_lengths
         assert report.first_failure == "maximal chain [] has 2 faces, expected 4"
 
+    def test_failure_names_a_face_by_its_given_position(self):
+        # The edge {2} holds no vertex. It is given first, so it is face
+        # (1, 0), though sorting the edges by point set would put it second.
+        levels = [[frozenset({0}), frozenset({1})], [frozenset({2}), frozenset({0, 1})]]
+        poset = FacePoset(2, levels)
+        assert poset.levels == tuple(map(tuple, levels))
+        report = poset.verify_polytope()
+        assert report.first_failure == "maximal chain [(1, 0)] has 3 faces, expected 4"
+
     def test_degenerate_quotient_fails(self, rep_degenerate_x0x2):
         report = build_poset(rep_degenerate_x0x2).verify_polytope()
         assert not report.passed

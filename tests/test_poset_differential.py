@@ -194,7 +194,11 @@ def collapsed_quotients(draw):
 
 def assert_roots_agree(poset: FacePoset) -> None:
     """One root per rank, every face a root, and the oracle give the same
-    verdicts, first failure text included."""
+    verdicts, first failure text included. The levels must come in
+    increasing order of least point, as `build_poset` gives them."""
+    for level in poset.levels:
+        least = [min(face) for face in level]
+        assert least == sorted(set(least))
     rooted = FacePoset(poset.rank, poset.levels, transitive=True)
     every = FacePoset(poset.rank, poset.levels)
     ref = ReferencePoset(poset.rank, poset.levels)
