@@ -51,7 +51,9 @@ numbering from point 0 in generator order, the standardized form of a coset
 table (Sims, Computation with Finitely Presented Groups, 1994), which is
 unique to its subgroup. Each branch tries the existing rows in increasing
 order before the fresh one, and sibling branches agree on every entry before
-the one they branch on, so the tables come out in strictly increasing order.
+the one they branch on, so the tables come out in strictly increasing
+row-major order. Each is emitted as its columns, read off the flat table
+once; the list keeps this order, which is not an order of the columns.
 """
 
 from __future__ import annotations
@@ -285,13 +287,10 @@ class _NormalSearch:
         if self.nrows != self.index:
             return
         n = self.ngens
-        rows = [
-            tuple(self.table[a * n : (a + 1) * n]) for a in range(self.nrows)
-        ]
+        columns = tuple(tuple(self.table[g::n]) for g in range(n))
         # Exact normality filter: the action must be regular.
-        perms = tuple(tuple(row[g] for row in rows) for g in range(n))
-        if engine.left_action(PermRep(self.nrows, perms)) is not None:
-            self.found.append(tuple(rows))
+        if engine.left_action(PermRep(self.index, columns)) is not None:
+            self.found.append(columns)
 
     def run(self) -> None:
         self.nodes += 1
@@ -347,11 +346,11 @@ def low_index_normal(
     keywords the ones a census may keep.
 
     Each is returned as the coset table of the action on its cosets (the
-    regular action of the quotient), in canonical breadth-first numbering.
-    The result is sorted by table content, with no repeats. Both hold as the
-    search emits the tables (see the module docstring), so nothing here
-    relabels, dedupes or sorts. Every generator must have its involution
-    relator, as the search builds involutory columns.
+    regular action of the quotient), as columns in canonical breadth-first
+    numbering, with no repeats, in the increasing row-major order the search
+    emits them (see the module docstring; as columns that is not content
+    order), so nothing here relabels, dedupes or sorts. Every generator must
+    have its involution relator, as the search builds involutory columns.
 
     With `bipartite=True` only the normal subgroups whose quotient action is
     bipartite are returned: those with every generator changing the parity
@@ -379,7 +378,7 @@ def low_index_normal(
         raise CapExceeded(cap, f"index {index} is above the index cap of {cap}")
     search = _NormalSearch(pres, index, bipartite, exact_type)
     search.run()
-    return [CosetTable(pres=pres, table=t) for t in search.found]
+    return [CosetTable(pres=pres, columns=t) for t in search.found]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ j != i. They are stored as explicit point sets of the regular action; two
 faces of different ranks are incident exactly when their point sets meet.
 Inversion maps each gΓ_i onto Γ_i g^-1 and keeps intersections, so the
 cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
-*Abstract Regular Polytopes*, 2E). `build_poset` gives the faces of each
-rank in increasing order of least point, and faces are numbered in the order
+*Abstract Regular Polytopes*, 2E). Meeting need not be transitive, so
+`verify_polytope` checks that it is; it is when x_i and x_j commute for
+|i - j| >= 2 (ibid.). `build_poset` gives the faces of each rank in
+increasing order of least point, and faces are numbered in the order
 given, so builds are deterministic and golden files stable.
 
 The improper least and greatest faces are implicit. Failure messages name
@@ -22,11 +24,12 @@ coset hgΓ_i, so each face of rank i to a face of rank i, keeps
 intersections, and is transitive on the points. So `build_poset` marks one
 root face per rank, the face that holds point 0, which is face 0 of its
 rank since the faces of a rank come in increasing order of least point.
-The verdicts (the chain walk, the section pass, the Schlafli symbol and
-flatness) start only at roots, and each root stands for its whole rank. The
-first failure is unchanged: every loop visits ranks in ascending order and
-the faces of a rank by id, a failure at some face of a rank is a failure at
-every face of that rank, and the root is the first of them.
+The verdicts (the chain walk, the section pass, the transitivity check,
+the Schlafli symbol and flatness) start only at roots, and each root
+stands for its whole rank. The first failure is unchanged: every loop
+visits ranks in ascending order and the faces of a rank by id, a failure
+at some face of a rank is a failure at every face of that rank, and the
+root is the first of them.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ class PosetReport:
     chain_lengths: bool
     connected: bool
     diamond: bool
+    transitive_incidence: bool
     first_failure: str | None
 
     @property
     def passed(self) -> bool:
-        return self.chain_lengths and self.connected and self.diamond
+        return self.chain_lengths and self.connected and self.diamond and self.transitive_incidence
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class FacePoset:
     # -- polytope axioms ----------------------------------------------------
 
     def verify_polytope(self) -> PosetReport:
-        """Exhaustive check of the four axioms; reports the first failure."""
+        """Exhaustive check of the five axioms; reports the first failure."""
         # (a) Unique greatest and least faces hold by construction; the
         # sentinels are single and comparable with every proper face.
 
@@ -210,11 +214,33 @@ class FacePoset:
                         f"has {count} middle faces, expected 2"
                     )
 
+        # (e) Incidence is transitive: f < g < h puts f below h. Meeting point
+        # sets do not make it so. It is ranked after (b)-(d), whose first
+        # failures stand. From the roots is enough: for each root f and each
+        # proper face g above f, every face above g must be comparable with f.
+        comp, below = self._comp, self._below
+        stray = next(
+            (
+                (f, g, (missed & -missed).bit_length() - 1)
+                for f in self._ids(roots)
+                for g in self._ids(comp[f] & below[self.rank] & ~below[rank_of[f] + 1])
+                if (missed := comp[g] & ~below[rank_of[g] + 1] & ~comp[f])
+            ),
+            None,
+        )
+        order_failure = None
+        if stray is not None:
+            f, g, h = map(self._ref_of, stray)
+            order_failure = (
+                f"incidence is not transitive: {f} < {g} < {h}, but {f} is not below {h}"
+            )
+
         return PosetReport(
             chain_lengths=chain_lengths,
             connected=connected,
             diamond=diamond,
-            first_failure=chain_failure or connect_failure or diamond_failure,
+            transitive_incidence=stray is None,
+            first_failure=chain_failure or connect_failure or diamond_failure or order_failure,
         )
 
     def _ref_of(self, fid: int) -> FaceRef:

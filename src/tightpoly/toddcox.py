@@ -7,7 +7,8 @@ The run is fully deterministic: cosets are processed in increasing order,
 relators in presentation order, and new cosets are defined at the first
 missing entry of the current scan, so two runs on the same presentation
 produce identical tables. No closing sweep follows the pass (`_hlt` says why
-none is needed).
+none is needed). The closed table is kept as its generator columns, each
+read off the flat table in one pass: the one form `CosetTable` and `PermRep` hold.
 
 Every closed table, enumerated here or built elsewhere (the census's), is a
 table of a regular action, and is certified once as one by
@@ -31,6 +32,7 @@ same as with every scan made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import engine
 from .engine import PermRep
@@ -43,19 +45,21 @@ UNDEF = -1
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Closed coset table; row c column g is the coset c * x_g.
+    """Closed coset table as its generator columns: `columns[g][c]` is the
+    coset c * x_g.
 
     Coset 0 is the enumerated subgroup itself. A table from
     `enumerate_cosets` has passed `_certify_regular`; `perm_rep` certifies
-    a table built elsewhere.
+    a table built elsewhere. `rows`, the coset count, is what the benchmark's
+    `toddcox.cosets_live` counter reads.
     """
 
     pres: Presentation
-    table: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def rows(self) -> int:
-        return len(self.table)
+        return len(self.columns[0])
 
 
 def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
@@ -277,9 +281,8 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
     allocated cosets (DEFAULT_MAX_COSETS when None); a partial table is
-    never returned. The returned table has passed `_certify_regular`. As the
-    action is regular, an element that fixes coset 0 is the identity, so each
-    relator is checked at coset 0 only.
+    never returned. Its columns come off `_hlt`'s flat table in one pass
+    each, and have passed `_certify_regular`.
     """
     _require_involutions(pres)
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
@@ -289,31 +292,29 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
     # Number the live cosets in order. A dead coset's parent is smaller, so
     # its label is already known; the extra last slot keeps UNDEF (-1)
     # mapping to UNDEF, which the certificate rejects.
-    n = pres.ngens
     label = [UNDEF] * (len(parent) + 1)
-    live = []
+    degree = 0
     for x, p in enumerate(parent):
-        if p == x:
-            label[x] = len(live)
-            live.append(x)
-        else:
-            label[x] = label[p]
-    rows = tuple(tuple(map(label.__getitem__, table[c * n : c * n + n])) for c in live)
-    _certify_regular(len(rows), tuple(zip(*rows)), pres)
-    return CosetTable(pres=pres, table=rows)
+        label[x] = degree if p == x else label[p]
+        degree += p == x
+    # Column g of the flat table is table[g::n]: keep its live entries, relabelled.
+    n = pres.ngens
+    alive = [p == x for x, p in enumerate(parent)]
+    columns = tuple(tuple(map(label.__getitem__, compress(table[g::n], alive))) for g in range(n))
+    _certify_regular(degree, columns, pres)
+    return CosetTable(pres=pres, columns=columns)
 
 
 def perm_rep(table: CosetTable) -> PermRep:
-    """Permutation images of the generators on the coset indices.
+    """The permutation rep on the table's own columns.
 
     Certifies the table with `_certify_regular`, so it also checks tables
     built elsewhere, and they must be tables of a regular action: an element
     of a regular group that fixes one point is the identity, so the
     relators are checked at coset 0.
     """
-    gens = tuple(zip(*table.table))
-    _certify_regular(table.rows, gens, table.pres)
-    return PermRep(degree=table.rows, gens=gens)
+    _certify_regular(table.rows, table.columns, table.pres)
+    return PermRep(degree=table.rows, gens=table.columns)
 
 
 def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
@@ -322,10 +323,7 @@ def group_order(pres: Presentation, max_cosets: int | None = None) -> int:
 
 
 def regular_rep(pres: Presentation, max_cosets: int | None = None) -> PermRep:
-    """Regular permutation representation (enumeration over the trivial subgroup).
-
-    Built from the columns `enumerate_cosets` has already certified; as the
-    action is regular, the relators were checked at coset 0 only.
-    """
+    """Regular permutation representation: the columns that `enumerate_cosets`
+    enumerated over the trivial subgroup and certified."""
     table = enumerate_cosets(pres, max_cosets)
-    return PermRep(degree=table.rows, gens=tuple(zip(*table.table)))
+    return PermRep(degree=table.rows, gens=table.columns)

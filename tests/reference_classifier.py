@@ -306,4 +306,5 @@ def low_index_normal(
     search = _NormalSearch(pres, index)
     search.run()
     tables = sorted(set(search.found))
-    return [CosetTable(pres=pres, table=t) for t in tables]
+    # Rows here, as the search was written; a CosetTable holds columns.
+    return [CosetTable(pres=pres, columns=tuple(zip(*t))) for t in tables]

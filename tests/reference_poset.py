@@ -7,8 +7,11 @@ generators and FaceRef-based `_between_mask`, copied verbatim, over the same
 `(rank, levels)` input as `FacePoset`. Tests demand equal reports, flag
 systems and Schlafli symbols from both, or the same exception. Its flag
 count, flatness and two-route tightness ask every face, so they also hold
-`FacePoset`'s root-only verdicts to account. `section` is where the tests
-take sections from, to rebuild them as `FacePoset`s.
+`FacePoset`'s root-only verdicts to account. Its fifth axiom, transitive
+incidence, was added after the copy: it walks every comparable pair of
+proper faces in section order, where `FacePoset` starts only at its roots.
+`section` is where the tests take sections from, to rebuild them as
+`FacePoset`s.
 
 `left_levels` is the face build `build_poset` made before it read the rep's
 own columns: the cosets Γ_i g, as the orbits of the left multiplications
@@ -119,7 +122,7 @@ class ReferencePoset:
     # -- polytope axioms ----------------------------------------------------
 
     def verify_polytope(self) -> PosetReport:
-        """Exhaustive check of the four axioms; reports the first failure."""
+        """Exhaustive check of the five axioms; reports the first failure."""
         failures: list[str] = []
 
         # (a) Unique greatest and least faces hold by construction; the
@@ -154,10 +157,28 @@ class ReferencePoset:
                 )
                 break
 
+        # (e) Incidence is transitive: lo < mid < hi puts lo below hi. Every
+        # proper pair lo < mid, and above mid every face of a higher rank.
+        transitive_incidence = True
+        comp = self._comparability()
+        for lo, mid in self._sections(lambda diff: True):
+            if lo == BOTTOM or mid == self.top:
+                continue
+            above = sum(self._rank_mask(i) for i in range(mid[0] + 1, self.rank))
+            missed = comp[self.face_id(mid)] & above & ~comp[self.face_id(lo)]
+            if missed:
+                transitive_incidence = False
+                hi = self._ref_of((missed & -missed).bit_length() - 1)
+                failures.append(
+                    f"incidence is not transitive: {lo} < {mid} < {hi}, but {lo} is not below {hi}"
+                )
+                break
+
         return PosetReport(
             chain_lengths=chain_lengths,
             connected=connected,
             diamond=diamond,
+            transitive_incidence=transitive_incidence,
             first_failure=failures[0] if failures else None,
         )
 

@@ -155,7 +155,7 @@ def test_criterion_03_type_48_non_uniqueness():
     start = time.monotonic()
     records = classify_tight(4, 8, require_orientable=True)
     elapsed = time.monotonic() - start
-    tables = {r.table.table for r in records}
+    tables = {r.table.columns for r in records}
     ok = len(records) >= 2 and len(tables) == len(records) and elapsed < 300.0
     report(
         3,

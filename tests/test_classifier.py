@@ -101,11 +101,11 @@ class TestBfsRelabel:
 class TestEmittedNumbering:
     """`low_index_normal` returns the tables as the search emits them, so the
     search itself must number each breadth-first and emit them in strictly
-    increasing order."""
+    increasing order, read row-major: the columns transposed."""
 
     @staticmethod
     def assert_standardized(pres, index):
-        tables = [t.table for t in low_index_normal(pres, index)]
+        tables = [tuple(zip(*t.columns)) for t in low_index_normal(pres, index)]
         assert all(a < b for a, b in zip(tables, tables[1:])), tables
         for table in tables:
             assert _bfs_relabel(list(table), pres.ngens) == table
@@ -171,10 +171,10 @@ class TestLowIndexNormal:
         for normal in normals:
             index = order // len(normal)
             by_index.setdefault(index, set()).add(
-                coset_table_of_normal(rep, normal, pres.ngens)
+                tuple(zip(*coset_table_of_normal(rep, normal, pres.ngens)))
             )
         for index in sorted(by_index):
-            found = {t.table for t in low_index_normal(pres, index)}
+            found = {t.columns for t in low_index_normal(pres, index)}
             assert found == by_index[index], f"index {index} mismatch"
 
     def test_tables_are_valid_and_regular(self):
@@ -370,10 +370,10 @@ class TestFuzzAgainstOracle:
         for normal in normals:
             index = rep.degree // len(normal)
             by_index.setdefault(index, set()).add(
-                coset_table_of_normal(rep, normal, 3)
+                tuple(zip(*coset_table_of_normal(rep, normal, 3)))
             )
         for index, expected in sorted(by_index.items()):
-            found = {t.table for t in low_index_normal(pres, index)}
+            found = {t.columns for t in low_index_normal(pres, index)}
             assert found == expected, (sym, extra, index)
 
 
@@ -410,7 +410,7 @@ class TestClassify:
     def test_48_two_records(self):
         records = classify_tight(4, 8, require_orientable=True)
         assert len(records) >= 2
-        tables = {r.table.table for r in records}
+        tables = {r.table.columns for r in records}
         assert len(tables) == len(records)
 
     @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ caps = st.none() | st.integers(min_value=1, max_value=48)
 
 def outcome(search, pres, index, cap):
     try:
-        return [t.table for t in search(pres, index, cap)]
+        return [t.columns for t in search(pres, index, cap)]
     except Exception as exc:  # the oracle must raise the same error type
         return type(exc)
 
@@ -132,9 +132,9 @@ def exact_type_searches(pres, index, sym, bipartite):
     """The tables of the search with the exact-type rule, the tables of the
     search without it, and those of the latter that have exact type `sym`."""
     full = low_index_normal(pres, index, bipartite=bipartite)
-    exact = [t.table for t in full if has_exact_type(perm_rep(t), sym)]
-    pruned = [t.table for t in low_index_normal(pres, index, bipartite=bipartite, exact_type=sym)]
-    return pruned, [t.table for t in full], exact
+    exact = [t.columns for t in full if has_exact_type(perm_rep(t), sym)]
+    pruned = [t.columns for t in low_index_normal(pres, index, bipartite=bipartite, exact_type=sym)]
+    return pruned, [t.columns for t in full], exact
 
 
 def assert_pruned_between(pres, index, sym, bipartite):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_poset_differential import dual, section
+from test_poset_differential import INTRANSITIVE_LEVELS, dual, section
 from tightpoly import sggi
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
@@ -116,6 +116,31 @@ class TestAxioms:
         assert poset.levels == tuple(map(tuple, levels))
         report = poset.verify_polytope()
         assert report.first_failure == "maximal chain [(1, 0)] has 3 faces, expected 4"
+
+    @pytest.mark.parametrize(
+        "levels, failure",
+        [
+            (
+                INTRANSITIVE_LEVELS[0],
+                "incidence is not transitive: (0, 0) < (1, 0) < (2, 1), but (0, 0) is not below (2, 1)",
+            ),
+            (
+                INTRANSITIVE_LEVELS[1],
+                "incidence is not transitive: (0, 1) < (1, 0) < (2, 1), but (0, 1) is not below (2, 1)",
+            ),
+        ],
+        ids=["4 points", "9 points"],
+    )
+    def test_intransitive_incidence_fails(self, levels, failure):
+        # Every other axiom holds, and the flag system does not build: the
+        # vertex swapped at rank 0 is not below the chain's 2-face.
+        poset = FacePoset(3, levels)
+        report = poset.verify_polytope()
+        assert report.chain_lengths and report.connected and report.diamond
+        assert not report.transitive_incidence and not report.passed
+        assert report.first_failure == failure
+        with pytest.raises(DiamondViolation):
+            poset.flags_and_adjacency()
 
     def test_degenerate_quotient_fails(self, rep_degenerate_x0x2):
         report = build_poset(rep_degenerate_x0x2).verify_polytope()

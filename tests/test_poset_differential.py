@@ -20,7 +20,7 @@ The two number their faces differently, so only verdicts are compared.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_poset import BOTTOM, ReferencePoset, left_levels
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
@@ -80,9 +80,12 @@ def dual(poset: FacePoset) -> FacePoset:
 
 
 def check_poset(poset: FacePoset, data) -> None:
-    """Compare the poset, its dual and one drawn section."""
+    """Compare the poset, its dual and one drawn section. An explicit example
+    has no data to draw from; it passes None and draws no section."""
     assert_same(poset)
     assert_same(dual(poset))
+    if data is None:
+        return
     # Ranks first, then faces, so that sections of every rank are drawn.
     ref = ReferencePoset(poset.rank, poset.levels)
     lo_rank = data.draw(st.integers(min_value=-1, max_value=poset.rank - 1))
@@ -133,6 +136,23 @@ def partition_posets(draw):
     return FacePoset(len(levels), levels)
 
 
+# Levels whose incidence, by meeting point sets, is not transitive, though
+# their chains, sections and diamonds are those of a polytope: vertex {0, 2}
+# meets edge {0, 1}, which meets 2-face {1, 3}, and vertex {6, 7} meets edge
+# {7, 8}, which meets 2-face {5, 8}. `partition_posets` drew both.
+INTRANSITIVE_LEVELS = [
+    [[frozenset(face) for face in level] for level in levels]
+    for levels in (
+        [[{0, 2}, {1, 3}], [{0, 1}, {2, 3}], [{0, 2}, {1, 3}]],
+        [
+            [{0, 1, 2, 3, 4, 5, 8}, {6, 7}],
+            [{0, 1, 2, 3, 4, 5, 6}, {7, 8}],
+            [{0, 1, 2, 3, 4, 6, 7}, {5, 8}],
+        ],
+    )
+]
+
+
 class TestSameVerdicts:
     @settings(max_examples=60, deadline=None)
     @given(coxeter_symbols.map(coxeter_presentation), st.data())
@@ -161,6 +181,8 @@ class TestSameVerdicts:
 
     @settings(max_examples=150, deadline=None)
     @given(partition_posets(), st.data())
+    @example(FacePoset(3, INTRANSITIVE_LEVELS[0]), None)
+    @example(FacePoset(3, INTRANSITIVE_LEVELS[1]), None)
     def test_point_partitions(self, poset, data):
         check_poset(poset, data)
 

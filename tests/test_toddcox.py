@@ -93,9 +93,9 @@ class TestPermRep:
 
     def test_relator_violation_on_tampered_table(self):
         table = enumerate_cosets(coxeter_presentation((3,)))
-        rows = [list(r) for r in table.table]
-        rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-        bad = CosetTable(pres=table.pres, table=tuple(tuple(r) for r in rows))
+        col = list(table.columns[0])
+        col[0], col[1] = col[1], col[0]
+        bad = CosetTable(pres=table.pres, columns=(tuple(col),) + table.columns[1:])
         with pytest.raises(RelatorViolation):
             perm_rep(bad)
 
@@ -112,17 +112,17 @@ class TestDeterminism:
     def test_two_runs_identical(self, pres):
         a = enumerate_cosets(pres)
         b = enumerate_cosets(pres)
-        assert a.table == b.table
+        assert a.columns == b.columns
 
     def test_golden_dump(self):
         table = enumerate_cosets(coxeter_presentation((3,)))
-        assert table.table == ((1, 2), (0, 3), (5, 0), (4, 1), (3, 5), (2, 4))
+        assert table.columns == ((1, 0, 5, 4, 3, 2), (2, 3, 0, 1, 5, 4))
 
 
 def _scan_closes(table, w, c):
     x = c
     for letter in w:
-        x = table.table[x][letter]
+        x = table.columns[letter][x]
     return x == c
 
 

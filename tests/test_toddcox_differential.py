@@ -2,9 +2,10 @@
 regular certificate against the full-trace one.
 
 `reference_toddcox` keeps the enumerator with the closing sweep; the table
-tests demand byte-identical tables from both, or BudgetExceeded from both,
-so the kernel makes the same definitions in the same order. The kernel
-enumerates over the trivial subgroup only, so the drawn subgroups go to the
+tests demand byte-identical tables from both (the kernel's columns against
+the reference's rows transposed), or BudgetExceeded from both, so the
+kernel makes the same definitions in the same order. The kernel enumerates
+over the trivial subgroup only, so the drawn subgroups go to the
 certificate tests, where the reference enumerator builds coset actions that
 are not regular.
 
@@ -51,7 +52,7 @@ def assert_same_tables(pres, budget=3000):
         with pytest.raises(BudgetExceeded):
             enumerate_cosets(pres, budget)
         return
-    assert enumerate_cosets(pres, budget).table == expected
+    assert enumerate_cosets(pres, budget).columns == tuple(zip(*expected))
 
 
 def subgroups(ngens):
@@ -185,7 +186,7 @@ class TestCertificate:
 
     def _dihedral_columns(self):
         table = enumerate_cosets(coxeter_presentation((3,)))
-        return table.rows, tuple(zip(*table.table)), table.pres
+        return table.rows, table.columns, table.pres
 
     def test_accepts_closed_table(self):
         _certify(*self._dihedral_columns())
@@ -370,7 +371,7 @@ class TestRegularCertificate:
         with pytest.raises(RelatorViolation, match="the action on 12 cosets is not regular"):
             _certify_regular(degree, cols, S4)
         with pytest.raises(RelatorViolation, match="not regular"):
-            perm_rep(CosetTable(pres=S4, table=S4_MOD_X0))
+            perm_rep(CosetTable(pres=S4, columns=cols))
 
     def test_every_rejection_holds_under_python_O(self):
         # The certificate raises RelatorViolation, not an assert, so `-O`
@@ -400,7 +401,7 @@ cases = [
 print(__debug__)
 for pres, table in cases:
     try:
-        perm_rep(CosetTable(pres=pres, table=tuple(map(tuple, table))))
+        perm_rep(CosetTable(pres=pres, columns=tuple(zip(*table))))
         print("accepted")
     except RelatorViolation:
         print("RelatorViolation")
