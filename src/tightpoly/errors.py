@@ -35,11 +35,21 @@ class NotAdmissible(TightpolyError):
 
 
 class BudgetExceeded(TightpolyError):
-    """Coset enumeration did not close within the coset budget."""
+    """Coset enumeration did not close within the coset budget. When the
+    enumerator says how far it got, the message also gives the cosets
+    allocated and live and the coset it was processing."""
 
-    def __init__(self, budget: int):
+    def __init__(
+        self, budget: int, *, allocated: int | None = None, live: int | None = None, coset: int | None = None
+    ):
         self.budget = budget
-        super().__init__(f"coset enumeration exceeded budget of {budget} cosets")
+        self.allocated = allocated
+        self.live = live
+        self.coset = coset
+        message = f"coset enumeration exceeded budget of {budget} cosets"
+        if allocated is not None:
+            message += f" ({allocated} allocated, {live} live, at coset {coset})"
+        super().__init__(message)
 
 
 class CapExceeded(TightpolyError):

@@ -1,14 +1,16 @@
 """Coset enumeration for presentations with involutory generators.
 
-One HLT pass over the cosets of the trivial subgroup, in a flat table
-`table[c * ngens + g]`, with immediate deductions; coincidences are
-processed to completion through a union-find before any further scanning.
-The run is fully deterministic: cosets are processed in increasing order,
-relators in presentation order, and new cosets are defined at the first
-missing entry of the current scan, so two runs on the same presentation
-produce identical tables. No closing sweep follows the pass (`_hlt` says why
-none is needed). The closed table is kept as its generator columns, each
-read off the flat table in one pass: the one form `CosetTable` and `PermRep` hold.
+One HLT pass over the cosets of the trivial subgroup, on the generator
+columns (`cols[g][c]` is the coset c * x_g), with immediate deductions;
+coincidences are processed to completion through a union-find before any
+further scanning, and a merge repoints to the survivor the entries that
+name the dead coset as their involutory partner. The run is fully
+deterministic: cosets are processed in increasing order, relators in
+presentation order, and new cosets are defined at the first missing entry
+of the current scan, so two runs on the same presentation produce identical
+tables. No closing sweep follows the pass (`_hlt` says why none is needed).
+The pass fills the columns that the closed table keeps, relabelled to the
+live cosets: the one form `CosetTable` and `PermRep` hold.
 
 Every closed table, enumerated here or built elsewhere (the census's), is a
 table of a regular action, and is certified once as one by
@@ -62,13 +64,14 @@ class CosetTable:
         return len(self.columns[0])
 
 
-def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
-    """One HLT pass to completion over the cosets of the trivial subgroup, in
-    the flat table `table[c * ngens + g]`.
+def _hlt(pres: Presentation, budget: int) -> tuple[list[list[int]], list[int]]:
+    """One HLT pass to completion over the cosets of the trivial subgroup, on
+    the generator columns: `cols[g][c]` is the coset c * x_g.
 
-    Returns the table and the union-find parents; the live cosets are the
-    roots. Raises BudgetExceeded when a definition would allocate coset
-    number `budget`.
+    Returns the columns, cut to the cosets allocated, and the union-find
+    parents; the live cosets are the roots. Raises BudgetExceeded, with the
+    cosets allocated and live and the coset being processed, when a
+    definition would allocate coset number `budget`.
 
     No closing sweep follows the pass. Cosets are processed in increasing
     order until every allocated coset has been processed, and a coset that
@@ -77,10 +80,10 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
     into a smaller coset, whose root was processed in full before it). A
     cycle closed at scan time stays closed under later coincidences:
     `unify` only identifies cosets and carries every defined entry of the
-    dead row into the live one, so the roots of the cycle's cosets still
-    form a closed cycle. Hence every relator closes from every live coset,
-    and each live row is complete because the involution relator of every
-    generator was traced from it.
+    dead coset over to the live one, so the roots of the cycle's cosets
+    still form a closed cycle. Hence every relator closes from every live
+    coset, and each live coset's entries are complete because the
+    involution relator of every generator was traced from it.
 
     The skip rule: when a scan of w from c ends closed with no coincidence
     (a full trace, a meeting of the two traces, or a deduction), then for
@@ -94,34 +97,38 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
     (x_i x_j)^p every t in 1..2p-1 counts, so the cycle is traced once, not
     2p times.
 
-    A scan that reads an entry naming a dead coset writes the root back
-    into it. Entries matter only up to `find` (`unify` and the labels in
-    `enumerate_cosets` both resolve them), so this changes no result.
+    Entries matter only up to `find`: `unify` and the scans resolve every
+    entry they follow, and the labels in `enumerate_cosets` map a dead coset
+    to its root's label. Two writes rest on this and change no result. A
+    scan that reads an entry naming a dead coset writes the root back into
+    it. And when `unify` kills b, each of b's entries nb whose own entry in
+    that column is b, its involutory partner, is repointed to the survivor
+    a; from then on find(b) is find(a), and the entry stays defined, so
+    later scans read a and need no `find` for it.
     """
     n = pres.ngens
-    table = [UNDEF] * n
-    parent = [0]
-    blank = [UNDEF] * n
-    # One plan entry per relator, in relator order. An involution relator
-    # x_g x_g is its generator g: scanning it only ever fills an undefined
-    # row entry. A traced relator w carries its last index; its shifts, the
-    # t > 0 at which its rotation is w or reversed(w); its marks, one byte
-    # per allocated coset; and its path, where a scan from c records the
-    # coset c * w[:t] at position t, so that a closed cycle is marked
-    # without being walked again.
     size = 64
+    cols = [[UNDEF] * size for _ in range(n)]
+    parent = [0]
+    # One plan entry per relator, in relator order. An involution relator
+    # x_g x_g is its column: scanning it only ever fills an undefined entry.
+    # A traced relator w carries its letters' columns; its last index; its
+    # shifts, the t > 0 at which its rotation is w or reversed(w); its
+    # marks, one byte per allocated coset; and its path, where a scan from c
+    # records the coset c * w[:t] at position t, so that a closed cycle is
+    # marked without being walked again.
     all_marks = []
     plan = []
     for w in pres.relators:
         g = involution_letter(w)
         if g is not None:
-            plan.append((g, None, 0, None, None, None))
+            plan.append((cols[g], None, 0, None, None, None))
             continue
         rev = w[::-1]
         marks = bytearray(size)
         all_marks.append(marks)
         shifts = tuple(t for t, r in enumerate(rotations(w)) if t and (r == w or r == rev))
-        plan.append((0, w, len(w) - 1, shifts, marks, [0] * (len(w) + 1)))
+        plan.append((None, tuple(cols[x] for x in w), len(w) - 1, shifts, marks, [0] * (len(w) + 1)))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -129,21 +136,23 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
             c = parent[c]
         return c
 
-    def define(a: int, g: int) -> int:
-        # A new coset d = a * x_g, with the involutory reverse edge.
+    def define(a: int, col: list[int]) -> int:
+        # A new coset d = a * x_g in x_g's column, with the involutory reverse edge.
         nonlocal size
         d = len(parent)
         if d >= budget:
-            raise BudgetExceeded(budget)
+            live = sum(p == x for x, p in enumerate(parent))
+            raise BudgetExceeded(budget, allocated=d, live=live, coset=current - 1)
         if d == size:
-            # The marks grow by doubling, one byte for every coset allocated.
+            # Columns and marks grow by doubling, one entry for every coset allocated.
+            for column in cols:
+                column.extend([UNDEF] * size)
             for marks in all_marks:
                 marks.extend(bytes(size))
             size *= 2
         parent.append(d)
-        table.extend(blank)
-        table[a * n + g] = d
-        table[d * n + g] = a
+        col[a] = d
+        col[d] = a
         return d
 
     def unify(a: int, b: int) -> None:
@@ -158,19 +167,20 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
             if b < a:
                 a, b = b, a
             parent[b] = a
-            ra, rb = a * n, b * n
-            for g in range(n):
-                nb = table[rb + g]
+            for col in cols:
+                nb = col[b]
                 if nb == UNDEF:
                     continue
                 nb = find(nb)
-                na = table[ra + g]
+                back = col[nb]
+                if back == b:
+                    col[nb] = back = a
+                na = col[a]
                 if na == UNDEF:
-                    table[ra + g] = nb
-                    back = table[nb * n + g]
+                    col[a] = nb
                     if back == UNDEF:
-                        table[nb * n + g] = a
-                    else:
+                        col[nb] = a
+                    elif back != a:
                         queue.append((back, a))
                 else:
                     queue.append((na, nb))
@@ -181,10 +191,10 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
         current += 1
         if parent[c] != c:
             continue
-        for g, w, last, shifts, marks, path in plan:
-            if w is None:
-                if table[c * n + g] == UNDEF:
-                    define(c, g)
+        for inv, wc, last, shifts, marks, path in plan:
+            if wc is None:
+                if inv[c] == UNDEF:
+                    define(c, inv)
                 continue
             if marks[c]:
                 continue
@@ -193,12 +203,12 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
             b, j = c, last
             while True:
                 while i <= last:
-                    k = f * n + w[i]
-                    nxt = table[k]
+                    col = wc[i]
+                    nxt = col[f]
                     if nxt == UNDEF:
                         break
                     if parent[nxt] != nxt:
-                        nxt = table[k] = find(nxt)
+                        nxt = col[f] = find(nxt)
                     i += 1
                     path[i] = f = nxt
                 if i > last:
@@ -209,12 +219,12 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
                 if i > j:
                     b, j = c, last
                 while j >= i:
-                    k = b * n + w[j]
-                    nxt = table[k]
+                    col = wc[j]
+                    nxt = col[b]
                     if nxt == UNDEF:
                         break
                     if parent[nxt] != nxt:
-                        nxt = table[k] = find(nxt)
+                        nxt = col[b] = find(nxt)
                     path[j] = b = nxt
                     j -= 1
                 if j < i:
@@ -222,15 +232,15 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
                     if not closed:
                         unify(f, b)
                     break
-                x = w[i]
+                col = wc[i]
                 if i == j:
-                    # One gap: deduce f * x = b and its involutory reverse.
-                    table[f * n + x] = b
-                    table[b * n + x] = f
+                    # One gap: deduce f * w[i] = b and its involutory reverse.
+                    col[f] = b
+                    col[b] = f
                     closed = True
                     break
                 # Gap of two or more: define a new coset at the first gap.
-                d = define(f, x)
+                d = define(f, col)
                 # Restarting the scan from c now would retrace the same
                 # cosets, as only entries were added. So the forward trace
                 # resumes at d, bounded like a restart by the end of w, and
@@ -246,7 +256,9 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[int], list[int]]:
                     marks[path[t]] = 1
             elif parent[c] != c:
                 break
-    return table, parent
+    for col in cols:
+        del col[len(parent) :]
+    return cols, parent
 
 
 def _certify_regular(
@@ -281,14 +293,17 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
 
     Raises BudgetExceeded if the table does not close within `max_cosets`
     allocated cosets (DEFAULT_MAX_COSETS when None); a partial table is
-    never returned. Its columns come off `_hlt`'s flat table in one pass
-    each, and have passed `_certify_regular`.
+    never returned. Each column is `_hlt`'s column of that generator, read
+    in one pass: its entries at the live cosets, relabelled to 0..order-1
+    (every entry, one that names a dead coset too, counts up to `find`, so
+    a dead coset takes its root's label). The columns have passed
+    `_certify_regular`.
     """
     _require_involutions(pres)
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     if budget < 1:
         raise ValueError("max_cosets must be >= 1")
-    table, parent = _hlt(pres, budget)
+    cols, parent = _hlt(pres, budget)
     # Number the live cosets in order. A dead coset's parent is smaller, so
     # its label is already known; the extra last slot keeps UNDEF (-1)
     # mapping to UNDEF, which the certificate rejects.
@@ -297,10 +312,9 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
     for x, p in enumerate(parent):
         label[x] = degree if p == x else label[p]
         degree += p == x
-    # Column g of the flat table is table[g::n]: keep its live entries, relabelled.
-    n = pres.ngens
+    # Keep each column's live entries, relabelled.
     alive = [p == x for x, p in enumerate(parent)]
-    columns = tuple(tuple(map(label.__getitem__, compress(table[g::n], alive))) for g in range(n))
+    columns = tuple(tuple(map(label.__getitem__, compress(col, alive))) for col in cols)
     _certify_regular(degree, columns, pres)
     return CosetTable(pres=pres, columns=columns)
 

@@ -783,7 +783,9 @@ class TestCli:
             assert main(argv) == 3
             assert not out.exists()
             errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == "resource limit: coset enumeration exceeded budget of 5 cosets\n"
+        assert errs[0] == errs[1] == (
+            "resource limit: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
+        )
 
 
 class TestAtlasDeterminism:

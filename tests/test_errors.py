@@ -48,3 +48,13 @@ def test_cap_exceeded_with_message_round_trip(protocol):
     assert str(back) == "index 140 is above the index cap of 128"
     assert back.cap == 128
     assert back.args == exc.args
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_budget_exceeded_with_progress_round_trip(protocol):
+    exc = errors.BudgetExceeded(30, allocated=30, live=28, coset=2)
+    back = pickle.loads(pickle.dumps(exc, protocol))
+    assert str(back) == "coset enumeration exceeded budget of 30 cosets (30 allocated, 28 live, at coset 2)"
+    assert (back.budget, back.allocated, back.live, back.coset) == (30, 30, 28, 2)
+    assert back.args == exc.args
+    assert str(errors.BudgetExceeded(30)) == "coset enumeration exceeded budget of 30 cosets"

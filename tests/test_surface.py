@@ -21,9 +21,14 @@ read. Imports alone do not count, and `__init__.py` is left out, since its
 re-exports call nothing. An entry point or allowed name is itself an
 error when its module does not define it or a live unit outside the
 allowed definitions already reads it, so no exception outlives its need.
+
+The package uses only the standard library (`dependencies = []`): every
+import in it, `__init__.py` and function-local imports included, is
+relative or names a module in `sys.stdlib_module_names`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import tightpoly
@@ -190,6 +195,43 @@ def test_every_public_name_of_a_guarded_module_has_a_caller_in_src():
         assert all(reason for names in kept.values() for reason in names.values())
     assert uncalled(sources) == []
     assert stale_exceptions(sources) == []
+
+
+def outside_imports(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each import, at any depth (function-local ones
+    included), that is neither relative nor of a standard-library module."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_src_imports_only_the_standard_library():
+    # The package declares no dependencies: every import is relative or stdlib.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "__init__" in sources
+    assert outside_imports(sources) == []
+
+
+def test_import_guard_sees_function_local_and_dotted_imports():
+    sources = {
+        "atlas": (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from . import engine\n"
+            "from .errors import BudgetExceeded\n"
+            "def run():\n    import concurrent.futures\n    import numpy as np\n"
+        ),
+        "engine": "class A:\n    def f(self):\n        from scipy.sparse import csr_matrix\n",
+    }
+    assert outside_imports(sources) == ["atlas: numpy", "engine: scipy.sparse"]
 
 
 def test_guard_reports_a_name_only_an_allowed_definition_reads():

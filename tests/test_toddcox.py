@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 from reference_elements import compose, identity_perm
 from reference_toddcox import reference_table
 from tightpoly import engine
+from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded, RelatorViolation
 from tightpoly.toddcox import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
+    _hlt,
     enumerate_cosets,
     group_order,
     perm_rep,
@@ -59,6 +62,14 @@ class TestBudget:
         # The budget comes only from the caller's arguments.
         monkeypatch.setenv("TIGHTPOLY_MAX_COSETS", "3")
         assert enumerate_cosets(gamma_pq_presentation(3, 6)).rows == 36
+
+    def test_budget_exceeded_says_how_far_it_got(self):
+        # Γ(4, 6) allocates 30 cosets, none merged yet, while processing coset 2.
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_cosets(gamma_tuple_presentation((4, 6)), max_cosets=30)
+        err = info.value
+        assert (err.budget, err.allocated, err.live, err.coset) == (30, 30, 30, 2)
+        assert str(err) == "coset enumeration exceeded budget of 30 cosets (30 allocated, 30 live, at coset 2)"
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
@@ -117,6 +128,28 @@ class TestDeterminism:
     def test_golden_dump(self):
         table = enumerate_cosets(coxeter_presentation((3,)))
         assert table.columns == ((1, 0, 5, 4, 3, 2), (2, 3, 0, 1, 5, 4))
+
+
+class TestDefinitions:
+    """The kernel's work, summed over fixed samples of the atlas: a change
+    to the definition order, or to when coincidences are found, moves the
+    cosets allocated or live."""
+
+    @pytest.mark.parametrize(
+        "tuples, allocated, live",
+        [
+            (admissible_tuples(500, 4)[::8], 46_362, 34_692),
+            ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 20_959, 13_904),
+        ],
+        ids=["atlas-500-4-every-8th", "rank-7-every-5th"],
+    )
+    def test_cosets_allocated_and_live(self, tuples, allocated, live):
+        total_allocated = total_live = 0
+        for t in tuples:
+            _, parent = _hlt(gamma_tuple_presentation(t), DEFAULT_MAX_COSETS)
+            total_allocated += len(parent)
+            total_live += sum(p == x for x, p in enumerate(parent))
+        assert (total_allocated, total_live) == (allocated, live)
 
 
 def _scan_closes(table, w, c):

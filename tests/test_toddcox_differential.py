@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_elements import is_regular
 from reference_toddcox import _certify, reference_table
@@ -229,6 +229,25 @@ S4 = coxeter_presentation((3, 3))
 S4_MOD_X0 = reference_table(S4, (0,))
 S4_KILL_X0 = Presentation(3, S4.relators + ((0,),))
 
+
+def _swap_entries(columns, a, b):
+    """The columns with entries a and b of column 0 swapped."""
+    col = list(columns[0])
+    col[a], col[b] = col[b], col[a]
+    return (tuple(col),) + columns[1:]
+
+
+# One certificate case for each outcome, run as explicit examples with every
+# batch of draws: the regular table of S4 (both accept), its action on the
+# cosets of <x0> (only the full trace accepts), and the regular table with
+# two entries of a column swapped (both reject).
+S4_REGULAR = tuple(zip(*reference_table(S4)))
+CERTIFICATE_OUTCOMES = (
+    (len(S4_REGULAR[0]), S4_REGULAR, S4),
+    (len(S4_MOD_X0), tuple(zip(*S4_MOD_X0)), S4),
+    (len(S4_REGULAR[0]), _swap_entries(S4_REGULAR, 0, 2), S4),
+)
+
 # Coxeter and Γ quotients of rank 3 to 7: [p, q] and [p, q, r] with entries
 # up to 6, and every admissible tuple of length 2 to 6 with 2 * prod <= 300.
 quotient_bases = st.one_of(
@@ -293,6 +312,9 @@ class TestRegularCertificate:
         seen = set()
 
         @settings(max_examples=150, deadline=None)
+        @example(CERTIFICATE_OUTCOMES[0])
+        @example(CERTIFICATE_OUTCOMES[1])
+        @example(CERTIFICATE_OUTCOMES[2])
         @given(certificate_cases())
         def check(case):
             if case is None:  # the enumeration ran out of budget
