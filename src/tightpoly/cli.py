@@ -6,7 +6,9 @@ of one entry, parse errors, integer options that are not ASCII digits after
 an optional `-`, presentation files that are not UTF-8 or lack an involution
 relator, and files that cannot be read or written), 3 resource
 budget or index cap exhausted, 4 internal error (a failed certificate or
-invariant, or any ValueError from inside a run: a bug, not a verdict).
+invariant, or any ValueError from inside a run: a bug, not a verdict; or an
+`atlas --jobs` worker process that died, killed or out of memory, which
+loses the batch and writes no file).
 The coset budget of every enumeration in a run comes from `--budget N`
 (default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work,
 and so does a `classify --index-cap` below 1.

@@ -78,6 +78,11 @@ class RouteDisagreement(TightpolyError):
     """The two independent tightness routes disagree; internal bug."""
 
 
+class WorkerDied(TightpolyError):
+    """A worker process of a batch ended abruptly (killed, out of memory,
+    `os._exit`), so the batch has no results; internal error."""
+
+
 class PreconditionViolated(TightpolyError):
     """Arguments outside the stated domain of a construction."""
 

@@ -7,6 +7,7 @@ import os
 import pickle
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,11 +25,14 @@ from tightpoly.atlas import (
 from tightpoly.cli import EXIT_INTERNAL, atlas_worker, main
 from tightpoly.errors import (
     BudgetExceeded,
+    CapExceeded,
     DiamondViolation,
     InvariantViolation,
     PreconditionViolated,
     RelatorViolation,
     RouteDisagreement,
+    TightpolyError,
+    WorkerDied,
 )
 from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar
@@ -288,6 +292,33 @@ def _fail_from_three(x):
     return x
 
 
+def _fail_at_40_and_112(x):
+    # 40 is in the middle of the third chunk of 16, and fails last: a pool
+    # that raised the first failure in time would raise 112's.
+    if x == 40:
+        time.sleep(0.3)
+        raise BudgetExceeded(x)
+    if x == 112:
+        raise CapExceeded(x)
+    return x
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _exit_at_seven(x):
+    if x == 7:
+        os._exit(1)
+    return x
+
+
+def _dying_atlas_worker(entries, *, budget):
+    if entries == (3, 6):
+        os._exit(1)
+    return atlas_worker(entries, budget=budget)
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
     """Two usable cores whatever the host has, so that `jobs` >= 2 starts
@@ -296,14 +327,15 @@ def two_cores(monkeypatch):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pool_calls(monkeypatch):
     """Replaces ProcessPoolExecutor by an in-process stand-in that starts no
-    process; returns the list of pool sizes asked for."""
-    sizes = []
+    process; returns the pool sizes asked for (`sizes`) and the chunk size
+    of each `map` (`chunks`)."""
+    calls = SimpleNamespace(sizes=[], chunks=[])
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            calls.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -311,11 +343,12 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            calls.chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return calls
 
 
 class TestRunBatch:
@@ -347,17 +380,51 @@ class TestRunBatch:
             (8, 0, 8, None),
         ],
     )
-    def test_workers_capped(self, jobs, tasks, cores, size, monkeypatch, pool_sizes):
+    def test_workers_capped(self, jobs, tasks, cores, size, monkeypatch, pool_calls):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         assert run_batch(list(range(tasks)), _square, jobs=jobs) == [x * x for x in range(tasks)]
-        assert pool_sizes == ([] if size is None else [size])
+        assert pool_calls.sizes == ([] if size is None else [size])
 
     @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, None)])
-    def test_cap_without_affinity(self, cpu_count, size, monkeypatch, pool_sizes):
+    def test_cap_without_affinity(self, cpu_count, size, monkeypatch, pool_calls):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert run_batch(list(range(10)), _square, jobs=100) == [x * x for x in range(10)]
-        assert pool_sizes == ([] if size is None else [size])
+        assert pool_calls.sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize(
+        "tasks, workers, chunk",
+        [(121, 2, 15), (1026, 2, 16), (10, 2, 1), (3, 2, 1), (64, 2, 8), (121, 4, 7), (874, 8, 16)],
+    )
+    def test_chunk_size_rule(self, tasks, workers, chunk, monkeypatch, pool_calls):
+        # About four chunks per worker, at most 16 tasks in one, at least 1.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        assert run_batch(list(range(tasks)), _square, jobs=workers) == [x * x for x in range(tasks)]
+        assert (pool_calls.sizes, pool_calls.chunks) == ([workers], [chunk])
+
+    def test_chunks_in_processes_match_serial(self, two_cores):
+        # 200 tasks on 2 workers go in chunks of 16; each chunk runs in one
+        # worker process, and the results still come back in task order.
+        tasks = list(range(200))
+        assert run_batch(tasks, _square, jobs=2) == run_batch(tasks, _square) == [x * x for x in tasks]
+        pids = run_batch(tasks, _pid, jobs=2)
+        assert os.getpid() not in pids
+        assert all(len(set(pids[i : i + 16])) == 1 for i in range(0, 200, 16))
+
+    def test_first_failure_in_task_order_across_chunks(self, two_cores):
+        tasks = list(range(200))
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(TightpolyError) as info:
+                run_batch(tasks, _fail_at_40_and_112, jobs=jobs)
+            raised.append(info.value)
+        assert [type(e) for e in raised] == [BudgetExceeded, BudgetExceeded]
+        assert str(raised[0]) == str(raised[1]) == "coset enumeration exceeded budget of 40 cosets"
+
+    def test_dead_worker_raises_worker_died(self, two_cores):
+        with pytest.raises(WorkerDied) as info:
+            run_batch(list(range(20)), _exit_at_seven, jobs=2)
+        assert str(info.value) == "one of 2 worker processes ended abruptly, so the batch has no results"
 
     def test_atlas_worker_pickles(self):
         worker = functools.partial(atlas_worker, budget=None)
@@ -786,6 +853,19 @@ class TestCli:
         assert errs[0] == errs[1] == (
             "resource limit: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
         )
+
+    def test_atlas_dead_worker_exits_internal(self, capsys, tmp_path, monkeypatch, two_cores):
+        # A worker process that dies mid-batch is an internal error: one
+        # stderr line, nothing on stdout, no traceback and no --out file.
+        monkeypatch.setattr(cli, "atlas_worker", _dying_atlas_worker)
+        out = tmp_path / "a.jsonl"
+        argv = ["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(out), "--jobs", "2"]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "",
+            "internal error: one of 2 worker processes ended abruptly, so the batch has no results\n",
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtlasDeterminism:

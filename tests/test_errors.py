@@ -17,6 +17,7 @@ SAMPLES = {
     errors.RouteDisagreement: errors.RouteDisagreement("routes disagree on {3,6}"),
     errors.PreconditionViolated: errors.PreconditionViolated("needs the polytope axioms"),
     errors.PresentationParseError: errors.PresentationParseError(3, "bad generator"),
+    errors.WorkerDied: errors.WorkerDied("one of 2 worker processes ended abruptly, so the batch has no results"),
 }
 
 
