@@ -24,17 +24,23 @@ coset hgΓ_i, so each face of rank i to a face of rank i, keeps
 intersections, and is transitive on the points. So `build_poset` marks one
 root face per rank, the face that holds point 0, which is face 0 of its
 rank since the faces of a rank come in increasing order of least point.
-The verdicts (the chain walk, the section pass, the transitivity check,
-the Schlafli symbol and flatness) start only at roots, and each root
-stands for its whole rank. The first failure is unchanged: every loop
-visits ranks in ascending order and the faces of a rank by id, a failure
-at some face of a rank is a failure at every face of that rank, and the
-root is the first of them.
+The verdicts (the section pass, the transitivity check, the flag count,
+the Schlafli symbol and flatness, and the chain walk where it runs) start
+only at roots, and each root stands for its whole rank. The first failure
+is unchanged: every loop visits ranks in ascending order and the faces of
+a rank by id, a failure at some face of a rank is a failure at every face
+of that rank, and the root is the first of them.
+
+Under transitive incidence no verdict lists the maximal chains: the chain
+lengths follow from the section pass (`verify_polytope`) and the flags are
+counted rank by rank (`flag_count`). The chains are walked only when
+incidence is not transitive or some interval is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -117,7 +123,7 @@ class FacePoset:
         self._roots = (1 << total) - 1
         if transitive:
             self._roots = sum(m & -m for m in map(self._rank_mask, range(rank)))
-        self._chains: list[tuple[int, ...]] | None = None
+        self._flags: int | None = None
         self._schlafli: tuple[int, ...] | NotEquivelar | None = None
 
     # -- face bookkeeping ---------------------------------------------------
@@ -168,31 +174,33 @@ class FacePoset:
     # -- polytope axioms ----------------------------------------------------
 
     def verify_polytope(self) -> PosetReport:
-        """Exhaustive check of the five axioms; reports the first failure."""
+        """Exhaustive check of the five axioms; reports the first failure.
+
+        Under transitive incidence (axiom (e)) a chain is maximal exactly
+        when no interval between neighbours holds a face (McMullen-Schulte,
+        2B and 2E), so (b) holds when no interval the section pass visits is
+        empty. A gap between neighbours c < d of a chain leaves a face of the
+        interval (c, d), which by transitivity is comparable with every
+        member; an empty interval extends to a maximal chain with a gap. The
+        pairs from the roots stand for all pairs, as for (c) and (d). A coset
+        poset has no empty interval, since a point lies in one face of each
+        rank and those faces meet pairwise. So the chains are walked only
+        when incidence is not transitive, an interval is empty, or the pass
+        stopped early, as for the (2,3,3) triangle group; a failure of (b)
+        is always the walk's first.
+        """
         # (a) Unique greatest and least faces hold by construction; the
         # sentinels are single and comparable with every proper face.
-
-        chain_lengths = True
-        chain_failure = None
-        # (b) Every maximal chain of proper faces must have one face per rank.
-        for chain in self._maximal_chains():
-            if len(chain) != self.rank:
-                chain_lengths = False
-                refs = [self._ref_of(f) for f in chain]
-                chain_failure = (
-                    f"maximal chain {refs} has {len(chain) + 2} faces, "
-                    f"expected {self.rank + 2}"
-                )
-                break
 
         # (c) Sections of rank >= 2 are connected, (d) sections of rank 1 have
         # two middle faces. One pass over the comparable pairs lo < hi at least
         # two ranks apart, in the order: the least face, then the proper faces
         # by id, then the greatest face; the first failure of each is kept.
         # lo is the least face or a root; above the least face, hi is a root
-        # or the greatest face.
+        # or the greatest face. The pass also notes an empty interval, for (b).
         connected = diamond = True
         connect_failure = diamond_failure = None
+        empty_interval = False
         rank_of = self._rank_of
         roots = self._roots
         for lo in [-1, *self._ids(roots)]:
@@ -203,31 +211,34 @@ class FacePoset:
                 low = his & -his
                 his ^= low
                 hi = low.bit_length() - 1
+                mid = self._between_mask(lo, hi)
+                empty_interval = empty_interval or not mid
                 if rank_of[hi] - rank_of[lo] > 2:
-                    if connected and not self._section_connected(self._between_mask(lo, hi)):
+                    if connected and not self._section_connected(mid):
                         connected = False
                         connect_failure = f"section {self._ref_of(hi)}/{self._ref_of(lo)} is disconnected"
-                elif diamond and (count := self._between_mask(lo, hi).bit_count()) != 2:
+                elif diamond and (count := mid.bit_count()) != 2:
                     diamond = False
                     diamond_failure = (
                         f"section {self._ref_of(hi)}/{self._ref_of(lo)} "
                         f"has {count} middle faces, expected 2"
                     )
 
-        # (e) Incidence is transitive: f < g < h puts f below h. Meeting point
-        # sets do not make it so. It is ranked after (b)-(d), whose first
-        # failures stand. From the roots is enough: for each root f and each
-        # proper face g above f, every face above g must be comparable with f.
-        comp, below = self._comp, self._below
-        stray = next(
-            (
-                (f, g, (missed & -missed).bit_length() - 1)
-                for f in self._ids(roots)
-                for g in self._ids(comp[f] & below[self.rank] & ~below[rank_of[f] + 1])
-                if (missed := comp[g] & ~below[rank_of[g] + 1] & ~comp[f])
-            ),
-            None,
-        )
+        # (b) Every maximal chain of proper faces must have one face per rank.
+        stray = self._stray
+        chain_failure = None
+        if stray is not None or empty_interval or not (connected or diamond):
+            chain_failure = next(
+                (
+                    f"maximal chain {[self._ref_of(f) for f in chain]} has "
+                    f"{len(chain) + 2} faces, expected {self.rank + 2}"
+                    for chain in self._maximal_chains()
+                    if len(chain) != self.rank
+                ),
+                None,
+            )
+
+        # (e) is ranked after (b)-(d), whose first failures stand.
         order_failure = None
         if stray is not None:
             f, g, h = map(self._ref_of, stray)
@@ -236,11 +247,31 @@ class FacePoset:
             )
 
         return PosetReport(
-            chain_lengths=chain_lengths,
+            chain_lengths=chain_failure is None,
             connected=connected,
             diamond=diamond,
             transitive_incidence=stray is None,
             first_failure=chain_failure or connect_failure or diamond_failure or order_failure,
+        )
+
+    @cached_property
+    def _stray(self) -> tuple[int, int, int] | None:
+        """Axiom (e), incidence is transitive: f < g < h puts f below h.
+
+        Meeting point sets do not make it so. The first ids f < g < h with f
+        not below h, or None. From the roots is enough: for each root f and
+        each proper face g above f, every face above g must be comparable
+        with f. Cached, so that `flag_count` reads it without a report.
+        """
+        comp, below, rank_of = self._comp, self._below, self._rank_of
+        return next(
+            (
+                (f, g, (missed & -missed).bit_length() - 1)
+                for f in self._ids(self._roots)
+                for g in self._ids(comp[f] & below[self.rank] & ~below[rank_of[f] + 1])
+                if (missed := comp[g] & ~below[rank_of[g] + 1] & ~comp[f])
+            ),
+            None,
         )
 
     def _ref_of(self, fid: int) -> FaceRef:
@@ -248,10 +279,8 @@ class FacePoset:
         return (i, fid - self._offsets[i])
 
     def _maximal_chains(self) -> list[tuple[int, ...]]:
-        """The maximal chains whose least face is a root, cached."""
-        if self._chains is None:
-            self._chains = self._chains_from(self._roots)
-        return self._chains
+        """The maximal chains whose least face is a root."""
+        return self._chains_from(self._roots)
 
     def _chains_from(self, starts: int) -> list[tuple[int, ...]]:
         """Every maximal chain of proper faces whose least face is in the
@@ -334,15 +363,38 @@ class FacePoset:
 
     def flag_count(self) -> int:
         """Maximal chains with one face per rank: the flags, on a polytope
-        (McMullen-Schulte, 2B). Raises nothing on a non-polytope.
+        (McMullen-Schulte, 2B). Raises nothing on a non-polytope. Cached.
 
-        Each such chain starts at a vertex, and the cached walk holds those
-        that start at a vertex root. Every vertex starts as many, so the
-        vertex roots stand for all the vertices.
+        Each such chain starts at a vertex, and every vertex starts as many,
+        so the vertex roots stand for all the vertices. Under transitive
+        incidence a sequence of faces, one per rank and each below the next,
+        is such a chain, so the chains are counted rank by rank: a vertex
+        root starts one, and a face of rank r ends as many as the faces of
+        rank r - 1 below it end together. Every face counted is above a
+        vertex root. Otherwise the chains from the roots are walked.
         """
-        walked = sum(len(chain) == self.rank for chain in self._maximal_chains())
-        vertex_roots = (self._roots & self._rank_mask(0)).bit_count() if self.rank > 0 else 0
-        return walked * len(self.levels[0]) // vertex_roots if vertex_roots else walked
+        if self._flags is not None:
+            return self._flags
+        vertex_roots = self._roots & self._rank_mask(0) if self.rank > 0 else 0
+        if vertex_roots and self._stray is None:
+            comp = self._comp
+            count = [0] * self._total  # count[f] = chains from a vertex root up to f
+            above = 0  # the faces above some vertex root
+            for v in self._ids(vertex_roots):
+                count[v] = 1
+                above |= comp[v]
+            reached = vertex_roots
+            for r in range(1, self.rank):
+                lower, reached = reached, above & self._rank_mask(r)
+                for f in self._ids(reached):
+                    count[f] = sum(count[g] for g in self._ids(comp[f] & lower))
+            walked = sum(count[f] for f in self._ids(reached))
+        else:
+            walked = sum(len(chain) == self.rank for chain in self._maximal_chains())
+        if vertex_roots:
+            walked = walked * len(self.levels[0]) // vertex_roots.bit_count()
+        self._flags = walked
+        return walked
 
     # -- equivelarity, flatness, tightness -------------------------------------
 

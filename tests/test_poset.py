@@ -1,8 +1,11 @@
+from math import prod
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_poset_differential import INTRANSITIVE_LEVELS, dual, section
+from test_poset_differential import EMPTY_INTERVAL_LEVELS, INTRANSITIVE_LEVELS, dual, section
 from tightpoly import sggi
+from tightpoly.atlas import admissible_tuples
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
 from tightpoly.errors import DiamondViolation
@@ -142,6 +145,25 @@ class TestAxioms:
         with pytest.raises(DiamondViolation):
             poset.flags_and_adjacency()
 
+    def test_empty_interval_walks_the_chains(self, monkeypatch):
+        # Incidence is transitive, but no face lies between vertex (0, 0) and
+        # the 2-face, so the section pass finds an empty interval and the
+        # chains are walked to name the short one.
+        walks = []
+        chains_from = FacePoset._chains_from
+
+        def walk(self, starts):
+            walks.append(starts)
+            return chains_from(self, starts)
+
+        monkeypatch.setattr(FacePoset, "_chains_from", walk)
+        poset = FacePoset(3, EMPTY_INTERVAL_LEVELS)
+        report = poset.verify_polytope()
+        assert walks
+        assert report.transitive_incidence and not report.chain_lengths
+        assert report.first_failure == "maximal chain [(0, 0), (2, 0)] has 4 faces, expected 5"
+        assert poset.flag_count() == 1
+
     def test_degenerate_quotient_fails(self, rep_degenerate_x0x2):
         report = build_poset(rep_degenerate_x0x2).verify_polytope()
         assert not report.passed
@@ -215,6 +237,24 @@ class TestFlags:
         path.write_text(write_presentation(gamma_pq_presentation(3, 6)))
         assert main(["check", "--presentation", str(path)]) == 0
         assert capsys.readouterr().out.endswith("polytope axioms pass\ntight (36 flags)\n")
+
+    def test_no_chain_walk_on_the_verdict_path(self, monkeypatch):
+        # A coset poset has no empty interval, so under transitive incidence
+        # axiom (b) comes from the section pass and the flags are counted
+        # rank by rank: the verdicts hold with the chain walk patched to raise.
+        def broken(self, starts):
+            raise AssertionError("maximal chains walked")
+
+        monkeypatch.setattr(FacePoset, "_chains_from", broken)
+        tuples = [t for t in admissible_tuples(600, 7) if len(t) == 6][::5]
+        for t in tuples + admissible_tuples(500, 4)[::8]:
+            verdict = verify_gamma_family(t)
+            assert verdict.passed and verdict.tight and verdict.flag_count == 2 * prod(t), t
+        for sym, flags in [((4, 3), 48), ((3, 3, 3, 3), 720), ((3, 4, 3), 1152)]:
+            _, report, count, combinatorial, tight = poset_checks(
+                regular_rep(coxeter_presentation(sym))
+            )
+            assert report.passed and count == flags and combinatorial == sym and not tight
 
     def test_adjacency_is_involutive_and_distinct(self, poset_gamma36):
         system = poset_gamma36.flags_and_adjacency()

@@ -4,8 +4,9 @@
 chain enumerators, section generators and flag system; every test here
 builds both over the same levels and demands equal reports (first failure
 text included), equal flag systems and Schlafli symbols, or the same
-exception type with the same message from both. `flag_count`, read from the
-chain walk, must equal the length of both flag systems on every polytope.
+exception type with the same message from both. `flag_count`, counted rank
+by rank or read from the chain walk, must equal the length of both flag
+systems on every polytope.
 The same holds on the dual and on one section drawn by the oracle.
 
 `build_poset` gives a poset whose verdicts start at one root face per rank.
@@ -52,7 +53,8 @@ def assert_same(poset: FacePoset) -> None:
     flags, ref_flags = outcome(poset.flags_and_adjacency), outcome(ref.flags_and_adjacency)
     assert flags == ref_flags
     assert outcome(poset.combinatorial_schlafli) == outcome(ref.combinatorial_schlafli)
-    # flag_count reads the chain walk, not the flag system. On a polytope both
+    # flag_count counts rank by rank under transitive incidence and walks the
+    # chains otherwise; it never reads the flag system. On a polytope both
     # count the flags; elsewhere they agree wherever the flag system builds.
     if report.passed:
         assert poset.flag_count() == len(flags.flags) == len(ref_flags.flags)
@@ -152,6 +154,13 @@ INTRANSITIVE_LEVELS = [
     )
 ]
 
+# Levels with transitive incidence but an empty interval: no face lies
+# between vertex {0} and the 2-face, so a maximal chain misses rank 1 and
+# `verify_polytope` walks the chains to name it.
+EMPTY_INTERVAL_LEVELS = [
+    [frozenset(face) for face in level] for level in [[{0}, {1}], [{1}], [{0, 1}]]
+]
+
 
 class TestSameVerdicts:
     @settings(max_examples=60, deadline=None)
@@ -183,6 +192,7 @@ class TestSameVerdicts:
     @given(partition_posets(), st.data())
     @example(FacePoset(3, INTRANSITIVE_LEVELS[0]), None)
     @example(FacePoset(3, INTRANSITIVE_LEVELS[1]), None)
+    @example(FacePoset(3, EMPTY_INTERVAL_LEVELS), None)
     def test_point_partitions(self, poset, data):
         check_poset(poset, data)
 
@@ -249,14 +259,16 @@ class TestRootWalk:
             (coxeter_presentation((4, 3)), 48),
             (coxeter_presentation((3, 3, 3)), 120),
             (Presentation(4, coxeter_presentation((3, 3, 3)).relators + ((1,),)), 1),
+            (coxeter_presentation((3, 3, 3, 3)), 720),
+            (coxeter_presentation((3, 4, 3)), 1152),
         ],
-        ids=["x0=x2", "{4,3}", "{3,3,3}", "{3,3,3} x1=1"],
+        ids=["x0=x2", "{4,3}", "{3,3,3}", "{3,3,3} x1=1", "{3,3,3,3}", "{3,4,3}"],
     )
     def test_fixed_quotients(self, pres, flags):
-        # x0 = x2 fails the diamond condition with one vertex; the cube and
-        # the 4-simplex are polytopes that are not tight, whose flag counts
-        # are not 2 * prod(type); killing x1 in [3, 3, 3] kills the group,
-        # leaving one face per rank and one flag.
+        # x0 = x2 fails the diamond condition with one vertex; the cube, the
+        # 4-simplex, the 5-simplex and the 24-cell are polytopes that are not
+        # tight, whose flag counts are not 2 * prod(type); killing x1 in
+        # [3, 3, 3] kills the group, leaving one face per rank and one flag.
         poset = build_poset(regular_rep(pres))
         assert poset.flag_count() == flags
         assert_roots_agree(poset)
