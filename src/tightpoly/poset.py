@@ -2,7 +2,9 @@
 
 Proper faces of rank i are the cosets gΓ_i of the subgroup Γ_i omitting
 generator i: the orbits of the points under the rep's own columns x_j,
-j != i. They are stored as explicit point sets of the regular action; two
+j != i. `build_poset` stores them as labels, one face id per point per
+rank; `levels`, the faces as point sets of the regular action, is derived
+from the labels only when something reads it, and no verdict does. Two
 faces of different ranks are incident exactly when their point sets meet.
 Inversion maps each gΓ_i onto Γ_i g^-1 and keeps intersections, so the
 cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
@@ -87,7 +89,9 @@ class FacePoset:
     """Ranked poset of proper faces with incidence by point-set intersection.
 
     Faces are numbered in the order `levels` gives them, rank by rank;
-    `build_poset` gives each rank in increasing order of least point.
+    `build_poset` gives each rank in increasing order of least point, and
+    keeps its incidences, the labels and their points, in `_labels`, from
+    which `levels` is derived.
     Inside, faces are ids: the proper faces are 0 .. _total - 1 in rank order,
     the greatest face is _total and the least face is -1. `_offsets`,
     `_rank_of` and `_comp` end with an entry for the greatest and then one
@@ -104,22 +108,34 @@ class FacePoset:
     """
 
     def __init__(self, rank: int, levels, transitive: bool = False):
-        self.rank = rank
-        self.levels: tuple[tuple[frozenset[int], ...], ...] = tuple(map(tuple, levels))
+        self.levels = tuple(map(tuple, levels))
         if len(self.levels) != max(rank, 0):
             raise ValueError(f"rank {rank} needs {rank} proper levels, got {len(self.levels)}")
+        # Faces may overlap or miss points, and points are any hashables:
+        # they are numbered in order of first appearance.
+        by_id = [face for level in self.levels for face in level]
+        number: dict = {}
+        points = [number.setdefault(x, len(number)) for face in by_id for x in face]
+        faces = [f for f, face in enumerate(by_id) for _ in face]
+        self._setup(rank, list(map(len, self.levels)), faces, points, len(number), transitive)
+
+    def _setup(self, rank: int, counts: list[int], faces, points, npoints: int, transitive: bool):
+        """Ids from the face counts of each rank, and the comparability rows
+        from the incidences: face faces[k] holds point points[k] < npoints."""
+        self.rank = rank
+        self._counts = tuple(counts)
         self._offsets: list[int] = []  # id of the first face of each rank
         self._rank_of: list[int] = []  # rank of each id
-        for i, level in enumerate(self.levels):
+        for i, count in enumerate(counts):
             self._offsets.append(len(self._rank_of))
-            self._rank_of += [i] * len(level)
+            self._rank_of += [i] * count
         self._total = total = len(self._rank_of)
         self._offsets += [total, -1]
         self._rank_of += [rank, -1]
         # _below[i] = bitmask of the ids of rank < i, for 0 <= i <= rank + 1
         self._below = [(1 << offset) - 1 for offset in self._offsets[:-1]]
         self._below.append((1 << (total + 1)) - 1)
-        self._comp = self._comparability()
+        self._comp = self._comparability(faces, points, npoints)
         self._roots = (1 << total) - 1
         if transitive:
             self._roots = sum(m & -m for m in map(self._rank_mask, range(rank)))
@@ -129,10 +145,20 @@ class FacePoset:
     # -- face bookkeeping ---------------------------------------------------
 
     def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return self._counts
+
+    @cached_property
+    def levels(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The faces as point sets, rank by rank, in id order. The hand-made
+        constructor stores them; a built poset derives them from its labels."""
+        members: list[list[int]] = [[] for _ in range(self._total)]
+        for f, x in zip(*self._labels):
+            members[f].append(x)
+        ranks = zip(self._offsets, self._counts)
+        return tuple(tuple(map(frozenset, members[i : i + count])) for i, count in ranks)
 
     def _rank_mask(self, i: int) -> int:
-        return ((1 << len(self.levels[i])) - 1) << self._offsets[i]
+        return ((1 << self._counts[i]) - 1) << self._offsets[i]
 
     @staticmethod
     def _ids(mask: int) -> list[int]:
@@ -144,23 +170,21 @@ class FacePoset:
             ids.append(low.bit_length() - 1)
         return ids
 
-    def _comparability(self) -> list[int]:
+    def _comparability(self, faces, points, npoints: int) -> list[int]:
         # comp[f] = bitmask of the ids comparable with f: f itself, the proper
         # faces of other ranks it meets and the greatest face. The improper
-        # faces are comparable with every id.
-        faces = [face for level in self.levels for face in level]  # by id
-        containing: dict[int, int] = {}  # point -> mask of the faces holding it
-        for f, face in enumerate(faces):
-            for x in face:
-                containing[x] = containing.get(x, 0) | 1 << f
+        # faces are comparable with every id. One pass ORs the mask of the
+        # faces holding each point, a second ORs those masks over each face.
+        bit = [1 << f for f in range(self._total)]
+        containing = [0] * npoints
+        for f, x in zip(faces, points):
+            containing[x] |= bit[f]
+        meets = [0] * self._total
+        for f, x in zip(faces, points):
+            meets[f] |= containing[x]
         other_ranks = [~self._rank_mask(i) for i in range(self.rank)]
         top = 1 << self._total
-        comp = []
-        for f, face in enumerate(faces):
-            meets = 0
-            for x in face:
-                meets |= containing[x]
-            comp.append(meets & other_ranks[self._rank_of[f]] | 1 << f | top)
+        comp = [m & other_ranks[i] | b | top for m, i, b in zip(meets, self._rank_of, bit)]
         everything = (1 << (self._total + 1)) - 1
         return comp + [everything, everything]
 
@@ -392,7 +416,7 @@ class FacePoset:
         else:
             walked = sum(len(chain) == self.rank for chain in self._maximal_chains())
         if vertex_roots:
-            walked = walked * len(self.levels[0]) // vertex_roots.bit_count()
+            walked = walked * self._counts[0] // vertex_roots.bit_count()
         self._flags = walked
         return walked
 
@@ -469,40 +493,45 @@ def build_poset(rep: PermRep) -> FacePoset:
 
     Points are in bijection with group elements, so the rank-i faces (the
     cosets gΓ_i of the subgroup omitting generator i) are exactly the orbits
-    of the points under the columns of the other generators. The orbits start
-    at points 0, 1, 2, ... in turn, so each rank comes in increasing order of
-    least point. Face counts are checked against the subgroup orders. The rep
-    must come from `regular_rep` or `perm_rep`, whose certificate proved the
-    action regular: then the left multiplications act on the poset by
+    of the points under the columns of the other generators. One pass per
+    rank starts an orbit at each unlabelled point 0, 1, 2, ... in turn and
+    labels each point it reaches with the face id, so each rank comes in
+    increasing order of least point, with no point sets. The orbits of a
+    rank must have one size, as the cosets of Γ_i do. The rep must come
+    from `regular_rep` or `perm_rep`, whose certificate proved the action
+    regular: then the left multiplications act on the poset by
     automorphisms, transitively on each rank, and the poset is built with
     `transitive=True`. Only the columns are read.
     """
-    n = len(rep.gens)
-    levels = []
+    n, degree = len(rep.gens), rep.degree
+    faces, counts = [], []  # faces[i * degree + x] = id of the rank-i face holding x
     for i in range(n):
         movers = [rep.gens[j] for j in range(n) if j != i]
-        assigned = [False] * rep.degree
-        blocks = []
-        for start in range(rep.degree):
-            if assigned[start]:
+        face_of = [-1] * degree
+        sizes = []
+        first = sum(counts)  # id of the first rank-i face
+        for start in range(degree):
+            if face_of[start] >= 0:
                 continue
-            orbit = {start}
-            assigned[start] = True
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
+            face_of[start] = f = first + len(sizes)
+            orbit = [start]
+            for x in orbit:
                 for col in movers:
                     y = col[x]
-                    if not assigned[y]:
-                        assigned[y] = True
-                        orbit.add(y)
-                        frontier.append(y)
-            blocks.append(frozenset(orbit))
-        sizes = {len(b) for b in blocks}
-        if len(sizes) != 1 or len(blocks) * sizes.pop() != rep.degree:
+                    if face_of[y] < 0:
+                        face_of[y] = f
+                        orbit.append(y)
+            sizes.append(len(orbit))
+        # The sizes sum to the degree, so max * count is the degree only when they are equal.
+        if not sizes or max(sizes) * len(sizes) != degree:
             raise InvariantViolation(f"coset partition size mismatch at rank {i}")
-        levels.append(blocks)
-    return FacePoset(n, levels, transitive=True)
+        faces += face_of
+        counts.append(len(sizes))
+    points = [*range(degree)] * n
+    poset = FacePoset.__new__(FacePoset)
+    poset._labels = faces, points
+    poset._setup(n, counts, faces, points, degree, transitive=True)
+    return poset
 
 
 def poset_checks(rep: PermRep):

@@ -13,10 +13,14 @@ proper faces in section order, where `FacePoset` starts only at its roots.
 `section` is where the tests take sections from, to rebuild them as
 `FacePoset`s.
 
-`left_levels` is the face build `build_poset` made before it read the rep's
-own columns: the cosets Γ_i g, as the orbits of the left multiplications
-that `engine.left_action` computes. Inversion maps them onto the cosets
-gΓ_i that `build_poset` takes, so the two posets are isomorphic but number
+`reference_build` is `build_poset` as it was before the label pass: each
+face the `frozenset` of an orbit of the rep's own columns, one size per rank
+checked, and the levels given to the hand-made constructor. `build_poset`
+must give the same comparability rows, roots, face counts and levels.
+`left_levels` is the face build before that one read the columns: the
+cosets Γ_i g, as the orbits of the left multiplications that
+`engine.left_action` computes. Inversion maps them onto the cosets gΓ_i
+that `build_poset` takes, so the two posets are isomorphic but number
 their faces differently; tests compare their verdicts, not their levels.
 """
 
@@ -27,8 +31,13 @@ from typing import Iterator
 
 from tightpoly import engine
 from tightpoly.engine import PermRep
-from tightpoly.errors import DiamondViolation, PreconditionViolated, RouteDisagreement
-from tightpoly.poset import FaceRef, FlagSystem, NotEquivelar, PosetReport
+from tightpoly.errors import (
+    DiamondViolation,
+    InvariantViolation,
+    PreconditionViolated,
+    RouteDisagreement,
+)
+from tightpoly.poset import FacePoset, FaceRef, FlagSystem, NotEquivelar, PosetReport
 
 BOTTOM: FaceRef = (-1, 0)
 
@@ -383,20 +392,16 @@ class ReferencePoset:
         return by_count
 
 
-def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
-    """The rank-i faces of a regular rep as the cosets Γ_i g: the orbits of
-    the points under the left multiplications by the generators other than
-    x_i. Raises ValueError on a rep whose action is not regular."""
-    lams = engine.left_action(rep)
-    if lams is None:
-        raise ValueError(f"the action on {rep.degree} points is not regular")
-    n = len(rep.gens)
+def orbit_levels(degree: int, perms) -> list[list[frozenset[int]]]:
+    """For each i, the orbits of the points under the perms other than
+    perms[i], each a `frozenset`, started at points 0, 1, 2, ... in turn."""
+    n = len(perms)
     levels = []
     for i in range(n):
-        movers = [lams[j] for j in range(n) if j != i]
-        assigned = [False] * rep.degree
+        movers = [perms[j] for j in range(n) if j != i]
+        assigned = [False] * degree
         blocks = []
-        for start in range(rep.degree):
+        for start in range(degree):
             if assigned[start]:
                 continue
             orbit = {start}
@@ -404,8 +409,8 @@ def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
             frontier = [start]
             while frontier:
                 x = frontier.pop()
-                for lam in movers:
-                    y = lam[x]
+                for perm in movers:
+                    y = perm[x]
                     if not assigned[y]:
                         assigned[y] = True
                         orbit.add(y)
@@ -413,3 +418,24 @@ def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
             blocks.append(frozenset(orbit))
         levels.append(blocks)
     return levels
+
+
+def reference_build(rep: PermRep) -> FacePoset:
+    """The coset poset from point sets: the orbits of the rep's columns,
+    each rank checked for one orbit size, through the hand-made constructor."""
+    levels = orbit_levels(rep.degree, rep.gens)
+    for i, blocks in enumerate(levels):
+        sizes = {len(b) for b in blocks}
+        if len(sizes) != 1 or len(blocks) * sizes.pop() != rep.degree:
+            raise InvariantViolation(f"coset partition size mismatch at rank {i}")
+    return FacePoset(len(rep.gens), levels, transitive=True)
+
+
+def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
+    """The rank-i faces of a regular rep as the cosets Γ_i g: the orbits of
+    the points under the left multiplications by the generators other than
+    x_i. Raises ValueError on a rep whose action is not regular."""
+    lams = engine.left_action(rep)
+    if lams is None:
+        raise ValueError(f"the action on {rep.degree} points is not regular")
+    return orbit_levels(rep.degree, lams)

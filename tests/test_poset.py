@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_poset_differential import EMPTY_INTERVAL_LEVELS, INTRANSITIVE_LEVELS, dual, section
-from tightpoly import sggi
+from tightpoly import poset as poset_module, sggi
 from tightpoly.atlas import admissible_tuples
 from tightpoly.classifier import classify_tight
 from tightpoly.cli import main
-from tightpoly.errors import DiamondViolation
+from tightpoly.engine import PermRep
+from tightpoly.errors import DiamondViolation, InvariantViolation
 from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
 from tightpoly.toddcox import regular_rep
@@ -89,6 +94,43 @@ class TestBuild:
         for v in range(2):
             for e in range(2, 4):
                 assert poset_digon._comp[v] >> e & 1
+
+    def test_orbits_of_two_sizes_raise(self):
+        # x0 swaps points 1 and 2 and x1 fixes all three, so the rank-1
+        # faces, the orbits under x0, are {0} and {1, 2}. The check is a
+        # raise, so it holds under python -O too.
+        with pytest.raises(InvariantViolation, match="^coset partition size mismatch at rank 1$"):
+            build_poset(PermRep(3, ((0, 2, 1), (0, 1, 2))))
+        script = (
+            "from tightpoly.engine import PermRep\n"
+            "from tightpoly.errors import InvariantViolation\n"
+            "from tightpoly.poset import build_poset\n"
+            "print(__debug__)\n"
+            "try:\n"
+            "    build_poset(PermRep(3, ((0, 2, 1), (0, 1, 2))))\n"
+            "except InvariantViolation as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "False\ncoset partition size mismatch at rank 1\n"
+
+    def test_no_point_sets_on_the_verdict_path(self, monkeypatch):
+        # build_poset writes labels, and no verdict reads `levels`: the claims
+        # hold with both patched to raise.
+        def broken(*args):
+            raise AssertionError("point set built")
+
+        monkeypatch.setattr(poset_module, "frozenset", broken, raising=False)
+        monkeypatch.setattr(FacePoset, "levels", property(broken))
+        for t in admissible_tuples(100, 4) + [(2, 2, 4, 2, 3), (3, 2, 2, 2, 2, 2)]:
+            verdict = verify_gamma_family(t)
+            assert verdict.passed and verdict.tight and verdict.flag_count == 2 * prod(t), t
+        _, report, count, _, tight = poset_checks(regular_rep(coxeter_presentation((3, 4, 3))))
+        assert report.passed and count == 1152 and not tight
 
 
 class TestAxioms:

@@ -18,12 +18,17 @@ non-polytopes.
 own columns. `TestLeftCosets` holds its verdicts to those of the earlier
 build, the cosets Γ_i g from the left action (`reference_poset.left_levels`).
 The two number their faces differently, so only verdicts are compared.
+
+`build_poset` writes each face as a label per point. `TestLabelBuild` holds
+it to the build from `frozenset` orbits (`reference_poset.reference_build`):
+the same comparability rows, roots and face counts, and levels derived from
+the labels equal to the oracle's.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_poset import BOTTOM, ReferencePoset, left_levels
+from reference_poset import BOTTOM, ReferencePoset, left_levels, reference_build
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded
@@ -294,3 +299,36 @@ class TestLeftCosets:
         left = FacePoset(built.rank, left_levels(rep), transitive=True)
         for verdict in ("verify_polytope", "flag_count", "combinatorial_schlafli", "is_tight"):
             assert outcome(getattr(built, verdict)) == outcome(getattr(left, verdict)), verdict
+
+
+def assert_same_build(rep) -> None:
+    """The label build against the point-set oracle. The levels are read
+    last, so the rows come from the labels alone."""
+    built, oracle = build_poset(rep), reference_build(rep)
+    assert built._comp == oracle._comp
+    assert built._roots == oracle._roots
+    assert built.face_counts() == tuple(map(len, oracle.levels))
+    assert built.levels == oracle.levels
+
+
+class TestLabelBuild:
+    @pytest.mark.parametrize(
+        "tuples",
+        [
+            admissible_tuples(500, 4)[::8],
+            [t for t in admissible_tuples(600, 7) if len(t) == 6][::5],
+        ],
+        ids=["every 8th of atlas 500/4", "every 5th rank-7 tuple"],
+    )
+    def test_atlas_tuples(self, tuples):
+        for t in tuples:
+            assert_same_build(regular_rep(gamma_tuple_presentation(t)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(collapsed_quotients(), coxeter_symbols.map(coxeter_presentation)))
+    def test_coxeter_quotients(self, pres):
+        try:
+            rep = regular_rep(pres, BUDGET)
+        except BudgetExceeded:
+            return
+        assert_same_build(rep)
