@@ -8,11 +8,11 @@ Family `"lambda"` lines come only from the tests' Λ(k) verdict
 (`tests/paper_checks.py`); no command writes them, but `FAMILIES` still
 reads them. The reader accepts only what a writer writes, except that `ms`
 may be any count of milliseconds, as older versions wrote real timings.
-`run_batch` spreads a batch over worker processes, capped at the usable
-cores, and returns results in task order. It sends the tasks in chunks, by
-one fixed rule: about four chunks per worker, at most 16 tasks each. One
-task per message made `--jobs 2` no faster than `--jobs 1` on a batch of
-121 tuples, as each millisecond-long task paid for its own round trip.
+`run_batch` spreads a batch over forked worker processes, capped at the
+usable cores, and returns results in task order. The workers pull chunks of
+tasks from a pipe of one-byte tokens, one token per chunk; only the results
+cross back, pickled once per worker. A process pool cost about as much to
+start, import and feed as the work it saved on a batch of 121 tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, NoReturn, Sequence
 
 from .classifier import CensusRecord
 from .errors import WorkerDied
@@ -255,34 +255,104 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
 
     The tasks are CPU-bound, so they run in worker processes, as many as the
     least of `jobs`, the number of tasks and the usable cores; more could not
-    run at once. With one worker the loop runs in this process. `worker`, the
-    tasks and the results cross a process boundary, so they must pickle: a
-    module-level function, bound with `functools.partial` if it needs
-    settings.
+    run at once. With one worker, or where `os.fork` is missing, the loop
+    runs in this process. The workers are forked, so `worker` and the tasks
+    need not pickle; the results and the exceptions they raise must. A fork
+    copies only the calling thread, so `worker` must take no lock that
+    another thread of this process may hold; the atlas worker takes none.
 
-    The pool gets the tasks in chunks, about four per worker and at most 16
-    tasks each. An atlas tuple takes about a millisecond, and with one task
-    per message each one costs two pickled messages and wakes this process's
-    queue threads, which then compete with the workers for the cores. Four
-    chunks per worker keep the workers even on a small batch; the cap keeps
-    the last chunk of a large batch short, so no worker is left with a long
-    tail.
+    The tasks go in at most 256 chunks of ceil(n / 256) tasks each, and each
+    chunk has a one-byte token, written into a pipe in one write before the
+    first fork: 256 bytes are below `PIPE_BUF`, so the write is atomic and
+    never blocks, and no worker holds the pipe's write end. Each worker reads
+    tokens one byte at a time until the pipe is empty, so each chunk goes to
+    exactly one worker, chunks are taken in increasing order, and a worker
+    slowed by a long task takes fewer of them. A worker runs a chunk's tasks
+    in order and stops at its first exception; it then empties the token
+    pipe, so the other workers start no later chunk. At the end it pickles
+    its outcomes into a pipe of its own, and exits 0 only if that succeeded.
 
-    A task that raises aborts the batch with its exception; a chunk stops at
-    its first failure and chunks are read in order, so the exception is the
-    first in task order, as in the serial loop. A worker process that dies
-    (killed, out of memory) raises `WorkerDied`.
+    A task that raises aborts the batch with its exception. Every chunk
+    before the one that failed was taken, and so has run, so the exception
+    raised is the first in task order, as in the serial loop. A worker that
+    dies (killed, out of memory, `os._exit`) or leaves an unreadable result
+    raises `WorkerDied`. No worker outlives the call, on any path.
     """
     workers = min(jobs, len(tasks), _usable_cores())
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [worker(t) for t in tasks]
-    # Imported here: at module level it would load multiprocessing on `import tightpoly`.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Imported here, so that `import tightpoly` does not load them.
+    import pickle
+    import signal
 
+    size = -(-len(tasks) // 256)
+    tokens, feed = os.pipe()
+    os.write(feed, bytes(range(-(-len(tasks) // size))))
+    os.close(feed)
+    readers = []  # the read end of each worker's result pipe
+    children = {}  # pid -> reader, for each worker not yet reaped
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, min(16, len(tasks) // (4 * workers)))
-            return list(pool.map(worker, tasks, chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise WorkerDied(f"one of {workers} worker processes ended abruptly, so the batch has no results") from exc
+        for _ in range(workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tokens, out, tasks, size, worker)
+            children[pid] = readers[-1]
+        outcomes = {}
+        for pid, reader in list(children.items()):
+            try:
+                outcomes.update(pickle.load(reader))
+                intact = True
+            except Exception:  # cut short by the worker's death, or not a pickle
+                intact = False
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status or not intact:
+                raise WorkerDied(f"one of {workers} worker processes ended abruptly, so the batch has no results")
+        # Chunks are taken in increasing order, so the ones that ran are
+        # 0, 1, ...; a chunk that never ran comes after one that failed.
+        results = []
+        for chunk in range(len(outcomes)):
+            for ok, value in outcomes[chunk]:
+                if not ok:
+                    raise value
+                results.append(value)
+        return results
+    finally:
+        os.close(tokens)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _work(tokens: int, out: BinaryIO, tasks: Sequence, size: int, worker: Callable) -> NoReturn:
+    """The body of a forked worker of `run_batch`: run the chunk of each
+    token read from `tokens`, write `{chunk: [(ok, result or exception),
+    ...]}` to `out`, and exit, with status 0 only if all of that succeeded."""
+    import pickle
+
+    status = 1
+    try:
+        done = {}
+        failed = False
+        while not failed and (token := os.read(tokens, 1)):
+            chunk = done[token[0]] = []
+            for task in tasks[token[0] * size : (token[0] + 1) * size]:
+                try:
+                    chunk.append((True, worker(task)))
+                except Exception as exc:
+                    chunk.append((False, exc))
+                    failed = True
+                    break
+        # The batch fails, and every chunk before this one was taken.
+        while failed and os.read(tokens, 256):
+            pass
+        pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)

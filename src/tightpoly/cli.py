@@ -122,9 +122,13 @@ def _check_out(path: str) -> None:
 
 
 def atlas_worker(entries: tuple[int, ...], *, budget: int | None) -> AtlasEntry:
-    """Verify one atlas tuple. Module level, so that `run_batch` can send it
-    to worker processes."""
-    return entry_from_verdict(verify_gamma_family(entries, max_cosets=budget))
+    """Verify one atlas tuple. A budget or cap that runs out names the tuple
+    in its message, which survives the pickle back from a worker process."""
+    try:
+        return entry_from_verdict(verify_gamma_family(entries, max_cosets=budget))
+    except (BudgetExceeded, CapExceeded) as exc:
+        exc.args = (f"tuple {_format_symbol(entries)}: {exc}",)
+        raise
 
 
 def cmd_atlas(args) -> int:

@@ -80,7 +80,8 @@ class RouteDisagreement(TightpolyError):
 
 class WorkerDied(TightpolyError):
     """A worker process of a batch ended abruptly (killed, out of memory,
-    `os._exit`), so the batch has no results; internal error."""
+    `os._exit`) or sent back results that cannot be read, so the batch has
+    no results; internal error."""
 
 
 class PreconditionViolated(TightpolyError):

@@ -1,12 +1,13 @@
-import concurrent.futures
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -293,7 +294,7 @@ def _fail_from_three(x):
 
 
 def _fail_at_40_and_112(x):
-    # 40 is in the middle of the third chunk of 16, and fails last: a pool
+    # 40 fails last, 0.3 s after 112 has failed in another worker: a batch
     # that raised the first failure in time would raise 112's.
     if x == 40:
         time.sleep(0.3)
@@ -305,6 +306,30 @@ def _fail_at_40_and_112(x):
 
 def _pid(x):
     return os.getpid()
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def _slow_first(x):
+    if x == 0:
+        time.sleep(0.3)
+    return x, os.getpid()
+
+
+def _logged_fail_at_three(x, *, log):
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    if x == 3:
+        raise BudgetExceeded(x)
+    time.sleep(0.01)
+    return x
+
+
+def _nap(x):
+    time.sleep(0.2)
+    return x
 
 
 def _exit_at_seven(x):
@@ -327,28 +352,31 @@ def two_cores(monkeypatch):
 
 
 @pytest.fixture
-def pool_calls(monkeypatch):
-    """Replaces ProcessPoolExecutor by an in-process stand-in that starts no
-    process; returns the pool sizes asked for (`sizes`) and the chunk size
-    of each `map` (`chunks`)."""
-    calls = SimpleNamespace(sizes=[], chunks=[])
+def forks(monkeypatch):
+    """Counts the real `os.fork` calls made in this process (`count`) and
+    records the bytes it writes with `os.write` (`writes`). In `run_batch`
+    only the chunk tokens go through `os.write`; the workers write their
+    results through a file object."""
+    calls = SimpleNamespace(count=0, writes=[])
+    real_fork, real_write = os.fork, os.write
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            calls.sizes.append(max_workers)
+    def fork():
+        calls.count += 1
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    def write(fd, data):
+        calls.writes.append(bytes(data))
+        return real_write(fd, data)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            calls.chunks.append(chunksize)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "write", write)
     return calls
+
+
+def no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunBatch:
@@ -380,36 +408,44 @@ class TestRunBatch:
             (8, 0, 8, None),
         ],
     )
-    def test_workers_capped(self, jobs, tasks, cores, size, monkeypatch, pool_calls):
+    def test_workers_capped(self, jobs, tasks, cores, size, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         assert run_batch(list(range(tasks)), _square, jobs=jobs) == [x * x for x in range(tasks)]
-        assert pool_calls.sizes == ([] if size is None else [size])
+        assert forks.count == (0 if size is None else size)
 
     @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, None)])
-    def test_cap_without_affinity(self, cpu_count, size, monkeypatch, pool_calls):
+    def test_cap_without_affinity(self, cpu_count, size, monkeypatch, forks):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert run_batch(list(range(10)), _square, jobs=100) == [x * x for x in range(10)]
-        assert pool_calls.sizes == ([] if size is None else [size])
+        assert forks.count == (0 if size is None else size)
 
     @pytest.mark.parametrize(
         "tasks, workers, chunk",
-        [(121, 2, 15), (1026, 2, 16), (10, 2, 1), (3, 2, 1), (64, 2, 8), (121, 4, 7), (874, 8, 16)],
+        [(121, 2, 1), (1026, 2, 5), (10, 2, 1), (3, 2, 1), (256, 2, 1), (257, 2, 2), (121, 4, 1), (874, 8, 4)],
     )
-    def test_chunk_size_rule(self, tasks, workers, chunk, monkeypatch, pool_calls):
-        # About four chunks per worker, at most 16 tasks in one, at least 1.
+    def test_chunk_size_rule(self, tasks, workers, chunk, monkeypatch, forks):
+        # At most 256 chunks of ceil(tasks / 256) tasks, one token byte each,
+        # written at once; each chunk runs in one worker process.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-        assert run_batch(list(range(tasks)), _square, jobs=workers) == [x * x for x in range(tasks)]
-        assert (pool_calls.sizes, pool_calls.chunks) == ([workers], [chunk])
+        results = run_batch(list(range(tasks)), _square_and_pid, jobs=workers)
+        assert [square for square, _ in results] == [x * x for x in range(tasks)]
+        assert (forks.count, forks.writes) == (workers, [bytes(range(-(-tasks // chunk)))])
+        pids = [pid for _, pid in results]
+        assert os.getpid() not in pids
+        assert all(len(set(pids[i : i + chunk])) == 1 for i in range(0, tasks, chunk))
 
     def test_chunks_in_processes_match_serial(self, two_cores):
-        # 200 tasks on 2 workers go in chunks of 16; each chunk runs in one
-        # worker process, and the results still come back in task order.
-        tasks = list(range(200))
-        assert run_batch(tasks, _square, jobs=2) == run_batch(tasks, _square) == [x * x for x in tasks]
-        pids = run_batch(tasks, _pid, jobs=2)
-        assert os.getpid() not in pids
-        assert all(len(set(pids[i : i + 16])) == 1 for i in range(0, 200, 16))
+        # The worker that takes task 0 sleeps, and the other one takes the
+        # remaining tokens meanwhile; the results come back in task order.
+        results = run_batch(list(range(10)), _slow_first, jobs=2)
+        assert [x for x, _ in results] == list(range(10))
+        pids = {pid for _, pid in results}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_serial_without_fork(self, two_cores, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert run_batch(list(range(5)), _pid, jobs=2) == [os.getpid()] * 5
 
     def test_first_failure_in_task_order_across_chunks(self, two_cores):
         tasks = list(range(200))
@@ -420,6 +456,14 @@ class TestRunBatch:
             raised.append(info.value)
         assert [type(e) for e in raised] == [BudgetExceeded, BudgetExceeded]
         assert str(raised[0]) == str(raised[1]) == "coset enumeration exceeded budget of 40 cosets"
+
+    def test_failure_leaves_no_later_chunk_to_run(self, two_cores, tmp_path):
+        # The worker whose task fails drains the tokens, so the other one
+        # stops after its chunk in hand instead of running the batch out.
+        log = tmp_path / "tasks.log"
+        with pytest.raises(BudgetExceeded):
+            run_batch(list(range(200)), functools.partial(_logged_fail_at_three, log=log), jobs=2)
+        assert len(log.read_text().split()) < 50
 
     def test_dead_worker_raises_worker_died(self, two_cores):
         with pytest.raises(WorkerDied) as info:
@@ -432,11 +476,80 @@ class TestRunBatch:
         assert back((3, 6)) == entry_from_verdict(verify_gamma_family((3, 6)))
 
     def test_atlas_worker_under_spawn(self):
-        worker = functools.partial(atlas_worker, budget=None)
-        tasks = [(3, 6), (4, 4)]
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            assert list(pool.map(worker, tasks)) == [worker(t) for t in tasks]
+        # In a process of its own: a spawn pool leaves its resource tracker
+        # running as a child until the process exits.
+        script = (
+            "import concurrent.futures, functools, multiprocessing\n"
+            "from tightpoly.cli import atlas_worker\n"
+            "if __name__ == '__main__':\n"
+            "    worker = functools.partial(atlas_worker, budget=None)\n"
+            "    tasks = [(3, 6), (4, 4)]\n"
+            "    context = multiprocessing.get_context('spawn')\n"
+            "    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:\n"
+            "        print(list(pool.map(worker, tasks)) == [worker(t) for t in tasks])\n"
+        )
+        assert run_python(script).stdout == "True\n"
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this tree's tightpoly."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+class TestNoStrayProcess:
+    """No worker process outlives `run_batch`, on any path out of it."""
+
+    def test_after_a_batch(self, two_cores):
+        assert run_batch(list(range(50)), _square, jobs=2) == [x * x for x in range(50)]
+        no_child_left()
+
+    def test_after_a_task_raises(self, two_cores):
+        with pytest.raises(BudgetExceeded):
+            run_batch(list(range(50)), _fail_from_three, jobs=2)
+        no_child_left()
+
+    def test_after_a_worker_died(self, two_cores):
+        with pytest.raises(WorkerDied):
+            run_batch(list(range(20)), _exit_at_seven, jobs=2)
+        no_child_left()
+
+    def test_after_an_exception_mid_read(self, two_cores, monkeypatch):
+        # The read of the first result raises while both workers still have
+        # 4 s of naps ahead: they are killed, not waited for.
+        def interrupted(file):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(list(range(40)), _nap, jobs=2)
+        assert time.monotonic() - start < 2
+        no_child_left()
+
+
+class TestImports:
+    def test_parallel_atlas_loads_no_executor(self, tmp_path):
+        # Two usable cores whatever the host has, so the batch forks; it
+        # loads pickle for the results, and neither executor module.
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from tightpoly import cli\n"
+            "argv = ['atlas', '--max-flags', '100', '--max-rank', '4', '--out', sys.argv[1], '--jobs', '2']\n"
+            "code = cli.main(argv)\n"
+            "names = ('pickle', 'concurrent.futures', 'multiprocessing')\n"
+            "print(code, [name for name in names if name in sys.modules])\n"
+        )
+        out = tmp_path / "a.jsonl"
+        assert run_python(script, str(out)).stdout == f"wrote 121 entries to {out}\n0 ['pickle']\n"
+
+    def test_import_loads_no_pickle(self):
+        script = "import sys, tightpoly, tightpoly.cli\nprint('pickle' in sys.modules)\n"
+        assert run_python(script).stdout == "False\n"
 
 
 def no_batch(*args, **kwargs):
@@ -851,7 +964,18 @@ class TestCli:
             assert not out.exists()
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1] == (
-            "resource limit: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
+            "resource limit: tuple {2,2}: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
+        )
+        # A budget that the first tuples fit in: the line names the one that ran out.
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--budget", "60", "--out", str(out), "--jobs", jobs]
+            assert main(argv) == 3
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[2] == errs[3] == (
+            "resource limit: tuple {2,2,7}: coset enumeration exceeded budget of 60 cosets"
+            " (60 allocated, 60 live, at coset 16)\n"
         )
 
     def test_atlas_dead_worker_exits_internal(self, capsys, tmp_path, monkeypatch, two_cores):
