@@ -384,6 +384,7 @@ class TestRunBatch:
     def test_processes_match_serial_in_task_order(self, jobs, two_cores):
         tasks = [5, 3, 8, 1, 4, 2, 7]
         assert run_batch(tasks, _square, jobs=jobs) == run_batch(tasks, _square) == [x * x for x in tasks]
+        no_child_left()
 
     def test_worker_error_matches_serial(self, two_cores):
         tasks = [1, 2, 3, 4]
@@ -395,6 +396,7 @@ class TestRunBatch:
         assert [type(e) for e in raised] == [BudgetExceeded, BudgetExceeded]
         assert str(raised[0]) == str(raised[1]) == "coset enumeration exceeded budget of 3 cosets"
         assert raised[0].budget == raised[1].budget == 3
+        no_child_left()
 
     @pytest.mark.parametrize(
         "jobs, tasks, cores, size",
@@ -469,6 +471,20 @@ class TestRunBatch:
         with pytest.raises(WorkerDied) as info:
             run_batch(list(range(20)), _exit_at_seven, jobs=2)
         assert str(info.value) == "one of 2 worker processes ended abruptly, so the batch has no results"
+        no_child_left()
+
+    def test_no_worker_left_after_an_exception_mid_read(self, two_cores, monkeypatch):
+        # The read of the first result raises while both workers still have
+        # 4 s of naps ahead: they are killed, not waited for.
+        def interrupted(file):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(list(range(40)), _nap, jobs=2)
+        assert time.monotonic() - start < 2
+        no_child_left()
 
     def test_atlas_worker_pickles(self):
         worker = functools.partial(atlas_worker, budget=None)
@@ -498,37 +514,6 @@ def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
     )
-
-
-class TestNoStrayProcess:
-    """No worker process outlives `run_batch`, on any path out of it."""
-
-    def test_after_a_batch(self, two_cores):
-        assert run_batch(list(range(50)), _square, jobs=2) == [x * x for x in range(50)]
-        no_child_left()
-
-    def test_after_a_task_raises(self, two_cores):
-        with pytest.raises(BudgetExceeded):
-            run_batch(list(range(50)), _fail_from_three, jobs=2)
-        no_child_left()
-
-    def test_after_a_worker_died(self, two_cores):
-        with pytest.raises(WorkerDied):
-            run_batch(list(range(20)), _exit_at_seven, jobs=2)
-        no_child_left()
-
-    def test_after_an_exception_mid_read(self, two_cores, monkeypatch):
-        # The read of the first result raises while both workers still have
-        # 4 s of naps ahead: they are killed, not waited for.
-        def interrupted(file):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(pickle, "load", interrupted)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            run_batch(list(range(40)), _nap, jobs=2)
-        assert time.monotonic() - start < 2
-        no_child_left()
 
 
 class TestImports:
@@ -956,24 +941,19 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [pres]
 
     def test_atlas_budget_exit_same_at_any_jobs(self, capsys, tmp_path, two_cores):
-        errs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.jsonl"
-            argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--budget", "5", "--out", str(out), "--jobs", jobs]
-            assert main(argv) == 3
-            assert not out.exists()
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == (
+        # At budget 60 the first tuples fit: the line names the one that ran out.
+        errs = {}
+        for budget in ("5", "60"):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"jobs{jobs}.jsonl"
+                argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--budget", budget, "--out", str(out), "--jobs", jobs]
+                assert main(argv) == 3
+                assert not out.exists()
+                errs[budget, jobs] = capsys.readouterr().err
+        assert errs["5", "1"] == errs["5", "2"] == (
             "resource limit: tuple {2,2}: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
         )
-        # A budget that the first tuples fit in: the line names the one that ran out.
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.jsonl"
-            argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--budget", "60", "--out", str(out), "--jobs", jobs]
-            assert main(argv) == 3
-            assert not out.exists()
-            errs.append(capsys.readouterr().err)
-        assert errs[2] == errs[3] == (
+        assert errs["60", "1"] == errs["60", "2"] == (
             "resource limit: tuple {2,2,7}: coset enumeration exceeded budget of 60 cosets"
             " (60 allocated, 60 live, at coset 16)\n"
         )
