@@ -299,7 +299,7 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _work(tokens, out, tasks, size, worker)
-            children[pid] = readers[-1]
+                children[pid] = readers[-1]
         outcomes = {}
         for pid, reader in list(children.items()):
             try:
