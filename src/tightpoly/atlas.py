@@ -272,6 +272,11 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
     pipe, so the other workers start no later chunk. At the end it pickles
     its outcomes into a pipe of its own, and exits 0 only if that succeeded.
 
+    The parent reads the result pipes in the order they become ready, so a
+    worker that dies is noticed at once, not after the workers forked
+    before it have run out the batch. Every pipe is read before the results
+    are assembled.
+
     A task that raises aborts the batch with its exception. Every chunk
     before the one that failed was taken, and so has run, so the exception
     raised is the first in task order, as in the serial loop. A worker that
@@ -283,6 +288,7 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
         return [worker(t) for t in tasks]
     # Imported here, so that `import tightpoly` does not load them.
     import pickle
+    import selectors
     import signal
 
     size = -(-len(tasks) // 256)
@@ -290,7 +296,7 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
     os.write(feed, bytes(range(-(-len(tasks) // size))))
     os.close(feed)
     readers = []  # the read end of each worker's result pipe
-    children = {}  # pid -> reader, for each worker not yet reaped
+    children = {}  # reader -> pid, for each worker not yet reaped
     try:
         for _ in range(workers):
             r, w = os.pipe()
@@ -299,18 +305,24 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _work(tokens, out, tasks, size, worker)
-                children[pid] = readers[-1]
+                children[readers[-1]] = pid
         outcomes = {}
-        for pid, reader in list(children.items()):
-            try:
-                outcomes.update(pickle.load(reader))
-                intact = True
-            except Exception:  # cut short by the worker's death, or not a pickle
-                intact = False
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status or not intact:
-                raise WorkerDied(f"one of {workers} worker processes ended abruptly, so the batch has no results")
+        with selectors.DefaultSelector() as pending:
+            for reader in children:
+                pending.register(reader, selectors.EVENT_READ)
+            # A result pipe is ready when its worker has written its results
+            # or has ended: read whichever is ready first.
+            while children:
+                for key, _ in pending.select():
+                    pending.unregister(key.fileobj)
+                    try:
+                        outcomes.update(pickle.load(key.fileobj))
+                        intact = True
+                    except Exception:  # cut short by the worker's death, or not a pickle
+                        intact = False
+                    status = os.waitpid(children.pop(key.fileobj), 0)[1]
+                    if status or not intact:
+                        raise WorkerDied(f"one of {workers} worker processes ended abruptly, so the batch has no results")
         # Chunks are taken in increasing order, so the ones that ran are
         # 0, 1, ...; a chunk that never ran comes after one that failed.
         results = []
@@ -322,7 +334,7 @@ def run_batch(tasks: Sequence, worker: Callable, jobs: int = 1) -> list:
         return results
     finally:
         os.close(tokens)
-        for pid in children:
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for reader in readers:

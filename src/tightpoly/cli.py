@@ -12,6 +12,11 @@ loses the batch and writes no file).
 The coset budget of every enumeration in a run comes from `--budget N`
 (default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work,
 and so does a `classify --index-cap` below 1.
+`atlas` runs one task per mirror pair of tuples, a tuple and its reverse,
+which present one group with its generators in reverse order: the task
+enumerates the lesser of the two and derives the other's verdict from the
+same regular rep (`families.verify_gamma_pair`). So `--budget` bounds the
+enumerations an atlas makes, and a reversed tuple makes none.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
     PresentationParseError,
     TightpolyError,
 )
-from .families import verify_gamma_family
+from .families import verify_gamma_family, verify_gamma_pair
 from .poset import poset_checks
 from .toddcox import DEFAULT_MAX_COSETS, regular_rep
 from .words import (
@@ -121,17 +126,24 @@ def _check_out(path: str) -> None:
         raise InputError(f"--out {path}: its directory does not exist")
 
 
-def atlas_worker(entries: tuple[int, ...], *, budget: int | None) -> AtlasEntry:
-    """Verify one atlas tuple. A budget or cap that runs out names the tuple
-    in its message, which survives the pickle back from a worker process."""
+def atlas_worker(entries: tuple[int, ...], *, budget: int | None) -> list[AtlasEntry]:
+    """The atlas entries of one tuple and, unless it is a palindrome, of its
+    reverse, from one enumeration of the tuple's group. A budget or cap that
+    runs out names the enumerated tuple in its message, which survives the
+    pickle back from a worker process."""
     try:
-        return entry_from_verdict(verify_gamma_family(entries, max_cosets=budget))
+        return [entry_from_verdict(v) for v in verify_gamma_pair(entries, max_cosets=budget)]
     except (BudgetExceeded, CapExceeded) as exc:
         exc.args = (f"tuple {_format_symbol(entries)}: {exc}",)
         raise
 
 
 def cmd_atlas(args) -> int:
+    """Verify every admissible tuple up to the bounds, one task per mirror
+    pair: a tuple and its reverse are admissible together, with the same
+    product and length, so the batch has both. The task is the lesser of the
+    two, so the first budget error in task order names a tuple that was
+    enumerated. The entries are written in `admissible_tuples` order."""
     if args.max_flags < 4:
         raise InputError(f"--max-flags must be >= 4, got {args.max_flags}")
     if args.max_rank < 3:
@@ -139,9 +151,11 @@ def cmd_atlas(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out(args.out)
-    tuples = list(admissible_tuples(args.max_flags, args.max_rank))
+    tuples = admissible_tuples(args.max_flags, args.max_rank)
+    tasks = [t for t in tuples if t <= t[::-1]]
     worker = functools.partial(atlas_worker, budget=args.budget)
-    results = run_batch(tuples, worker, jobs=args.jobs)
+    found = {e.schlafli: e for pair in run_batch(tasks, worker, jobs=args.jobs) for e in pair}
+    results = [found[t] for t in tuples]
     write_jsonl_atomic(args.out, [entry.to_json_line() for entry in results])
     failing = [e for e in results if not all(e.claims.values())]
     print(f"wrote {len(results)} entries to {args.out}" + (f", {len(failing)} with failing claims" if failing else ""))
@@ -266,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_verify, p_atlas, p_classify, p_check):
         p.add_argument(
-            "--budget", type=_integer, help=f"coset budget of each enumeration, >= 1 (default {DEFAULT_MAX_COSETS})"
+            "--budget",
+            type=_integer,
+            help=f"coset budget of each enumeration the run makes, >= 1 (default {DEFAULT_MAX_COSETS});"
+            " atlas derives a reversed tuple's verdict and makes no enumeration for it",
         )
 
     p_family = sub.add_parser("family", help="emit a builder's presentation file")

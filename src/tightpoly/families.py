@@ -3,12 +3,13 @@
 A verdict never raises on a mathematical failure: every claim is recorded
 in an ordered claim map and the caller aggregates. A coset budget that runs
 out (BudgetExceeded) does propagate. `_verdict` is the one claim map of both
-families: `verify_gamma_family` here, and the Λ(k) verdict of the tests
-(`tests/paper_checks.py`), which sets its `family`, `orientable` and
-`extra_claims` and is the only maker of `"lambda"` verdicts. The paper's
-lemma checks that no command runs (the FAP, the parabolic checks at entries
-equal to 2, the odd-even-odd rotation representation) live there too,
-beside the acceptance criteria.
+families: the Γ verdicts here (`verify_gamma_family`, and `verify_gamma_pair`,
+which gives a tuple's and its reverse's from one enumeration), and the Λ(k)
+verdict of the tests (`tests/paper_checks.py`), which sets its `family`,
+`orientable` and `extra_claims` and is the only maker of `"lambda"`
+verdicts. The paper's lemma checks that no command runs (the FAP, the
+parabolic checks at entries equal to 2, the odd-even-odd rotation
+representation) live there too, beside the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .toddcox import regular_rep
 from .words import (
     Presentation,
     admissibility_message,
+    check_mirrored,
     gamma_tuple_presentation,
     is_admissible,
     validate_symbol,
@@ -83,10 +85,9 @@ def _verdict(
     )
 
 
-def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
-    """Build the quotient for an admissible tuple and verify every claim:
-    exact order, type, string C-group, tightness, orientability, and the
-    polytope axioms."""
+def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, ...], Presentation, PermRep]:
+    """An admissible tuple, its presentation and the certified regular rep
+    of the quotient; a tuple that is not admissible raises NotAdmissible."""
     entries = validate_symbol(sym)
     adm = is_admissible(entries)
     if not adm:
@@ -96,5 +97,40 @@ def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> Fa
             violating_index=adm.violating_index,
         )
     pres = gamma_tuple_presentation(entries)
-    rep = regular_rep(pres, max_cosets)
+    return entries, pres, regular_rep(pres, max_cosets)
+
+
+def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
+    """Build the quotient for an admissible tuple and verify every claim:
+    exact order, type, string C-group, tightness, orientability, and the
+    polytope axioms."""
+    entries, pres, rep = _gamma_rep(sym, max_cosets)
     return _verdict("gamma", entries, pres, rep, 2 * prod(entries), True)
+
+
+def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None) -> list[FamilyVerdict]:
+    """The verdict of an admissible tuple, as `verify_gamma_family` gives
+    it, then that of the reversed tuple unless the tuple is a palindrome,
+    from the one enumeration of the tuple's group.
+
+    Admissibility reads the same backwards, and the reversed tuple's
+    presentation is the tuple's with its generators in reverse order, up to
+    rotating and inverting relators: `check_mirrored` checks that, and
+    raises InvariantViolation where it fails, under `python -O` too. So the
+    two presentations have isomorphic groups under x_i -> x_{n-1-i} (the
+    dual polytope, McMullen–Schulte 2E), of the same order, and the
+    certified regular rep with its columns in reverse order is a regular rep
+    of the reversed tuple's group. What goes is a second enumeration and
+    certificate of an isomorphic presentation. What stays is every claim of
+    the reversed tuple: `_verdict` runs on its own presentation and rep, with
+    its own `sggi.profile`, its own poset and both tightness routes.
+    """
+    entries, pres, rep = _gamma_rep(sym, max_cosets)
+    expected = 2 * prod(entries)
+    verdicts = [_verdict("gamma", entries, pres, rep, expected, True)]
+    mirror = entries[::-1]
+    if mirror != entries:
+        mirror_pres = gamma_tuple_presentation(mirror)
+        check_mirrored(pres, mirror_pres)
+        verdicts.append(_verdict("gamma", mirror, mirror_pres, PermRep(rep.degree, rep.gens[::-1]), expected, True))
+    return verdicts

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import AdjacentOddPair, PresentationParseError
+from .errors import AdjacentOddPair, InvariantViolation, PresentationParseError
 
 Word = tuple[int, ...]
 
@@ -50,6 +50,33 @@ def rotations(w: Word) -> Iterator[Word]:
     long relator (x_i x_j)^p costs memory linear in p, not quadratic.
     """
     return (w[t:] + w[:t] for t in range(len(w)))
+
+
+def _cyclic_class(w: Word) -> str:
+    """The least rotation of w or of its inverse, reversed(w), one character
+    per letter: one name for all the cyclic words that have w's normal
+    closure. Only the rotations by less than w's period differ, and
+    `str.find` gives the period, so a relator (x_i x_j)^p costs two
+    rotations each way, not 2p."""
+    s = "".join(map(chr, w))
+    period = (s + s).find(s, 1)
+    return min((u[t:] + u[:t] for u in (s, s[::-1]) for t in range(period)), default=s)
+
+
+def check_mirrored(pres: Presentation, mirrored: Presentation) -> None:
+    """Raise InvariantViolation unless `mirrored` has `pres`'s relators
+    under x_i -> x_{n-1-i}, each taken as a cyclic word up to rotation and
+    inversion.
+
+    Then the two relator sets have one normal closure under that map, so
+    y_i -> x_{n-1-i} is an isomorphism from `mirrored`'s group onto
+    `pres`'s, and a regular rep of `pres` with its generators in reverse
+    order is a regular rep of `mirrored`.
+    """
+    last = pres.ngens - 1
+    image = {_cyclic_class(tuple(last - g for g in w)) for w in pres.relators}
+    if mirrored.ngens != pres.ngens or image != {_cyclic_class(w) for w in mirrored.relators}:
+        raise InvariantViolation("the reversed tuple's relators are not the mirrored relators of the tuple")
 
 
 def _require_involutions(pres: Presentation) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from paper_checks import verify_lambda_family
-from tightpoly import cli
+from tightpoly import cli, families
 from tightpoly.atlas import (
     AtlasFormatError,
     admissible_tuples,
@@ -37,7 +38,7 @@ from tightpoly.errors import (
 )
 from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar
-from tightpoly.words import gamma_tuple_presentation, parse_presentation, write_presentation
+from tightpoly.words import Presentation, gamma_tuple_presentation, parse_presentation, write_presentation
 
 
 # A key deleted from a line, in parametrized cases.
@@ -327,8 +328,21 @@ def _logged_fail_at_three(x, *, log):
     return x
 
 
-def _nap(x):
-    time.sleep(0.2)
+def _nap_at_zero(x):
+    if x == 0:
+        time.sleep(4)
+    return x
+
+
+def _die_at_one(x):
+    # The worker forked first takes task 0 and holds it 50 ms, so the one
+    # that dies is the second: read in fork order, its death showed only
+    # after the first had run out the batch, about 2 s.
+    if x == 0:
+        time.sleep(0.05)
+    if x == 1:
+        os._exit(1)
+    time.sleep(0.01)
     return x
 
 
@@ -474,37 +488,36 @@ class TestRunBatch:
         no_child_left()
 
     def test_no_worker_left_after_an_exception_mid_read(self, two_cores, monkeypatch):
-        # The read of the first result raises while both workers still have
-        # 4 s of naps ahead: they are killed, not waited for.
+        # The worker without task 0 finishes at once, and the read of its
+        # result raises while the other still has a 4 s nap ahead: that one
+        # is killed, not waited for.
         def interrupted(file):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(pickle, "load", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_batch(list(range(40)), _nap, jobs=2)
+            run_batch(list(range(40)), _nap_at_zero, jobs=2)
         assert time.monotonic() - start < 2
         no_child_left()
 
+    def test_dead_worker_noticed_at_once(self, two_cores):
+        # The live worker has 2 s of the batch ahead; the result pipes are
+        # read as they become ready, so the dead one is seen first.
+        start = time.monotonic()
+        with pytest.raises(WorkerDied):
+            run_batch(list(range(200)), _die_at_one, jobs=2)
+        assert time.monotonic() - start < 0.5
+        no_child_left()
+
     def test_atlas_worker_pickles(self):
+        # Results cross back from a worker process as pickles: one entry
+        # for a palindrome, two for a tuple that is not.
         worker = functools.partial(atlas_worker, budget=None)
         back = pickle.loads(pickle.dumps(worker))
-        assert back((3, 6)) == entry_from_verdict(verify_gamma_family((3, 6)))
-
-    def test_atlas_worker_under_spawn(self):
-        # In a process of its own: a spawn pool leaves its resource tracker
-        # running as a child until the process exits.
-        script = (
-            "import concurrent.futures, functools, multiprocessing\n"
-            "from tightpoly.cli import atlas_worker\n"
-            "if __name__ == '__main__':\n"
-            "    worker = functools.partial(atlas_worker, budget=None)\n"
-            "    tasks = [(3, 6), (4, 4)]\n"
-            "    context = multiprocessing.get_context('spawn')\n"
-            "    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:\n"
-            "        print(list(pool.map(worker, tasks)) == [worker(t) for t in tasks])\n"
-        )
-        assert run_python(script).stdout == "True\n"
+        own = [entry_from_verdict(verify_gamma_family(t)) for t in [(3, 6), (6, 3), (4, 4)]]
+        assert pickle.loads(pickle.dumps(back((3, 6)))) == own[:2]
+        assert pickle.loads(pickle.dumps(back((4, 4)))) == own[2:]
 
 
 def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -982,3 +995,65 @@ class TestAtlasDeterminism:
         assert blobs[0] == blobs[1] == blobs[2]
         entries = load_atlas(str(paths[0]))
         assert all(all(e.claims.values()) for e in entries)
+
+
+def mirror_pairs(max_flags, max_rank, length=None):
+    """The lesser tuple of each mirror pair of the atlas, in its order."""
+    return [
+        t for t in admissible_tuples(max_flags, max_rank) if t < t[::-1] and length in (None, len(t))
+    ]
+
+
+class TestMirrorPairs:
+    @pytest.mark.parametrize(
+        "max_flags, max_rank, length, pairs, step",
+        [(100, 4, None, 52, 1), (500, 4, None, 469, 8), (600, 7, 6, 74, 5)],
+    )
+    def test_derived_line_equals_its_own_enumeration(self, max_flags, max_rank, length, pairs, step):
+        # The rank-7 case takes the tuples of length 6 with 2 * prod <= 600.
+        lesser = mirror_pairs(max_flags, max_rank, length)
+        assert len(lesser) == pairs
+        for t in lesser[::step]:
+            own, derived = atlas_worker(t, budget=None)
+            assert own.to_json_line() == entry_from_verdict(verify_gamma_family(t)).to_json_line()
+            assert derived.to_json_line() == entry_from_verdict(verify_gamma_family(t[::-1])).to_json_line()
+
+    def test_one_enumeration_per_pair(self, monkeypatch, tmp_path):
+        enumerated = []
+        real = families.regular_rep
+
+        def counted(pres, max_cosets=None):
+            enumerated.append(pres)
+            return real(pres, max_cosets)
+
+        monkeypatch.setattr(families, "regular_rep", counted)
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-flags", "100", "--max-rank", "4", "--out", str(out), "--jobs", "1"]) == 0
+        assert len(enumerated) == 69 == 121 - len(mirror_pairs(100, 4))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "798a2dd41d0d44ee2947e023be8726deb6f6607ab974feeabed6cb4392c25a97"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tampered_mirror_exits_internal(self, jobs, capsys, tmp_path, monkeypatch, two_cores):
+        # {6,3} gets a relator more than the mirror of {3,6}: the mirror
+        # check refuses to derive its verdict, an internal error.
+        real = families.gamma_tuple_presentation
+
+        def tampered(sym):
+            pres = real(sym)
+            if tuple(sym) == (6, 3):
+                return Presentation(pres.ngens, pres.relators + ((0, 1) * 3,))
+            return pres
+
+        monkeypatch.setattr(families, "gamma_tuple_presentation", tampered)
+        out = tmp_path / "a.jsonl"
+        argv = ["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(out), "--jobs", jobs]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "",
+            "internal error: the reversed tuple's relators are not the mirrored relators of the tuple\n",
+        )
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(InvariantViolation):
+            families.verify_gamma_pair((3, 6))

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paper_checks import kill_generators
-from tightpoly.errors import AdjacentOddPair, PresentationParseError
+from tightpoly.atlas import admissible_tuples
+from tightpoly.errors import AdjacentOddPair, InvariantViolation, PresentationParseError
 from tightpoly.toddcox import group_order
 from tightpoly.words import (
     LAMBDA_LONG_RELATOR,
     Presentation,
     admissibility_message,
+    check_mirrored,
     coxeter_presentation,
     gamma_pq_presentation,
     gamma_tuple_presentation,
@@ -140,6 +142,43 @@ class TestGammaTuple:
                 cycle_key(tuple(n - 1 - x for x in w)) for w in fwd.relators
             )
             assert mapped == sorted(cycle_key(w) for w in rev.relators)
+
+
+class TestCheckMirrored:
+    def test_every_reversed_tuple_of_atlas_100_4(self):
+        # The check agrees with the independent cycle keys on every tuple.
+        for sym in admissible_tuples(100, 4):
+            fwd = gamma_tuple_presentation(sym)
+            rev = gamma_tuple_presentation(sym[::-1])
+            n = fwd.ngens
+            mapped = {cycle_key(tuple(n - 1 - x for x in w)) for w in fwd.relators}
+            assert mapped == {cycle_key(w) for w in rev.relators}
+            check_mirrored(fwd, rev)
+
+    def test_rotated_inverted_and_reordered_relators(self):
+        rev = gamma_tuple_presentation((4, 6, 3))
+        moved = tuple(w[::-1] if i % 2 else w[1:] + w[:1] for i, w in enumerate(rev.relators))
+        check_mirrored(gamma_tuple_presentation((3, 6, 4)), Presentation(rev.ngens, moved[::-1]))
+
+    @pytest.mark.parametrize(
+        "sym, tamper",
+        [
+            ((3, 6, 4), lambda rels: rels[:-1]),
+            ((3, 6, 4), lambda rels: rels + ((0, 1) * 3,)),
+            ((3, 6, 4), lambda rels: rels[:-1] + ((rels[-1] + rels[-1][:2]),)),
+            ((3, 6, 4), lambda rels: gamma_tuple_presentation((3, 6, 4)).relators),
+            ((4, 6), lambda rels: rels[:-1] + ((0, 1, 2, 1, 2) * 2,)),
+        ],
+        ids=["dropped", "added", "longer", "unreversed", "other-case-rule"],
+    )
+    def test_rejects_a_tampered_reverse(self, sym, tamper):
+        rev = gamma_tuple_presentation(sym[::-1])
+        with pytest.raises(InvariantViolation):
+            check_mirrored(gamma_tuple_presentation(sym), Presentation(rev.ngens, tamper(rev.relators)))
+
+    def test_rejects_another_generator_count(self):
+        with pytest.raises(InvariantViolation):
+            check_mirrored(coxeter_presentation((2, 2)), coxeter_presentation((2,)))
 
 
 class TestLambda:
