@@ -2,10 +2,10 @@
 
 Proper faces of rank i are the cosets gΓ_i of the subgroup Γ_i omitting
 generator i: the orbits of the points under the rep's own columns x_j,
-j != i. `build_poset` stores them as labels, one face id per point per
-rank; `levels`, the faces as point sets of the regular action, is derived
-from the labels only when something reads it, and no verdict does. Two
-faces of different ranks are incident exactly when their point sets meet.
+j != i. `build_poset` writes them as labels, one face id per point per
+rank, and builds no point set. Two faces of different ranks are incident
+exactly when their point sets meet: each point lies in one face of each
+rank, so the comparability rows come from the labels (`label_rows`).
 Inversion maps each gΓ_i onto Γ_i g^-1 and keeps intersections, so the
 cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
 *Abstract Regular Polytopes*, 2E). Meeting need not be transitive, so
@@ -86,14 +86,14 @@ class FlagSystem:
 
 
 class FacePoset:
-    """Ranked poset of proper faces with incidence by point-set intersection.
+    """Ranked poset of proper faces, given by its comparability rows.
 
-    Faces are numbered in the order `levels` gives them, rank by rank;
-    `build_poset` gives each rank in increasing order of least point, and
-    keeps its incidences, the labels and their points, in `_labels`, from
-    which `levels` is derived.
-    Inside, faces are ids: the proper faces are 0 .. _total - 1 in rank order,
-    the greatest face is _total and the least face is -1. `_offsets`,
+    `counts[i]` is the number of faces of rank i, and the proper faces are
+    the ids 0 .. _total - 1 in rank order. `rows[f]` is the bitmask of the
+    proper faces comparable with face f, f itself included; `build_poset`
+    computes the rows from its labels (`label_rows`), in which two faces of
+    different ranks are comparable when their point sets meet. Inside, the
+    greatest face is _total and the least face is -1. `_offsets`,
     `_rank_of` and `_comp` end with an entry for the greatest and then one
     for the least face, so index -1 reaches the least face's entry.
 
@@ -107,22 +107,8 @@ class FacePoset:
     `flags_and_adjacency` lists every flag and walks from every face.
     """
 
-    def __init__(self, rank: int, levels, transitive: bool = False):
-        self.levels = tuple(map(tuple, levels))
-        if len(self.levels) != max(rank, 0):
-            raise ValueError(f"rank {rank} needs {rank} proper levels, got {len(self.levels)}")
-        # Faces may overlap or miss points, and points are any hashables:
-        # they are numbered in order of first appearance.
-        by_id = [face for level in self.levels for face in level]
-        number: dict = {}
-        points = [number.setdefault(x, len(number)) for face in by_id for x in face]
-        faces = [f for f, face in enumerate(by_id) for _ in face]
-        self._setup(rank, list(map(len, self.levels)), faces, points, len(number), transitive)
-
-    def _setup(self, rank: int, counts: list[int], faces, points, npoints: int, transitive: bool):
-        """Ids from the face counts of each rank, and the comparability rows
-        from the incidences: face faces[k] holds point points[k] < npoints."""
-        self.rank = rank
+    def __init__(self, counts, rows, transitive: bool = False):
+        self.rank = rank = len(counts)
         self._counts = tuple(counts)
         self._offsets: list[int] = []  # id of the first face of each rank
         self._rank_of: list[int] = []  # rank of each id
@@ -132,11 +118,14 @@ class FacePoset:
         self._total = total = len(self._rank_of)
         self._offsets += [total, -1]
         self._rank_of += [rank, -1]
+        top = 1 << total
+        everything = (top << 1) - 1
         # _below[i] = bitmask of the ids of rank < i, for 0 <= i <= rank + 1
-        self._below = [(1 << offset) - 1 for offset in self._offsets[:-1]]
-        self._below.append((1 << (total + 1)) - 1)
-        self._comp = self._comparability(faces, points, npoints)
-        self._roots = (1 << total) - 1
+        self._below = [(1 << offset) - 1 for offset in self._offsets[:-1]] + [everything]
+        # The greatest face is comparable with every proper face, and both
+        # improper faces with every id.
+        self._comp = [row | top for row in rows] + [everything, everything]
+        self._roots = top - 1
         if transitive:
             self._roots = sum(m & -m for m in map(self._rank_mask, range(rank)))
         self._flags: int | None = None
@@ -146,16 +135,6 @@ class FacePoset:
 
     def face_counts(self) -> tuple[int, ...]:
         return self._counts
-
-    @cached_property
-    def levels(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """The faces as point sets, rank by rank, in id order. The hand-made
-        constructor stores them; a built poset derives them from its labels."""
-        members: list[list[int]] = [[] for _ in range(self._total)]
-        for f, x in zip(*self._labels):
-            members[f].append(x)
-        ranks = zip(self._offsets, self._counts)
-        return tuple(tuple(map(frozenset, members[i : i + count])) for i, count in ranks)
 
     def _rank_mask(self, i: int) -> int:
         return ((1 << self._counts[i]) - 1) << self._offsets[i]
@@ -169,24 +148,6 @@ class FacePoset:
             mask ^= low
             ids.append(low.bit_length() - 1)
         return ids
-
-    def _comparability(self, faces, points, npoints: int) -> list[int]:
-        # comp[f] = bitmask of the ids comparable with f: f itself, the proper
-        # faces of other ranks it meets and the greatest face. The improper
-        # faces are comparable with every id. One pass ORs the mask of the
-        # faces holding each point, a second ORs those masks over each face.
-        bit = [1 << f for f in range(self._total)]
-        containing = [0] * npoints
-        for f, x in zip(faces, points):
-            containing[x] |= bit[f]
-        meets = [0] * self._total
-        for f, x in zip(faces, points):
-            meets[f] |= containing[x]
-        other_ranks = [~self._rank_mask(i) for i in range(self.rank)]
-        top = 1 << self._total
-        comp = [m & other_ranks[i] | b | top for m, i, b in zip(meets, self._rank_of, bit)]
-        everything = (1 << (self._total + 1)) - 1
-        return comp + [everything, everything]
 
     def _between_mask(self, lo: int, hi: int) -> int:
         """Bitmask of proper faces strictly between the faces with ids lo and hi."""
@@ -312,7 +273,7 @@ class FacePoset:
 
         Chains grow upwards from the empty chain, carrying the mask of the
         faces outside the chain comparable with all its members; a chain is
-        maximal when that mask is empty. A rank -1 poset has no chains at all.
+        maximal when that mask is empty.
         """
         comp = self._comp
         below = self._below
@@ -330,8 +291,7 @@ class FacePoset:
                 rest = shared & comp[f] & ~low
                 grow(chain + (f,), rest, rest & ~below[rank_of[f] + 1])
 
-        if self.rank >= 0:
-            grow((), (1 << self._total) - 1, starts)
+        grow((), (1 << self._total) - 1, starts)
         return chains
 
     def _section_connected(self, inside: int) -> bool:
@@ -497,14 +457,15 @@ def build_poset(rep: PermRep) -> FacePoset:
     rank starts an orbit at each unlabelled point 0, 1, 2, ... in turn and
     labels each point it reaches with the face id, so each rank comes in
     increasing order of least point, with no point sets. The orbits of a
-    rank must have one size, as the cosets of Γ_i do. The rep must come
-    from `regular_rep` or `perm_rep`, whose certificate proved the action
+    rank must have one size, as the cosets of Γ_i do. The comparability
+    rows come from the labels (`label_rows`). The rep must come from
+    `regular_rep` or `perm_rep`, whose certificate proved the action
     regular: then the left multiplications act on the poset by
     automorphisms, transitively on each rank, and the poset is built with
     `transitive=True`. Only the columns are read.
     """
     n, degree = len(rep.gens), rep.degree
-    faces, counts = [], []  # faces[i * degree + x] = id of the rank-i face holding x
+    labels, counts = [], []  # labels[i][x] = id of the rank-i face holding x
     for i in range(n):
         movers = [rep.gens[j] for j in range(n) if j != i]
         face_of = [-1] * degree
@@ -525,13 +486,26 @@ def build_poset(rep: PermRep) -> FacePoset:
         # The sizes sum to the degree, so max * count is the degree only when they are equal.
         if not sizes or max(sizes) * len(sizes) != degree:
             raise InvariantViolation(f"coset partition size mismatch at rank {i}")
-        faces += face_of
+        labels.append(face_of)
         counts.append(len(sizes))
-    points = [*range(degree)] * n
-    poset = FacePoset.__new__(FacePoset)
-    poset._labels = faces, points
-    poset._setup(n, counts, faces, points, degree, transitive=True)
-    return poset
+    return FacePoset(counts, label_rows(labels, sum(counts)), transitive=True)
+
+
+def label_rows(labels, total: int) -> list[int]:
+    """The comparability rows of `total` faces given by labels: each rank
+    labels every point x with the id `labels[i][x]` of the one rank-i face
+    holding it. Row f is the bitmask of the faces that share a point with
+    face f, which are f itself and faces of other ranks. One pass ORs the
+    faces holding each point, a second ORs those masks over each face."""
+    bit = [1 << f for f in range(total)]
+    held = [0] * len(labels[0])  # held[x] = the faces holding x
+    for face_of in labels:
+        held = [h | bit[f] for h, f in zip(held, face_of)]
+    rows = [0] * total
+    for face_of in labels:
+        for f, h in zip(face_of, held):
+            rows[f] |= h
+    return rows
 
 
 def poset_checks(rep: PermRep):

@@ -4,7 +4,7 @@ differential oracle for `tightpoly.poset.FacePoset`.
 `ReferencePoset` keeps the two chain recursions (maximal chains in
 `verify_polytope`, flags in `flags_and_adjacency`), the three section
 generators and FaceRef-based `_between_mask`, copied verbatim, over the same
-`(rank, levels)` input as `FacePoset`. Tests demand equal reports, flag
+`(rank, levels)` input as `meet_poset`. Tests demand equal reports, flag
 systems and Schlafli symbols from both, or the same exception. Its flag
 count, flatness and two-route tightness ask every face, so they also hold
 `FacePoset`'s root-only verdicts to account. Its fifth axiom, transitive
@@ -13,10 +13,18 @@ proper faces in section order, where `FacePoset` starts only at its roots.
 `section` is where the tests take sections from, to rebuild them as
 `FacePoset`s.
 
+`FacePoset` takes its comparability rows. Tests that make a poset by hand
+give its faces as point sets, rank by rank and each rank in the order
+given. `meet_poset` compares every two faces of different ranks by their
+point sets, so faces may overlap or miss points. `partition_poset` takes
+levels in which every rank partitions the same points, labels the points
+and hands the labels to `poset.label_rows`, the routine `build_poset` uses.
+
 `reference_build` is `build_poset` as it was before the label pass: each
 face the `frozenset` of an orbit of the rep's own columns, one size per rank
-checked, and the levels given to the hand-made constructor. `build_poset`
-must give the same comparability rows, roots, face counts and levels.
+checked, and the levels given to `meet_poset`. `build_poset` must give the
+same comparability rows, roots and face counts; `orbit_levels` then gives
+the point sets of `build_poset`'s faces, in its numbering.
 `left_levels` is the face build before that one read the columns: the
 cosets Γ_i g, as the orbits of the left multiplications that
 `engine.left_action` computes. Inversion maps them onto the cosets gΓ_i
@@ -37,7 +45,14 @@ from tightpoly.errors import (
     PreconditionViolated,
     RouteDisagreement,
 )
-from tightpoly.poset import FacePoset, FaceRef, FlagSystem, NotEquivelar, PosetReport
+from tightpoly.poset import (
+    FacePoset,
+    FaceRef,
+    FlagSystem,
+    NotEquivelar,
+    PosetReport,
+    label_rows,
+)
 
 BOTTOM: FaceRef = (-1, 0)
 
@@ -420,15 +435,45 @@ def orbit_levels(degree: int, perms) -> list[list[frozenset[int]]]:
     return levels
 
 
+def meet_poset(rank: int, levels, transitive: bool = False) -> FacePoset:
+    """The poset of faces given as point sets, `rank` levels of them: two
+    distinct faces are comparable when their ranks differ and their point
+    sets meet, as in `ReferencePoset._comparability`."""
+    levels = [list(level) for level in levels]
+    if len(levels) != rank:
+        raise ValueError(f"rank {rank} needs {rank} proper levels, got {len(levels)}")
+    faces = [(i, face) for i, level in enumerate(levels) for face in level]
+    rows = [
+        sum(1 << g for g, (j, other) in enumerate(faces) if g == f or i != j and face & other)
+        for f, (i, face) in enumerate(faces)
+    ]
+    return FacePoset(list(map(len, levels)), rows, transitive)
+
+
+def partition_poset(levels, transitive: bool = False) -> FacePoset:
+    """The poset of levels in which every rank partitions the same points
+    into non-empty faces, through `label_rows`: each point is labelled with
+    the id of its face of each rank. Raises ValueError on other levels."""
+    levels = [list(level) for level in levels]
+    ids, total = [], 0  # ids[i] = {point: id of the rank-i face holding it}
+    for i, level in enumerate(levels):
+        ids.append({x: f for f, face in enumerate(level, total) for x in face})
+        total += len(level)
+        if not all(level) or sum(map(len, level)) != len(ids[i]) or ids[i].keys() != ids[0].keys():
+            raise ValueError(f"rank {i} does not partition the points of rank 0")
+    labels = [[face_of[x] for x in ids[0]] for face_of in ids]
+    return FacePoset(list(map(len, levels)), label_rows(labels, total), transitive)
+
+
 def reference_build(rep: PermRep) -> FacePoset:
     """The coset poset from point sets: the orbits of the rep's columns,
-    each rank checked for one orbit size, through the hand-made constructor."""
+    each rank checked for one orbit size, compared by pairwise meets."""
     levels = orbit_levels(rep.degree, rep.gens)
     for i, blocks in enumerate(levels):
         sizes = {len(b) for b in blocks}
         if len(sizes) != 1 or len(blocks) * sizes.pop() != rep.degree:
             raise InvariantViolation(f"coset partition size mismatch at rank {i}")
-    return FacePoset(len(rep.gens), levels, transitive=True)
+    return meet_poset(len(rep.gens), levels, transitive=True)
 
 
 def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:

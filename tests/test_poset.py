@@ -5,9 +5,16 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings
 
-from test_poset_differential import EMPTY_INTERVAL_LEVELS, INTRANSITIVE_LEVELS, dual, section
+from reference_poset import meet_poset, orbit_levels, partition_poset
+from test_poset_differential import (
+    EMPTY_INTERVAL_LEVELS,
+    INTRANSITIVE_LEVELS,
+    dual,
+    partition_posets,
+    section,
+)
 from tightpoly import poset as poset_module, sggi
 from tightpoly.atlas import admissible_tuples
 from tightpoly.classifier import classify_tight
@@ -15,7 +22,7 @@ from tightpoly.cli import main
 from tightpoly.engine import PermRep
 from tightpoly.errors import DiamondViolation, InvariantViolation
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset, label_rows, poset_checks
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation, write_presentation
 
@@ -45,6 +52,12 @@ def poset_gamma364(rep_gamma364):
     return build_poset(rep_gamma364)
 
 
+def levels_of(rep):
+    """The faces of `build_poset(rep)` as point sets, in its numbering, which
+    `TestLabelBuild` pins."""
+    return orbit_levels(rep.degree, rep.gens)
+
+
 def no_sections(self, lo, hi):
     raise AssertionError("section read")
 
@@ -66,12 +79,11 @@ def triangular_prism() -> FacePoset:
         if v in edges[e] and edges[e] <= faces[f]
     ]
     ids = [verts, range(len(edges)), range(len(faces))]
-    return FacePoset(
-        3,
+    return partition_poset(
         [
             [frozenset(k for k, flag in enumerate(flags) if flag[r] == x) for x in ids[r]]
             for r in range(3)
-        ],
+        ]
     )
 
 
@@ -119,13 +131,12 @@ class TestBuild:
         assert out == "False\ncoset partition size mismatch at rank 1\n"
 
     def test_no_point_sets_on_the_verdict_path(self, monkeypatch):
-        # build_poset writes labels, and no verdict reads `levels`: the claims
-        # hold with both patched to raise.
+        # build_poset writes labels and builds no point set: the claims hold
+        # with frozenset patched to raise.
         def broken(*args):
             raise AssertionError("point set built")
 
         monkeypatch.setattr(poset_module, "frozenset", broken, raising=False)
-        monkeypatch.setattr(FacePoset, "levels", property(broken))
         for t in admissible_tuples(100, 4) + [(2, 2, 4, 2, 3), (3, 2, 2, 2, 2, 2)]:
             verdict = verify_gamma_family(t)
             assert verdict.passed and verdict.tight and verdict.flag_count == 2 * prod(t), t
@@ -149,7 +160,7 @@ class TestAxioms:
 
     def test_no_proper_faces_fails(self):
         # The chain F_-1 < F_2 is maximal and has 2 faces, not 4.
-        report = FacePoset(2, [[], []]).verify_polytope()
+        report = meet_poset(2, [[], []]).verify_polytope()
         assert not report.chain_lengths
         assert report.first_failure == "maximal chain [] has 2 faces, expected 4"
 
@@ -157,9 +168,7 @@ class TestAxioms:
         # The edge {2} holds no vertex. It is given first, so it is face
         # (1, 0), though sorting the edges by point set would put it second.
         levels = [[frozenset({0}), frozenset({1})], [frozenset({2}), frozenset({0, 1})]]
-        poset = FacePoset(2, levels)
-        assert poset.levels == tuple(map(tuple, levels))
-        report = poset.verify_polytope()
+        report = meet_poset(2, levels).verify_polytope()
         assert report.first_failure == "maximal chain [(1, 0)] has 3 faces, expected 4"
 
     @pytest.mark.parametrize(
@@ -179,7 +188,7 @@ class TestAxioms:
     def test_intransitive_incidence_fails(self, levels, failure):
         # Every other axiom holds, and the flag system does not build: the
         # vertex swapped at rank 0 is not below the chain's 2-face.
-        poset = FacePoset(3, levels)
+        poset = partition_poset(levels)
         report = poset.verify_polytope()
         assert report.chain_lengths and report.connected and report.diamond
         assert not report.transitive_incidence and not report.passed
@@ -199,7 +208,7 @@ class TestAxioms:
             return chains_from(self, starts)
 
         monkeypatch.setattr(FacePoset, "_chains_from", walk)
-        poset = FacePoset(3, EMPTY_INTERVAL_LEVELS)
+        poset = meet_poset(3, EMPTY_INTERVAL_LEVELS)
         report = poset.verify_polytope()
         assert walks
         assert report.transitive_incidence and not report.chain_lengths
@@ -214,23 +223,20 @@ class TestAxioms:
 
 class TestComparability:
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=4),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    # Hand-built levels need not be partitions: two vertices sharing a point
-    # stay incomparable, and each lies below the edge.
-    @example([[frozenset({0, 1}), frozenset({1, 2})], [frozenset({0, 1, 2})]])
+    @given(partition_posets())
     def test_matches_pairwise_intersection(self, levels):
-        # Oracle: distinct proper faces are comparable when their ranks differ
-        # and their point sets meet. The greatest face (id `total`) and the
-        # least (the last entry) are comparable with every id.
-        poset = FacePoset(len(levels), levels)
-        faces = [(i, face) for i, level in enumerate(poset.levels) for face in level]
+        # build_poset's rows from labels, over random partitions of the points
+        # 0 .. npoints - 1, one per rank. Oracle: distinct proper faces are
+        # comparable when their ranks differ and their point sets meet. The
+        # greatest face (id `total`) and the least (the last entry) are
+        # comparable with every id.
+        faces = [(i, face) for i, level in enumerate(levels) for face in level]
         total = len(faces)
+        labels = [[-1] * len(set().union(*levels[0])) for _ in levels]
+        for f, (i, face) in enumerate(faces):
+            for x in face:
+                labels[i][x] = f
+        poset = FacePoset(list(map(len, levels)), label_rows(labels, total))
         for f, (i, face) in enumerate(faces):
             expected = 1 << total
             for g, (j, other) in enumerate(faces):
@@ -238,6 +244,13 @@ class TestComparability:
                     expected |= 1 << g
             assert poset._comp[f] == expected
         assert poset._comp[total:] == [(1 << (total + 1)) - 1] * 2
+
+    def test_overlapping_faces(self):
+        # Faces made by hand need not be partitions: two vertices sharing a
+        # point stay incomparable, and each lies below the edge (id 2) and
+        # the greatest face (id 3).
+        poset = meet_poset(2, [[frozenset({0, 1}), frozenset({1, 2})], [frozenset({0, 1, 2})]])
+        assert poset._comp[:3] == [0b1101, 0b1110, 0b1111]
 
 
 class TestFlags:
@@ -256,7 +269,7 @@ class TestFlags:
             poset.flags_and_adjacency()
         # A maximal chain that misses a rank is not counted: the edge {2}
         # holds no vertex.
-        short = FacePoset(2, [[frozenset({0}), frozenset({1})], [frozenset({0, 1}), frozenset({2})]])
+        short = meet_poset(2, [[frozenset({0}), frozenset({1})], [frozenset({0, 1}), frozenset({2})]])
         assert not short.verify_polytope().chain_lengths
         assert short.flag_count() == 2
 
@@ -314,20 +327,21 @@ class TestFlags:
 
 
 class TestSections:
-    def test_facet_section_type(self, poset_gamma364):
-        facet = section(poset_gamma364, (-1, 0), (3, 0))
+    def test_facet_section_type(self, rep_gamma364):
+        facet = section(levels_of(rep_gamma364), (-1, 0), (3, 0))
         assert facet.rank == 3
         assert facet.combinatorial_schlafli() == (3, 6)
 
-    def test_vertex_figure_type(self, poset_gamma364):
-        figure = section(poset_gamma364, (0, 0), (4, 0))
+    def test_vertex_figure_type(self, rep_gamma364):
+        figure = section(levels_of(rep_gamma364), (0, 0), (4, 0))
         assert figure.rank == 3
         assert figure.combinatorial_schlafli() == (6, 4)
 
-    def test_rank_difference_one_gives_point(self, poset_gamma36):
+    def test_rank_difference_one_gives_point(self, poset_gamma36, rep_gamma36):
         system = poset_gamma36.flags_and_adjacency()
         v, e = system.flags[0][0], system.flags[0][1]
-        point = section(poset_gamma36, poset_gamma36._ref_of(v), poset_gamma36._ref_of(e))
+        lo, hi = poset_gamma36._ref_of(v), poset_gamma36._ref_of(e)
+        point = section(levels_of(rep_gamma36), lo, hi)
         assert point.rank == 0
         assert point.face_counts() == ()
 
@@ -383,16 +397,17 @@ class TestFlatness:
         with pytest.raises(ValueError):
             poset_cube.is_flat(2, 1)
 
-    def test_flat_faces_propagate(self, poset_gamma364, poset_cube, poset_gamma36):
+    def test_flat_faces_propagate(self, rep_gamma364, rep_cube, rep_gamma36):
         # If every i-face is (k, m)-flat then so is the polytope.
-        for poset in (poset_gamma364, poset_cube, poset_gamma36):
+        for rep in (rep_gamma364, rep_cube, rep_gamma36):
+            poset, levels = build_poset(rep), levels_of(rep)
             n = poset.rank
             for k in range(n - 1):
                 for m in range(k + 1, n):
                     for i in range(m + 1, n):
                         faces_flat = all(
-                            section(poset, (-1, 0), (i, a)).is_flat(k, m)
-                            for a in range(len(poset.levels[i]))
+                            section(levels, (-1, 0), (i, a)).is_flat(k, m)
+                            for a in range(poset.face_counts()[i])
                         )
                         if faces_flat:
                             assert poset.is_flat(k, m)
@@ -412,36 +427,38 @@ class TestTightness:
         assert not poset_simplex.is_tight()
         assert poset_simplex.flag_count() == 24
 
-    def test_rank4_recursion(self, poset_gamma364):
+    def test_rank4_recursion(self, poset_gamma364, rep_gamma364):
         # Tight facets and tight vertex-figures with enough rank spread
         # force tightness.
         n = poset_gamma364.rank
+        levels = levels_of(rep_gamma364)
         facets_tight = all(
-            section(poset_gamma364, (-1, 0), (n - 1, a)).is_tight()
-            for a in range(len(poset_gamma364.levels[n - 1]))
+            section(levels, (-1, 0), (n - 1, a)).is_tight()
+            for a in range(poset_gamma364.face_counts()[n - 1])
         )
         vertex_figures_tight = all(
-            section(poset_gamma364, (0, a), (n, 0)).is_tight()
-            for a in range(len(poset_gamma364.levels[0]))
+            section(levels, (0, a), (n, 0)).is_tight()
+            for a in range(poset_gamma364.face_counts()[0])
         )
         assert facets_tight and vertex_figures_tight
         assert poset_gamma364.is_tight()
 
 
 class TestDual:
-    def test_type_reverses(self, poset_gamma36):
-        assert dual(poset_gamma36).combinatorial_schlafli() == (6, 3)
+    def test_type_reverses(self, rep_gamma36):
+        assert dual(levels_of(rep_gamma36)).combinatorial_schlafli() == (6, 3)
 
-    def test_involution(self, poset_cube):
-        double = dual(dual(poset_cube))
+    def test_involution(self, poset_cube, rep_cube):
+        # The dual of the dual levels is the built poset again, rows included.
+        double = dual(levels_of(rep_cube)[::-1])
         assert double.face_counts() == poset_cube.face_counts()
         assert double.flag_count() == poset_cube.flag_count()
-        assert double.levels == poset_cube.levels
+        assert double._comp == poset_cube._comp
 
-    def test_dual_of_tight_is_tight(self, poset_gamma36, poset_gamma364):
-        assert dual(poset_gamma36).is_tight()
-        assert dual(poset_gamma364).is_tight()
+    def test_dual_of_tight_is_tight(self, rep_gamma36, rep_gamma364):
+        assert dual(levels_of(rep_gamma36)).is_tight()
+        assert dual(levels_of(rep_gamma364)).is_tight()
 
-    def test_dual_polytope_axioms(self, poset_gamma364):
-        assert dual(poset_gamma364).verify_polytope().passed
+    def test_dual_polytope_axioms(self, rep_gamma364):
+        assert dual(levels_of(rep_gamma364)).verify_polytope().passed
 

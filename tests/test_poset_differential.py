@@ -2,7 +2,9 @@
 
 `reference_poset.ReferencePoset` keeps the earlier `verify_polytope`,
 chain enumerators, section generators and flag system; every test here
-builds both over the same levels and demands equal reports (first failure
+holds a `FacePoset` to it over the same levels: a built poset over
+`orbit_levels` of its rep, a poset made by hand over the levels it was made
+from. Each test demands equal reports (first failure
 text included), equal flag systems and Schlafli symbols, or the same
 exception type with the same message from both. `flag_count`, counted rank
 by rank or read from the chain walk, must equal the length of both flag
@@ -14,6 +16,11 @@ The same holds on the dual and on one section drawn by the oracle.
 every face and to the oracle, on quotients of rank 3 to 5 that include
 non-polytopes.
 
+Random partitions of a few points, one per rank, go through
+`build_poset`'s label rows (`reference_poset.partition_poset`); their duals
+and sections, and levels whose faces overlap or miss a point, through
+pairwise meets (`reference_poset.meet_poset`).
+
 `build_poset` takes the faces as the cosets gΓ_i, the orbits of the rep's
 own columns. `TestLeftCosets` holds its verdicts to those of the earlier
 build, the cosets Γ_i g from the left action (`reference_poset.left_levels`).
@@ -21,14 +28,22 @@ The two number their faces differently, so only verdicts are compared.
 
 `build_poset` writes each face as a label per point. `TestLabelBuild` holds
 it to the build from `frozenset` orbits (`reference_poset.reference_build`):
-the same comparability rows, roots and face counts, and levels derived from
-the labels equal to the oracle's.
+the same comparability rows, roots and face counts. So `orbit_levels` of a
+rep gives the point sets of its built poset's faces, in the same numbering.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_poset import BOTTOM, ReferencePoset, left_levels, reference_build
+from reference_poset import (
+    BOTTOM,
+    ReferencePoset,
+    left_levels,
+    meet_poset,
+    orbit_levels,
+    partition_poset,
+    reference_build,
+)
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded
@@ -51,8 +66,9 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def assert_same(poset: FacePoset) -> None:
-    ref = ReferencePoset(poset.rank, poset.levels)
+def assert_same(poset: FacePoset, levels) -> None:
+    """The poset against the oracle over the levels it was made from."""
+    ref = ReferencePoset(poset.rank, levels)
     report = outcome(poset.verify_polytope)
     assert report == outcome(ref.verify_polytope)
     flags, ref_flags = outcome(poset.flags_and_adjacency), outcome(ref.flags_and_adjacency)
@@ -72,40 +88,48 @@ def check_presentation(pres: Presentation, data) -> None:
         rep = regular_rep(pres, BUDGET)
     except BudgetExceeded:
         return
-    check_poset(build_poset(rep), data)
+    check_poset(build_poset(rep), orbit_levels(rep.degree, rep.gens), data)
 
 
-def section(poset: FacePoset, lo, hi) -> FacePoset:
+def section_levels(levels, lo, hi):
     """The faces strictly between the face references lo and hi, re-ranked;
     the oracle picks them."""
-    s = ReferencePoset(poset.rank, poset.levels).section(lo, hi)
-    return FacePoset(s.rank, s.levels)
+    return ReferencePoset(len(levels), levels).section(lo, hi).levels
 
 
-def dual(poset: FacePoset) -> FacePoset:
-    return FacePoset(poset.rank, reversed(poset.levels))
+def section(levels, lo, hi) -> FacePoset:
+    """The poset of `section_levels`, by pairwise meets."""
+    s = section_levels(levels, lo, hi)
+    return meet_poset(len(s), s)
 
 
-def check_poset(poset: FacePoset, data) -> None:
-    """Compare the poset, its dual and one drawn section. An explicit example
-    has no data to draw from; it passes None and draws no section."""
-    assert_same(poset)
-    assert_same(dual(poset))
+def dual(levels) -> FacePoset:
+    """The poset of the levels reversed, by pairwise meets."""
+    return meet_poset(len(levels), levels[::-1])
+
+
+def check_poset(poset: FacePoset, levels, data) -> None:
+    """Compare the poset, made over the levels, their dual and one drawn
+    section. An explicit example has no data to draw from; it passes None
+    and draws no section."""
+    assert_same(poset, levels)
+    assert_same(dual(levels), levels[::-1])
     if data is None:
         return
     # Ranks first, then faces, so that sections of every rank are drawn.
-    ref = ReferencePoset(poset.rank, poset.levels)
+    ref = ReferencePoset(poset.rank, levels)
+    counts = poset.face_counts()
     lo_rank = data.draw(st.integers(min_value=-1, max_value=poset.rank - 1))
     lo = BOTTOM
     if lo_rank >= 0:
-        lo = (lo_rank, data.draw(st.integers(0, len(poset.levels[lo_rank]) - 1)))
-    his = [(i, k) for i in range(lo_rank + 1, poset.rank) for k in range(len(poset.levels[i]))]
+        lo = (lo_rank, data.draw(st.integers(0, counts[lo_rank] - 1)))
+    his = [(i, k) for i in range(lo_rank + 1, poset.rank) for k in range(counts[i])]
     his = [hi for hi in his + [ref.top] if ref.leq(lo, hi)]
     hi_rank = data.draw(st.sampled_from(sorted({i for i, _ in his})))
     hi = data.draw(st.sampled_from([h for h in his if h[0] == hi_rank]))
-    drawn = section(poset, lo, hi)
-    assert_same(drawn)
-    assert_same(dual(drawn))
+    drawn = section_levels(levels, lo, hi)
+    assert_same(meet_poset(len(drawn), drawn), drawn)
+    assert_same(dual(drawn), drawn[::-1])
 
 
 @st.composite
@@ -140,7 +164,7 @@ def partition_posets(draw):
         for point, label in enumerate(labels):
             blocks.setdefault(label, set()).add(point)
         levels.append([frozenset(block) for block in blocks.values()])
-    return FacePoset(len(levels), levels)
+    return levels
 
 
 # Levels whose incidence, by meeting point sets, is not transitive, though
@@ -195,11 +219,14 @@ class TestSameVerdicts:
 
     @settings(max_examples=150, deadline=None)
     @given(partition_posets(), st.data())
-    @example(FacePoset(3, INTRANSITIVE_LEVELS[0]), None)
-    @example(FacePoset(3, INTRANSITIVE_LEVELS[1]), None)
-    @example(FacePoset(3, EMPTY_INTERVAL_LEVELS), None)
-    def test_point_partitions(self, poset, data):
-        check_poset(poset, data)
+    @example(INTRANSITIVE_LEVELS[0], None)
+    @example(INTRANSITIVE_LEVELS[1], None)
+    def test_point_partitions(self, levels, data):
+        check_poset(partition_poset(levels), levels, data)
+
+    def test_empty_interval(self):
+        # Rank 1 misses point 0, so these levels are no partition.
+        check_poset(meet_poset(3, EMPTY_INTERVAL_LEVELS), EMPTY_INTERVAL_LEVELS, None)
 
 
 # Rank 3 to 5: Coxeter symbols and admissible tuples of length 2 to 4.
@@ -229,16 +256,18 @@ def collapsed_quotients(draw):
     return Presentation(base.ngens, base.relators + ((extra,) if extra else ()))
 
 
-def assert_roots_agree(poset: FacePoset) -> None:
-    """One root per rank, every face a root, and the oracle give the same
-    verdicts, first failure text included. The levels must come in
-    increasing order of least point, as `build_poset` gives them."""
-    for level in poset.levels:
+def assert_roots_agree(rep) -> None:
+    """The built poset, with one root per rank, the poset over the same
+    levels with every face a root, and the oracle give the same verdicts,
+    first failure text included. The levels must come in increasing order
+    of least point, as `build_poset` gives them."""
+    levels = orbit_levels(rep.degree, rep.gens)
+    for level in levels:
         least = [min(face) for face in level]
         assert least == sorted(set(least))
-    rooted = FacePoset(poset.rank, poset.levels, transitive=True)
-    every = FacePoset(poset.rank, poset.levels)
-    ref = ReferencePoset(poset.rank, poset.levels)
+    rooted = build_poset(rep)
+    every = meet_poset(rooted.rank, levels)
+    ref = ReferencePoset(rooted.rank, levels)
     for verdict in ("verify_polytope", "flag_count", "combinatorial_schlafli", "is_tight"):
         got = [outcome(getattr(p, verdict)) for p in (rooted, every, ref)]
         assert got[0] == got[1] == got[2], verdict
@@ -255,7 +284,7 @@ class TestRootWalk:
             rep = regular_rep(pres, BUDGET)
         except BudgetExceeded:
             return
-        assert_roots_agree(build_poset(rep))
+        assert_roots_agree(rep)
 
     @pytest.mark.parametrize(
         "pres,flags",
@@ -274,9 +303,9 @@ class TestRootWalk:
         # 4-simplex, the 5-simplex and the 24-cell are polytopes that are not
         # tight, whose flag counts are not 2 * prod(type); killing x1 in
         # [3, 3, 3] kills the group, leaving one face per rank and one flag.
-        poset = build_poset(regular_rep(pres))
-        assert poset.flag_count() == flags
-        assert_roots_agree(poset)
+        rep = regular_rep(pres)
+        assert build_poset(rep).flag_count() == flags
+        assert_roots_agree(rep)
 
 
 class TestLeftCosets:
@@ -296,19 +325,17 @@ class TestLeftCosets:
         except BudgetExceeded:
             return
         built = build_poset(rep)
-        left = FacePoset(built.rank, left_levels(rep), transitive=True)
+        left = partition_poset(left_levels(rep), transitive=True)
         for verdict in ("verify_polytope", "flag_count", "combinatorial_schlafli", "is_tight"):
             assert outcome(getattr(built, verdict)) == outcome(getattr(left, verdict)), verdict
 
 
 def assert_same_build(rep) -> None:
-    """The label build against the point-set oracle. The levels are read
-    last, so the rows come from the labels alone."""
+    """The label build against the point-set oracle."""
     built, oracle = build_poset(rep), reference_build(rep)
     assert built._comp == oracle._comp
     assert built._roots == oracle._roots
-    assert built.face_counts() == tuple(map(len, oracle.levels))
-    assert built.levels == oracle.levels
+    assert built.face_counts() == oracle.face_counts()
 
 
 class TestLabelBuild:

@@ -17,7 +17,11 @@ name may be read as a bare name or as an attribute (`engine.point_orbit`);
 a member only as an attribute (`poset.flag_count()`, `report.passed`), so a
 local variable of the same name keeps no member alive. Members are matched
 by name alone, so a member stays alive when any attribute of that name is
-read. Imports alone do not count, and `__init__.py` is left out, since its
+read. A class's `__init__` is the one private member the guard reports: it
+is live only when a live unit outside the class calls the class by name
+(`FacePoset(...)` or `poset.FacePoset(...)`), so a constructor that `src`
+gets around, through `__new__` or otherwise, is reported with what only it
+reads. Imports alone do not count, and `__init__.py` is left out, since its
 re-exports call nothing. An entry point or allowed name is itself an
 error when its module does not define it or a live unit outside the
 allowed definitions already reads it, so no exception outlives its need.
@@ -80,22 +84,27 @@ def member_name(stmt: ast.stmt) -> str | None:
     return None
 
 
-def read_names(*nodes: ast.AST) -> tuple[set[str], set[str]]:
-    """The bare names and the attribute names that the nodes read."""
-    names, attributes = set(), set()
+def read_names(*nodes: ast.AST) -> tuple[set[str], set[str], set[str]]:
+    """The bare names and the attribute names that the nodes read, and the
+    names they call, bare or as an attribute."""
+    names, attributes, calls = set(), set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 attributes.add(sub.attr)
-    return names, attributes
+            elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                calls.add(sub.func.id)
+            elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                calls.add(sub.func.attr)
+    return names, attributes, calls
 
 
 def units(stmt: ast.stmt):
-    """(defined names, bare names read, attribute names read) for a
-    top-level statement and, for a class, each of its methods and fields
-    apart; a member defines `Class.member`."""
+    """(defined names, bare names read, attribute names read, names called)
+    for a top-level statement and, for a class, each of its methods and
+    fields apart; a member defines `Class.member`."""
     if not isinstance(stmt, ast.ClassDef):
         yield defined_names(stmt), *read_names(stmt)
         return
@@ -106,9 +115,9 @@ def units(stmt: ast.stmt):
         yield {stmt.name, f"{stmt.name}.{member_name(member)}"}, *read_names(member)
 
 
-def all_units(sources: dict[str, str]) -> list[tuple[str, set[str], set[str], set[str]]]:
-    """(module, defined names, bare names read, attribute names read) for
-    every unit of every module."""
+def all_units(sources: dict[str, str]) -> list[tuple[str, set[str], set[str], set[str], set[str]]]:
+    """(module, defined names, bare names read, attribute names read, names
+    called) for every unit of every module."""
     return [
         (module, *unit)
         for module, text in sources.items()
@@ -121,8 +130,8 @@ def live_readers(found: list, dead: set[str]) -> list:
     """The units that keep what they read alive: neither an allowed
     definition nor one that defines a reported name."""
     return [
-        (m, defs, names, attributes)
-        for m, defs, names, attributes in found
+        (m, defs, *reads)
+        for m, defs, *reads in found
         if not defs & ALLOWED.get(m, {}).keys() and not {f"{m}.{d}" for d in defs} & dead
     ]
 
@@ -134,15 +143,24 @@ def is_read(module: str, name: str, readers: list) -> bool:
     return any(
         (read_as in attributes or not dot and read_as in names)
         and not (m == module and name in defs)
-        for m, defs, names, attributes in readers
+        for m, defs, names, attributes, _ in readers
+    )
+
+
+def is_called(module: str, cls: str, readers: list) -> bool:
+    """Does a reader outside the class's own definition call it by name?"""
+    return any(
+        cls in calls and not (m == module and cls in defs) for m, defs, _, _, calls in readers
     )
 
 
 def uncalled(sources: dict[str, str]) -> list[str]:
     """`module.name` for each public top-level name, public method and
-    public field of a guarded module that no other live unit reads, the
-    entry points and the allowed names excepted. The passes repeat until
-    nothing more is reported; each can only report more, so they stop."""
+    public field of a guarded module that no other live unit reads, and
+    each `Class.__init__` of a class that no live unit outside it calls,
+    the entry points and the allowed names excepted. The passes repeat
+    until nothing more is reported; each can only report more, so they
+    stop."""
     found = all_units(sources)
     dead: set[str] = set()
     while True:
@@ -150,12 +168,16 @@ def uncalled(sources: dict[str, str]) -> list[str]:
         missing = []
         for module in GUARDED:
             allowed = ALLOWED.get(module, {}).keys() | ENTRY_POINTS.get(module, {}).keys()
-            public = set().union(*(d for m, d, _, _ in found if m == module))
+            public = set().union(*(d for m, d, *_ in found if m == module))
             for name in sorted(public - allowed):
-                _, _, read_as = name.rpartition(".")
-                if read_as.startswith("_") or name.partition(".")[0].startswith("_"):
+                cls, _, read_as = name.rpartition(".")
+                if read_as == "__init__":
+                    live = is_called(module, cls, readers)
+                elif read_as.startswith("_") or name.partition(".")[0].startswith("_"):
                     continue
-                if not is_read(module, name, readers):
+                else:
+                    live = is_read(module, name, readers)
+                if not live:
                     missing.append(f"{module}.{name}")
         if set(missing) == dead:
             return missing
@@ -174,7 +196,7 @@ def stale_exceptions(sources: dict[str, str]) -> list[str]:
         for module, names in kept.items():
             if module not in sources:
                 continue
-            defined = set().union(*(d for m, d, _, _ in found if m == module))
+            defined = set().union(*(d for m, d, *_ in found if m == module))
             stale += [
                 f"{module}.{name}"
                 for name in names
@@ -346,3 +368,33 @@ def test_guard_follows_chains_of_unread_names():
         "poset.FacePoset.top",
         "poset.face_id",
     ]
+
+
+def test_guard_counts_an_init_only_when_the_class_is_called():
+    sources = {
+        "poset": (
+            "class FacePoset:\n"
+            "    def __init__(self, levels):\n        self._comp = self.rows_of(levels)\n"
+            "    def rows_of(self, levels):\n        return levels\n"
+            "    def _setup(self, rows):\n        self._comp = rows\n"
+            "    def flag_count(self):\n        return FacePoset(self._comp)\n"
+            "class PosetReport:\n"
+            "    def __init__(self):\n        pass\n"
+            "def build_poset():\n"
+            "    poset = FacePoset.__new__(FacePoset)\n"
+            "    poset._setup([])\n"
+            "    return poset.flag_count(), isinstance(poset, PosetReport)\n"
+        ),
+        "cli": "from . import poset\nposet.build_poset()\n",
+    }
+    # build_poset names both classes and calls neither: it gets around
+    # FacePoset's __init__ through __new__, and only FacePoset calls itself.
+    # The dead __init__ keeps rows_of, which only it reads, from counting.
+    assert uncalled(sources) == [
+        "poset.FacePoset.__init__",
+        "poset.FacePoset.rows_of",
+        "poset.PosetReport.__init__",
+    ]
+    # A call as an attribute or as a bare name keeps an __init__ alive.
+    sources["cli"] += "poset.FacePoset([])\nfrom .poset import PosetReport\nPosetReport()\n"
+    assert uncalled(sources) == []
