@@ -16,7 +16,9 @@ and so does a `classify --index-cap` below 1.
 which present one group with its generators in reverse order: the task
 enumerates the lesser of the two and derives the other's verdict from the
 same regular rep (`families.verify_gamma_pair`). So `--budget` bounds the
-enumerations an atlas makes, and a reversed tuple makes none.
+enumerations an atlas makes, and a reversed tuple makes none. A tuple with an
+entry 2 is enumerated block by block (`families._gamma_rep`), so the budget
+bounds each block's enumeration, not the product of the blocks.
 """
 
 from __future__ import annotations
@@ -283,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=_integer,
             help=f"coset budget of each enumeration the run makes, >= 1 (default {DEFAULT_MAX_COSETS});"
-            " atlas derives a reversed tuple's verdict and makes no enumeration for it",
+            " atlas derives a reversed tuple's verdict and makes no enumeration for it, and a tuple"
+            " with an entry 2 is enumerated block by block, so the budget bounds each block",
         )
 
     p_family = sub.add_parser("family", help="emit a builder's presentation file")

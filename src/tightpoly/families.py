@@ -10,6 +10,13 @@ verdict of the tests (`tests/paper_checks.py`), which sets its `family`,
 verdicts. The paper's lemma checks that no command runs (the FAP, the
 parabolic checks at entries equal to 2, the odd-even-odd rotation
 representation) live there too, beside the acceptance criteria.
+
+A tuple with an entry 2 presents a direct product. The string Coxeter
+diagram falls apart at that branch, so [p_1, ..., p_{i-1}, 2, p_{i+1}, ...]
+is [p_1, ..., p_{i-1}] x [p_{i+1}, ...] (McMullen-Schulte, *Abstract
+Regular Polytopes*), and `_gamma_rep` builds the regular rep of such a
+tuple's group from the blocks between its 2s, then certifies it against the
+whole presentation (`_gamma_rep` gives the argument).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from . import sggi
 from .engine import PermRep
 from .errors import NotAdmissible
 from .poset import poset_checks
-from .toddcox import regular_rep
+from .toddcox import CosetTable, perm_rep, regular_rep
 from .words import (
     Presentation,
     admissibility_message,
@@ -85,9 +92,50 @@ def _verdict(
     )
 
 
+def _product(reps: list[PermRep]) -> PermRep:
+    """The direct product of regular reps. Its points are the tuples
+    (i_1, ..., i_m), i_j a point of the j-th rep, numbered with i_m varying
+    fastest, so point 0 is (0, ..., 0); a generator of the j-th rep moves
+    i_j alone."""
+    degree = prod(rep.degree for rep in reps)
+    gens = []
+    stride = degree
+    for rep in reps:
+        # One step in i_j moves `stride` points; i_j runs through `step`.
+        stride //= rep.degree
+        step = rep.degree * stride
+        for col in rep.gens:
+            if stride == 1:
+                gens.append(tuple(hi + c for hi in range(0, degree, step) for c in col))
+                continue
+            image = []
+            for hi in range(0, degree, step):
+                for c in col:
+                    image.extend(range(hi + c * stride, hi + c * stride + stride))
+            gens.append(tuple(image))
+    return PermRep(degree, tuple(gens))
+
+
 def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, ...], Presentation, PermRep]:
     """An admissible tuple, its presentation and the certified regular rep
-    of the quotient; a tuple that is not admissible raises NotAdmissible."""
+    of the quotient; a tuple that is not admissible raises NotAdmissible.
+
+    A tuple with no entry 2 is enumerated whole. A tuple with an entry 2 is
+    cut into blocks at every such entry: generators x_j, ..., x_k between
+    two 2s form the block of the entries p_{j+1}, ..., p_k. A block of two
+    or more generators is enumerated on its own tuple's presentation, under
+    the same `max_cosets`; a lone generator is C2 on 2 points. The direct
+    product of the blocks' regular reps is then certified against the whole
+    tuple's presentation by `perm_rep`, the one certificate. This is sound:
+    the whole presentation holds every block's relators and every cross
+    commutation ((x_j x_k)^2 for |j - k| >= 2, and (x_{i-1} x_i)^2 at the
+    entry 2), so its group is a quotient of the product, of order at most
+    the product's degree. The certificate proves that the product rep is a
+    regular rep of a quotient of that group, so the two orders are equal
+    and the product rep is a regular rep of the tuple's group. The extra
+    relators across a 2 follow from the commutations; were one not to hold,
+    the certificate would raise RelatorViolation.
+    """
     entries = validate_symbol(sym)
     adm = is_admissible(entries)
     if not adm:
@@ -97,7 +145,16 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
             violating_index=adm.violating_index,
         )
     pres = gamma_tuple_presentation(entries)
-    return entries, pres, regular_rep(pres, max_cosets)
+    if 2 not in entries:
+        return entries, pres, regular_rep(pres, max_cosets)
+    blocks = []
+    start = 0
+    for k, p in enumerate(entries + (2,)):
+        if p == 2:
+            block = entries[start:k]
+            blocks.append(regular_rep(gamma_tuple_presentation(block), max_cosets) if block else PermRep(2, ((1, 0),)))
+            start = k + 1
+    return entries, pres, perm_rep(CosetTable(pres, _product(blocks).gens))
 
 
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:

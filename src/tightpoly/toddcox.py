@@ -12,8 +12,8 @@ tables. No closing sweep follows the pass (`_hlt` says why none is needed).
 The pass fills the columns that the closed table keeps, relabelled to the
 live cosets: the one form `CosetTable` and `PermRep` hold.
 
-Every closed table, enumerated here or built elsewhere (the census's), is a
-table of a regular action, and is certified once as one by
+Every closed table, enumerated here or built elsewhere (the census's, and
+the block products of `families._gamma_rep`), is a table of a regular action, and is certified once as one by
 `_certify_regular`: the columns are involutive permutations,
 `engine.left_action` succeeds, which proves the action regular, and each
 relator fixes point 0. In a regular group an element that fixes one point is
@@ -323,8 +323,10 @@ def perm_rep(table: CosetTable) -> PermRep:
     """The permutation rep on the table's own columns.
 
     Certifies the table with `_certify_regular`, so it also checks tables
-    built elsewhere, and they must be tables of a regular action: an element
-    of a regular group that fixes one point is the identity, so the
+    built elsewhere: the census's, and the direct product of the blocks of a
+    Γ tuple with an entry 2, checked against the whole tuple's presentation
+    (`families._gamma_rep`). They must be tables of a regular action: an
+    element of a regular group that fixes one point is the identity, so the
     relators are checked at coset 0.
     """
     _certify_regular(table.rows, table.columns, table.pres)

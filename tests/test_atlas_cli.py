@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from tightpoly.errors import (
 )
 from tightpoly.families import verify_gamma_family
 from tightpoly.poset import FacePoset, NotEquivelar
+from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, gamma_tuple_presentation, parse_presentation, write_presentation
 
 
@@ -955,6 +957,8 @@ class TestCli:
 
     def test_atlas_budget_exit_same_at_any_jobs(self, capsys, tmp_path, two_cores):
         # At budget 60 the first tuples fit: the line names the one that ran out.
+        # The budget bounds each enumeration, a block's too: {2,2} is three
+        # C2 blocks and enumerates nothing, and {2,2,3}'s block {3} needs 6.
         errs = {}
         for budget in ("5", "60"):
             for jobs in ("1", "2"):
@@ -964,11 +968,11 @@ class TestCli:
                 assert not out.exists()
                 errs[budget, jobs] = capsys.readouterr().err
         assert errs["5", "1"] == errs["5", "2"] == (
-            "resource limit: tuple {2,2}: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
+            "resource limit: tuple {2,2,3}: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
         )
         assert errs["60", "1"] == errs["60", "2"] == (
-            "resource limit: tuple {2,2,7}: coset enumeration exceeded budget of 60 cosets"
-            " (60 allocated, 60 live, at coset 16)\n"
+            "resource limit: tuple {4,8}: coset enumeration exceeded budget of 60 cosets"
+            " (60 allocated, 60 live, at coset 8)\n"
         )
 
     def test_atlas_dead_worker_exits_internal(self, capsys, tmp_path, monkeypatch, two_cores):
@@ -1019,17 +1023,37 @@ class TestMirrorPairs:
             assert derived.to_json_line() == entry_from_verdict(verify_gamma_family(t[::-1])).to_json_line()
 
     def test_one_enumeration_per_pair(self, monkeypatch, tmp_path):
-        enumerated = []
-        real = families.regular_rep
+        # One rep per pair: the whole enumeration of a tuple with no entry 2,
+        # or the one certificate of a tuple's block product. The blocks'
+        # enumerations are counted apart.
+        tuples, reps, blocks = [], [], []
+        real_gamma, real_rep, real_perm = families._gamma_rep, families.regular_rep, families.perm_rep
+
+        def gamma(sym, max_cosets):
+            tuples.append(gamma_tuple_presentation(sym))
+            return real_gamma(sym, max_cosets)
 
         def counted(pres, max_cosets=None):
-            enumerated.append(pres)
-            return real(pres, max_cosets)
+            if pres == tuples[-1]:
+                reps.append(("whole", pres))
+            else:
+                blocks.append(pres)
+            return real_rep(pres, max_cosets)
 
+        def certified(table):
+            reps.append(("product", table.pres))
+            return real_perm(table)
+
+        monkeypatch.setattr(families, "_gamma_rep", gamma)
         monkeypatch.setattr(families, "regular_rep", counted)
+        monkeypatch.setattr(families, "perm_rep", certified)
         out = tmp_path / "a.jsonl"
         assert main(["atlas", "--max-flags", "100", "--max-rank", "4", "--out", str(out), "--jobs", "1"]) == 0
-        assert len(enumerated) == 69 == 121 - len(mirror_pairs(100, 4))
+        assert [pres for _, pres in reps] == tuples
+        assert len(reps) == 69 == 121 - len(mirror_pairs(100, 4))
+        # 77 enumerations in all: 9 whole tuples and 68 blocks.
+        assert [kind for kind, _ in reps].count("whole") == 9
+        assert len(blocks) == 68
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "798a2dd41d0d44ee2947e023be8726deb6f6607ab974feeabed6cb4392c25a97"
         )
@@ -1057,3 +1081,54 @@ class TestMirrorPairs:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(InvariantViolation):
             families.verify_gamma_pair((3, 6))
+
+
+def direct_line(t):
+    """The atlas line of a tuple from the enumeration of its whole presentation."""
+    pres = gamma_tuple_presentation(t)
+    verdict = families._verdict("gamma", t, pres, regular_rep(pres), 2 * prod(t), True)
+    return entry_from_verdict(verdict).to_json_line()
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize(
+        "max_flags, max_rank, length, products, step",
+        [(100, 4, None, 105, 1), (500, 4, None, 805, 8), (600, 7, 6, 154, 5)],
+    )
+    def test_product_equals_the_whole_enumeration(self, max_flags, max_rank, length, products, step):
+        # The rank-7 case takes the tuples of length 6 with 2 * prod <= 600.
+        tuples = [t for t in admissible_tuples(max_flags, max_rank) if 2 in t and length in (None, len(t))]
+        assert len(tuples) == products
+        for t in tuples[::step]:
+            _, pres, rep = families._gamma_rep(t, None)
+            assert rep.degree == regular_rep(pres).degree
+            assert entry_from_verdict(verify_gamma_family(t)).to_json_line() == direct_line(t)
+
+    def test_three_c2_blocks_enumerate_nothing(self, monkeypatch):
+        monkeypatch.setattr(families, "regular_rep", no_work)
+        verdict = verify_gamma_family((2, 2))
+        assert verdict.group_order == verdict.flag_count == 8
+        assert verdict.passed, verdict.claims
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tampered_block_exits_internal(self, jobs, capsys, tmp_path, monkeypatch, two_cores):
+        # The block {4} of {2,4} gets the columns of {3}: involutive and
+        # regular, but (x1 x2)^4 of the whole presentation fails at coset 0.
+        real = families.regular_rep
+
+        def tampered(pres, max_cosets=None):
+            if pres == gamma_tuple_presentation((4,)):
+                pres = gamma_tuple_presentation((3,))
+            return real(pres, max_cosets)
+
+        monkeypatch.setattr(families, "regular_rep", tampered)
+        with pytest.raises(RelatorViolation):
+            verify_gamma_family((2, 4))
+        out = tmp_path / "a.jsonl"
+        argv = ["atlas", "--max-flags", "40", "--max-rank", "3", "--out", str(out), "--jobs", jobs]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "",
+            "internal error: relator (1, 2, 1, 2, 1, 2, 1, 2) does not close at coset 0\n",
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from reference_elements import compose, identity_perm
 from reference_toddcox import reference_table
-from tightpoly import engine
+from tightpoly import engine, toddcox
 from tightpoly.atlas import admissible_tuples
 from tightpoly.errors import BudgetExceeded, RelatorViolation
+from tightpoly.families import verify_gamma_family
 from tightpoly.toddcox import (
     DEFAULT_MAX_COSETS,
     CosetTable,
@@ -150,6 +151,33 @@ class TestDefinitions:
             total_allocated += len(parent)
             total_live += sum(p == x for x, p in enumerate(parent))
         assert (total_allocated, total_live) == (allocated, live)
+
+
+    @pytest.mark.parametrize(
+        "tuples, enumerations, allocated, live",
+        [
+            (admissible_tuples(500, 4)[::8], 156, 22_564, 17_866),
+            ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 52, 497, 492),
+        ],
+        ids=["atlas-workload", "highrank-workload"],
+    )
+    def test_cosets_allocated_on_the_verdict_path(self, tuples, enumerations, allocated, live, monkeypatch):
+        # The benchmark's atlas and highrank items, through the verdict: a
+        # tuple with an entry 2 enumerates only its blocks, so the work is
+        # less than the whole presentations' above (46,362 and 20,959).
+        runs = []
+
+        def counted(pres, budget):
+            cols, parent = _hlt(pres, budget)
+            runs.append(parent)
+            return cols, parent
+
+        monkeypatch.setattr(toddcox, "_hlt", counted)
+        for t in tuples:
+            verify_gamma_family(t)
+        total_allocated = sum(map(len, runs))
+        total_live = sum(p == x for parent in runs for x, p in enumerate(parent))
+        assert (len(runs), total_allocated, total_live) == (enumerations, allocated, live)
 
 
 def _scan_closes(table, w, c):
