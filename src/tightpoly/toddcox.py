@@ -13,12 +13,13 @@ The pass fills the columns that the closed table keeps, relabelled to the
 live cosets: the one form `CosetTable` and `PermRep` hold.
 
 Every closed table, enumerated here or built elsewhere (the census's, and
-the block products of `families._gamma_rep`), is a table of a regular action, and is certified once as one by
-`_certify_regular`: the columns are involutive permutations,
-`engine.left_action` succeeds, which proves the action regular, and each
-relator fixes point 0. In a regular group an element that fixes one point is
-the identity (McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a
-relator that closes at coset 0 closes at every coset. A failure raises
+the block products of `families._gamma_rep`), is a table of a regular
+action, and is certified once as one by `_certify_regular`: the columns are
+involutive permutations, `engine.left_action` succeeds, which proves the
+action regular, and each relator fixes point 0. In a regular group an
+element that fixes one point is the identity (McMullen-Schulte, *Abstract
+Regular Polytopes*, 2E), so a relator that closes at coset 0 closes at
+every coset. A failure raises
 RelatorViolation, so the certificate also holds under `python -O`. The
 certificate is a pure check: it returns nothing, and the left action it
 computes is carried nowhere. `poset.build_poset` needs only the columns.
