@@ -101,11 +101,12 @@ def _product(reps: list[PermRep]) -> PermRep:
     gens = []
     stride = degree
     for rep in reps:
-        # One step in i_j moves `stride` points; i_j runs through `step`.
+        # A step of i_j moves `stride` points, and i_j's whole run spans `step`.
         stride //= rep.degree
         step = rep.degree * stride
         for col in rep.gens:
             if stride == 1:
+                # The last rep moves single points: no ranges of length 1.
                 gens.append(tuple(hi + c for hi in range(0, degree, step) for c in col))
                 continue
             image = []
@@ -149,6 +150,7 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
         return entries, pres, regular_rep(pres, max_cosets)
     blocks = []
     start = 0
+    # A 2 appended to the entries closes the last block.
     for k, p in enumerate(entries + (2,)):
         if p == 2:
             block = entries[start:k]

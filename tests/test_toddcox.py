@@ -152,7 +152,6 @@ class TestDefinitions:
             total_live += sum(p == x for x, p in enumerate(parent))
         assert (total_allocated, total_live) == (allocated, live)
 
-
     @pytest.mark.parametrize(
         "tuples, enumerations, allocated, live",
         [
