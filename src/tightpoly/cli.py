@@ -18,7 +18,8 @@ enumerates the lesser of the two and derives the other's verdict from the
 same regular rep (`families.verify_gamma_pair`). So `--budget` bounds the
 enumerations an atlas makes, and a reversed tuple makes none. A tuple with an
 entry 2 is enumerated block by block (`families._gamma_rep`), so the budget
-bounds each block's enumeration, not the product of the blocks.
+bounds each block's enumeration, and the product of the blocks' orders
+before any column of the product is built.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_integer,
             help=f"coset budget of each enumeration the run makes, >= 1 (default {DEFAULT_MAX_COSETS});"
             " atlas derives a reversed tuple's verdict and makes no enumeration for it, and a tuple"
-            " with an entry 2 is enumerated block by block, so the budget bounds each block",
+            " with an entry 2 is enumerated block by block, so the budget bounds each block and"
+            " the product of their orders",
         )
 
     p_family = sub.add_parser("family", help="emit a builder's presentation file")

@@ -37,18 +37,29 @@ class NotAdmissible(TightpolyError):
 class BudgetExceeded(TightpolyError):
     """Coset enumeration did not close within the coset budget. When the
     enumerator says how far it got, the message also gives the cosets
-    allocated and live and the coset it was processing."""
+    allocated and live and the coset it was processing. A group whose order
+    is known to be above the budget before any enumeration (a direct
+    product of blocks) gives that `order` instead."""
 
     def __init__(
-        self, budget: int, *, allocated: int | None = None, live: int | None = None, coset: int | None = None
+        self,
+        budget: int,
+        *,
+        allocated: int | None = None,
+        live: int | None = None,
+        coset: int | None = None,
+        order: int | None = None,
     ):
         self.budget = budget
         self.allocated = allocated
         self.live = live
         self.coset = coset
+        self.order = order
         message = f"coset enumeration exceeded budget of {budget} cosets"
         if allocated is not None:
             message += f" ({allocated} allocated, {live} live, at coset {coset})"
+        if order is not None:
+            message += f" (the group has order {order})"
         super().__init__(message)
 
 

@@ -27,9 +27,9 @@ from typing import Sequence
 
 from . import sggi
 from .engine import PermRep
-from .errors import NotAdmissible
+from .errors import BudgetExceeded, NotAdmissible
 from .poset import poset_checks
-from .toddcox import CosetTable, perm_rep, regular_rep
+from .toddcox import DEFAULT_MAX_COSETS, CosetTable, perm_rep, regular_rep
 from .words import (
     Presentation,
     admissibility_message,
@@ -101,19 +101,13 @@ def _product(reps: list[PermRep]) -> PermRep:
     gens = []
     stride = degree
     for rep in reps:
-        # A step of i_j moves `stride` points, and i_j's whole run spans `step`.
+        # A step of i_j moves `stride` points, and i_j's whole run spans `step`:
+        # the image of one run, shifted to the start of every run.
         stride //= rep.degree
         step = rep.degree * stride
         for col in rep.gens:
-            if stride == 1:
-                # The last rep moves single points: no ranges of length 1.
-                gens.append(tuple(hi + c for hi in range(0, degree, step) for c in col))
-                continue
-            image = []
-            for hi in range(0, degree, step):
-                for c in col:
-                    image.extend(range(hi + c * stride, hi + c * stride + stride))
-            gens.append(tuple(image))
+            run = [c * stride + s for c in col for s in range(stride)]
+            gens.append(tuple([hi + x for hi in range(0, degree, step) for x in run]))
     return PermRep(degree, tuple(gens))
 
 
@@ -127,11 +121,15 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
     or more generators is enumerated on its own tuple's presentation, under
     the same `max_cosets`; a lone generator is C2 on 2 points. The direct
     product of the blocks' regular reps is then certified against the whole
-    tuple's presentation by `perm_rep`, the one certificate. This is sound:
-    the whole presentation holds every block's relators and every cross
-    commutation ((x_j x_k)^2 for |j - k| >= 2, and (x_{i-1} x_i)^2 at the
-    entry 2), so its group is a quotient of the product, of order at most
-    the product's degree. The certificate proves that the product rep is a
+    tuple's presentation by `perm_rep`, the one certificate. Its degree, the
+    product of the blocks' degrees, is the group's order, and an enumeration
+    of the whole presentation allocates at least that many cosets: a degree
+    above `max_cosets` (DEFAULT_MAX_COSETS when None) raises BudgetExceeded
+    before any column is built, so the budget bounds the product's table as
+    it bounds every enumerated one. This is sound: the whole presentation
+    holds every block's relators and every cross commutation ((x_j x_k)^2
+    for |j - k| >= 2, and (x_{i-1} x_i)^2 at the entry 2), so its group is
+    a quotient of the product, of order at most the product's degree. The certificate proves that the product rep is a
     regular rep of a quotient of that group, so the two orders are equal
     and the product rep is a regular rep of the tuple's group. The extra
     relators across a 2 follow from the commutations; were one not to hold,
@@ -156,6 +154,10 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
             block = entries[start:k]
             blocks.append(regular_rep(gamma_tuple_presentation(block), max_cosets) if block else PermRep(2, ((1, 0),)))
             start = k + 1
+    budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
+    degree = prod(rep.degree for rep in blocks)
+    if degree > budget:
+        raise BudgetExceeded(budget, order=degree)
     return entries, pres, perm_rep(CosetTable(pres, _product(blocks).gens))
 
 

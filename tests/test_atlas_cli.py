@@ -577,6 +577,16 @@ class TestCli:
     def test_verify_budget_exit(self, capsys):
         assert main(["verify", "--tuple", "5,10,5", "--budget", "20"]) == 3
 
+    def test_verify_product_above_budget_exits_resource(self, capsys, monkeypatch):
+        # Each block {1000} fits the default budget with its 2000 points; their
+        # product of 4,000,000 does not, and no column of it is built.
+        monkeypatch.setattr(families, "_product", no_work)
+        assert main(["verify", "--tuple", "1000,2,1000"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "resource limit: coset enumeration exceeded budget of 100000 cosets (the group has order 4000000)\n",
+        )
+
     def test_verify_bad_tuple(self):
         assert main(["verify", "--tuple", "3,x"]) == 2
         assert main(["verify", "--tuple", "1,4"]) == 2
@@ -957,8 +967,8 @@ class TestCli:
 
     def test_atlas_budget_exit_same_at_any_jobs(self, capsys, tmp_path, two_cores):
         # At budget 60 the first tuples fit: the line names the one that ran out.
-        # The budget bounds each enumeration, a block's too: {2,2} is three
-        # C2 blocks and enumerates nothing, and {2,2,3}'s block {3} needs 6.
+        # The budget bounds each enumeration, a block's too, and the product of
+        # the blocks: {2,2} is three C2 blocks, of order 8, and {2,2,8} has order 64.
         errs = {}
         for budget in ("5", "60"):
             for jobs in ("1", "2"):
@@ -968,11 +978,10 @@ class TestCli:
                 assert not out.exists()
                 errs[budget, jobs] = capsys.readouterr().err
         assert errs["5", "1"] == errs["5", "2"] == (
-            "resource limit: tuple {2,2,3}: coset enumeration exceeded budget of 5 cosets (5 allocated, 5 live, at coset 0)\n"
+            "resource limit: tuple {2,2}: coset enumeration exceeded budget of 5 cosets (the group has order 8)\n"
         )
         assert errs["60", "1"] == errs["60", "2"] == (
-            "resource limit: tuple {4,8}: coset enumeration exceeded budget of 60 cosets"
-            " (60 allocated, 60 live, at coset 8)\n"
+            "resource limit: tuple {2,2,8}: coset enumeration exceeded budget of 60 cosets (the group has order 64)\n"
         )
 
     def test_atlas_dead_worker_exits_internal(self, capsys, tmp_path, monkeypatch, two_cores):

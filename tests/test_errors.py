@@ -59,3 +59,12 @@ def test_budget_exceeded_with_progress_round_trip(protocol):
     assert (back.budget, back.allocated, back.live, back.coset) == (30, 30, 28, 2)
     assert back.args == exc.args
     assert str(errors.BudgetExceeded(30)) == "coset enumeration exceeded budget of 30 cosets"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_budget_exceeded_with_order_round_trip(protocol):
+    exc = errors.BudgetExceeded(60, order=64)
+    back = pickle.loads(pickle.dumps(exc, protocol))
+    assert str(back) == "coset enumeration exceeded budget of 60 cosets (the group has order 64)"
+    assert (back.budget, back.allocated, back.order) == (60, None, 64)
+    assert back.args == exc.args
