@@ -21,6 +21,8 @@ from .words import Presentation, Word
 
 DEFAULT_ELEMENT_CAP = 5000
 UNASSIGNED = -1
+# A point's state in `left_action`'s traversal.
+UNSEEN, QUEUED, PROCESSED = 0, 1, 2
 
 Perm = tuple[int, ...]
 
@@ -91,37 +93,52 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     """Left-multiplication permutations of the generators on the points of a
     regular representation, or None if the action is not regular.
 
-    Built by breadth-first traversal and then certified: each candidate must
-    commute with every right-multiplication column, which together with
-    transitivity is equivalent to regularity. `toddcox._certify_regular`
-    calls it once per certified table and keeps only the verdict.
+    The candidates λ_j are built along a breadth-first spanning tree from
+    point 0 and must commute with every right-multiplication column ρ_k,
+    which together with transitivity is equivalent to regularity. That is,
+    every edge y -> x = ρ_k(y) of the Schreier graph needs
+    λ_j(x) = ρ_k(λ_j(y)) for all j. A discovery edge sets λ_j(x) to exactly
+    that, so only the edges the tree does not settle are compared, each as
+    the traversal meets it, and the first failure returns None.
+
+    An edge of an involutive column ρ_k back to a point x processed before
+    y needs no comparison: when x was processed, its own edge along ρ_k led
+    to ρ_k(x) = y, and either discovered y or was compared, so
+    λ_j(y) = ρ_k(λ_j(x)), and applying ρ_k gives the edge from y. Each
+    undirected non-tree edge of such a column, and each of its fixed
+    points, is thus compared once, for all n of the λ_j. A column that is
+    not an involution gets no such skip: each of its non-discovery edges is
+    compared. `toddcox._certify_regular` checks that its columns are
+    involutive permutations before calling this, once per certified table,
+    and keeps only the verdict; the census's tables are involutive too.
     """
     n = len(rep.gens)
     d = rep.degree
     gens = rep.gens
+    points = list(range(d))
+    columns = [(g, list(map(g.__getitem__, g)) == points) for g in gens]
     lam = [[UNASSIGNED] * d for _ in range(n)]
     for j in range(n):
         lam[j][0] = gens[j][0]
-    seen = [False] * d
-    seen[0] = True
+    state = [UNSEEN] * d
+    state[0] = QUEUED
     queue = [0]
     for y in queue:  # the loop visits the points appended as it runs
-        for k in range(n):
-            x = gens[k][y]
-            if not seen[x]:
-                seen[x] = True
-                for j in range(n):
-                    lam[j][x] = gens[k][lam[j][y]]
+        for gk, involutive in columns:
+            x = gk[y]
+            mark = state[x]
+            if mark == UNSEEN:
+                state[x] = QUEUED
+                for lj in lam:
+                    lj[x] = gk[lj[y]]
                 queue.append(x)
+            elif mark == QUEUED or not involutive:
+                for lj in lam:
+                    if lj[x] != gk[lj[y]]:
+                        return None
+        state[y] = PROCESSED
     if len(queue) < d:
         return None
-    for j in range(n):
-        lj = lam[j]
-        for k in range(n):
-            gk = gens[k]
-            for x in range(d):
-                if lj[gk[x]] != gk[lj[x]]:
-                    return None
     return tuple(tuple(row) for row in lam)
 
 

@@ -114,19 +114,30 @@ def _rotation_index(rep: PermRep) -> int:
     """Index of the rotation subgroup (all products of two generators) in a
     regular representation generated by involutions: 2 exactly when the
     parity of the word length, spread from point 0, is well defined, that
-    is, when every generator changes the parity of every point; else 1."""
+    is, when every generator changes the parity of every point; else 1.
+
+    The parity is checked as the traversal spreads it: a discovery edge
+    changes it by construction, and every other edge must lead to a point
+    of the other parity. The walk still reaches every point it can, so an
+    unreached point raises whatever the parities say."""
     parity = [-1] * rep.degree
     parity[0] = 0
     frontier = [0]
+    index = 2
     while frontier:
         x = frontier.pop()
+        p = parity[x]
         for g in rep.gens:
-            if parity[g[x]] < 0:
-                parity[g[x]] = 1 - parity[x]
-                frontier.append(g[x])
+            y = g[x]
+            q = parity[y]
+            if q < 0:
+                parity[y] = 1 - p
+                frontier.append(y)
+            elif q == p:
+                index = 1
     if -1 in parity:
         raise InvariantViolation(f"{parity.count(-1)} of {rep.degree} points not reached from point 0")
-    return 2 if all(parity[y] != p for g in rep.gens for y, p in zip(g, parity)) else 1
+    return index
 
 
 def profile(rep: PermRep) -> SggiProfile:

@@ -16,10 +16,12 @@ Every closed table, enumerated here or built elsewhere (the census's, and
 the block products of `families._gamma_rep`), is a table of a regular
 action, and is certified once as one by `_certify_regular`: the columns are
 involutive permutations, `engine.left_action` succeeds, which proves the
-action regular, and each relator fixes point 0. In a regular group an
-element that fixes one point is the identity (McMullen-Schulte, *Abstract
-Regular Polytopes*, 2E), so a relator that closes at coset 0 closes at
-every coset. A failure raises
+action regular, and each relator fixes point 0. `left_action` builds the
+left multiplications along a spanning tree of the table and compares them
+with the columns only on the edges the tree leaves open, each once. In a
+regular group an element that fixes one point is the identity
+(McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a relator that
+closes at coset 0 closes at every coset. A failure raises
 RelatorViolation, so the certificate also holds under `python -O`. The
 certificate is a pure check: it returns nothing, and the left action it
 computes is carried nowhere. `poset.build_poset` needs only the columns.
@@ -40,7 +42,7 @@ from itertools import compress
 from . import engine
 from .engine import PermRep
 from .errors import BudgetExceeded, RelatorViolation
-from .words import Presentation, _require_involutions, involution_letter, rotations
+from .words import Presentation, _require_involutions, closing_shifts, involution_letter
 
 DEFAULT_MAX_COSETS = 100_000
 UNDEF = -1
@@ -114,10 +116,11 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[list[int]], list[int]]:
     # One plan entry per relator, in relator order. An involution relator
     # x_g x_g is its column: scanning it only ever fills an undefined entry.
     # A traced relator w carries its letters' columns; its last index; its
-    # shifts, the t > 0 at which its rotation is w or reversed(w); its
-    # marks, one byte per allocated coset; and its path, where a scan from c
-    # records the coset c * w[:t] at position t, so that a closed cycle is
-    # marked without being walked again.
+    # shifts, the t > 0 at which its rotation is w or reversed(w), found in
+    # O(|w|) by `closing_shifts`; its marks, one byte per allocated coset;
+    # and its path, where a scan from c records the coset c * w[:t] at
+    # position t, so that a closed cycle is marked without being walked
+    # again.
     all_marks = []
     plan = []
     for w in pres.relators:
@@ -125,11 +128,9 @@ def _hlt(pres: Presentation, budget: int) -> tuple[list[list[int]], list[int]]:
         if g is not None:
             plan.append((cols[g], None, 0, None, None, None))
             continue
-        rev = w[::-1]
         marks = bytearray(size)
         all_marks.append(marks)
-        shifts = tuple(t for t, r in enumerate(rotations(w)) if t and (r == w or r == rev))
-        plan.append((None, tuple(cols[x] for x in w), len(w) - 1, shifts, marks, [0] * (len(w) + 1)))
+        plan.append((None, tuple(cols[x] for x in w), len(w) - 1, closing_shifts(w), marks, [0] * (len(w) + 1)))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -270,6 +271,10 @@ def _certify_regular(
     of the rep on those columns is regular (`engine.left_action` succeeds),
     and every other relator fixes point 0, read as `engine._image` reads any
     word. Returns nothing; raises RelatorViolation otherwise.
+
+    As the columns are involutions, `left_action` compares each edge of the
+    table that its spanning tree does not settle once, and each fixed point
+    once, instead of every column at every point for every candidate.
 
     In a regular group an element that fixes one point is the identity, so a
     relator that fixes point 0 closes from every coset: O(|w|) per relator.

@@ -44,12 +44,34 @@ def involution_letter(w: Word) -> int | None:
 def rotations(w: Word) -> Iterator[Word]:
     """The rotations of w in order: the t-th is w[t:] + w[:t], w rotated by t.
 
-    The one relator analysis: the period of w is the smallest t > 0 whose
-    rotation is w, and the t at which the rotation is w or reversed(w) are
-    the positions on w's cycle where w closes again. An iterator, so that a
-    long relator (x_i x_j)^p costs memory linear in p, not quadratic.
+    The census search scans every rotation of its relators. An iterator, so
+    that a long relator (x_i x_j)^p costs memory linear in p, not quadratic.
+    Which rotations equal w or reversed(w) is `closing_shifts`'s question,
+    answered without building any.
     """
     return (w[t:] + w[:t] for t in range(len(w)))
+
+
+def closing_shifts(w: Word) -> tuple[int, ...]:
+    """The t in 1..|w|-1, in increasing order, at which the rotation of w by
+    t is w or reversed(w): the positions on w's cycle where w closes again.
+
+    In O(|w|), with no rotation built. `str.find` gives the period p of w,
+    the least t > 0 whose rotation is w, as in `_cyclic_class`, so the
+    rotations equal to w are at the multiples of p. The rotation by t is reversed(w) exactly where
+    reversed(w) occurs in w + w, and two such t differ by a rotation that
+    fixes reversed(w), whose period is p too: they are q + k·p, with q the
+    first occurrence.
+    """
+    if not w:
+        return ()
+    s = "".join(map(chr, w))
+    period = (s + s).find(s, 1)
+    first = (s + s).find(s[::-1])
+    shifts = range(period, len(s), period)
+    if first > 0:  # reversed(w) is a rotation of w, but not w itself
+        return tuple(sorted((*shifts, *range(first, len(s), period))))
+    return tuple(shifts)
 
 
 def _cyclic_class(w: Word) -> str:

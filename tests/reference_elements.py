@@ -6,11 +6,15 @@ Moved verbatim out of the package, where no pipeline path called it:
 `Conjugation`, `conjugation_class`, `is_central_in`, `images_generate`,
 `generator_map_extends` and `is_automorphism_map` from `engine`,
 `quotient_criterion` (with `Side`) and `rotation_subgroup` from `sggi`.
-Permutations compose left to right: compose(p, q) applies p first. `is_regular`, the element-closure oracle for `engine.left_action`
-and for the regularity check of `toddcox._certify_regular`, is the tests'
-own. An element here is the permutation its word spells, and a subgroup
-is the frozenset of its elements, closed breadth-first by
-`engine.closure_perms`; none of it needs a regular representation.
+`left_action` is `engine.left_action` as it was before it compared only the
+edges its spanning tree leaves open: it builds the candidates along the
+tree and then compares every candidate with every column at every point.
+Permutations compose left to right: compose(p, q) applies p first.
+`is_regular`, the element-closure oracle for `engine.left_action` and for
+the regularity check of `toddcox._certify_regular`, is the tests' own. An
+element here is the permutation its word spells, and a subgroup is the
+frozenset of its elements, closed breadth-first by `engine.closure_perms`;
+none of it needs a regular representation.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import gcd
 from typing import Iterable, Literal, Mapping, Sequence
 
 from tightpoly import engine
-from tightpoly.engine import DEFAULT_ELEMENT_CAP, Perm, closure_perms, point_orbit
+from tightpoly.engine import DEFAULT_ELEMENT_CAP, UNASSIGNED, Perm, closure_perms, point_orbit
 from tightpoly.errors import CapExceeded
 from tightpoly.toddcox import PermRep
 from tightpoly.words import Word
@@ -181,3 +185,41 @@ def is_regular(rep: PermRep) -> bool:
     if len(group) != rep.degree:
         return False
     return len(point_orbit(rep, range(len(rep.gens)))) == rep.degree
+
+
+def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
+    """Left-multiplication permutations of the generators on the points of a
+    regular representation, or None if the action is not regular.
+
+    Built by breadth-first traversal and then certified: each candidate must
+    commute with every right-multiplication column at every point, n^2 *
+    degree comparisons, which together with transitivity is equivalent to
+    regularity. The all-pairs oracle for `engine.left_action`.
+    """
+    n = len(rep.gens)
+    d = rep.degree
+    gens = rep.gens
+    lam = [[UNASSIGNED] * d for _ in range(n)]
+    for j in range(n):
+        lam[j][0] = gens[j][0]
+    seen = [False] * d
+    seen[0] = True
+    queue = [0]
+    for y in queue:  # the loop visits the points appended as it runs
+        for k in range(n):
+            x = gens[k][y]
+            if not seen[x]:
+                seen[x] = True
+                for j in range(n):
+                    lam[j][x] = gens[k][lam[j][y]]
+                queue.append(x)
+    if len(queue) < d:
+        return None
+    for j in range(n):
+        lj = lam[j]
+        for k in range(n):
+            gk = gens[k]
+            for x in range(d):
+                if lj[gk[x]] != gk[lj[x]]:
+                    return None
+    return tuple(tuple(row) for row in lam)

@@ -14,15 +14,17 @@ from reference_elements import (
     is_automorphism_map,
     is_central_in,
     is_regular,
+    left_action,
     perm_order,
     rotation_subgroup,
 )
 from reference_toddcox import reference_table
-from test_poset_differential import BUDGET, rank3_with_extra_relator
+from test_poset_differential import BUDGET, rank3_with_extra_relator, rank4_with_extra_relator
+from test_toddcox_differential import gamma_tuples
 from tightpoly import engine
 from tightpoly.errors import BudgetExceeded, CapExceeded
 from tightpoly.toddcox import PermRep, regular_rep
-from tightpoly.words import coxeter_presentation, gamma_pq_presentation
+from tightpoly.words import coxeter_presentation, gamma_pq_presentation, gamma_tuple_presentation
 
 
 # Odd-even-odd triples for `oeo_permutation_rep`: p2 an even divisor of 2*p1
@@ -50,6 +52,86 @@ def transitive_reps(draw):
     except BudgetExceeded:
         return None
     return PermRep(len(table), tuple(zip(*table)))
+
+
+@st.composite
+def mixed_reps(draw):
+    """A drawn coset action with one more column, the product of two of its
+    columns: in general not an involution, so the rep mixes involutive and
+    non-involutive columns. The action stays regular exactly when it was."""
+    rep = draw(transitive_reps())
+    if rep is None:
+        return None
+    a, b = draw(st.permutations(range(len(rep.gens))))[:2]
+    return PermRep(rep.degree, rep.gens + (compose(rep.gens[a], rep.gens[b]),))
+
+
+@st.composite
+def repaired_reps(draw):
+    """A certified regular rep with the two 2-cycles of one column whose
+    smaller points are largest re-paired, (a b)(c e) -> (a c)(b e) or
+    (a e)(b c): the column stays an involution, and the change sits at the
+    points the enumeration numbered last, far from point 0, where the
+    spanning tree is thin and most edges are left to the comparisons."""
+    pres = draw(
+        st.one_of(
+            rank3_with_extra_relator(),
+            rank4_with_extra_relator(),
+            gamma_tuples.map(gamma_tuple_presentation),
+        )
+    )
+    try:
+        rep = regular_rep(pres, BUDGET)
+    except BudgetExceeded:
+        return None
+    k = draw(st.integers(0, len(rep.gens) - 1))
+    col = list(rep.gens[k])
+    cycles = sorted(((x, y) for x, y in enumerate(col) if x < y), reverse=True)
+    if len(cycles) < 2:
+        return None
+    (a, b), (c, e) = cycles[:2]
+    if draw(st.booleans()):
+        c, e = e, c
+    col[a], col[c], col[b], col[e] = c, a, e, b
+    gens = list(rep.gens)
+    gens[k] = tuple(col)
+    return PermRep(rep.degree, tuple(gens))
+
+
+def traversal_order(rep: PermRep) -> list[int]:
+    """The points in the order `engine.left_action`'s breadth-first
+    traversal reaches them, columns in order."""
+    queue, seen = [0], {0}
+    for y in queue:
+        for g in rep.gens:
+            if g[y] not in seen:
+                seen.add(g[y])
+                queue.append(g[y])
+    return queue
+
+
+@st.composite
+def swapped_rotation_reps(draw):
+    """A certified regular rep with one more column, a product of two of its
+    columns that is not an involution, whose images at the last two points
+    of the traversal are swapped, so the action is not regular. The swapped
+    edges lead back to points processed earlier, which an involutive column
+    would skip; edges elsewhere may fail too."""
+    pres = draw(st.one_of(rank3_with_extra_relator(), gamma_tuples.map(gamma_tuple_presentation)))
+    try:
+        rep = regular_rep(pres, BUDGET)
+    except BudgetExceeded:
+        return None
+    a, b = draw(st.permutations(range(len(rep.gens))))[:2]
+    column = list(compose(rep.gens[a], rep.gens[b]))
+    if perm_order(column) <= 2:
+        return None
+    y1, y2 = traversal_order(PermRep(rep.degree, rep.gens + (tuple(column),)))[-2:]
+    column[y1], column[y2] = column[y2], column[y1]
+    return PermRep(rep.degree, rep.gens + (tuple(column),))
+
+
+oeo_reps = st.sampled_from(OEO_TRIPLES).map(lambda t: oeo_permutation_rep(*t)[0])
 
 
 class TestPermBasics:
@@ -188,6 +270,73 @@ class TestPointEncoding:
 
         check()
         assert seen == {True, False}
+
+
+class TestLeftActionOracle:
+    """`engine.left_action` compares only the edges its spanning tree leaves
+    open; `reference_elements.left_action` compares every column with every
+    candidate at every point. They must return the same tuples or None."""
+
+    @pytest.mark.parametrize(
+        "reps, outcomes",
+        [
+            (transitive_reps(), {True, False}),
+            (oeo_reps, {True, False}),
+            (mixed_reps(), {True, False}),
+            (repaired_reps(), {True, False}),
+            (swapped_rotation_reps(), {False}),
+        ],
+        ids=["transitive", "odd-even-odd", "mixed", "re-paired", "swapped-rotation"],
+    )
+    def test_same_value_as_all_pairs(self, reps, outcomes):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(reps)
+        def check(rep):
+            if rep is None:  # out of budget, or no two 2-cycles to re-pair
+                return
+            got = engine.left_action(rep)
+            assert got == left_action(rep)
+            assert (got is not None) == is_regular(rep)
+            seen.add(got is not None)
+
+        check()
+        assert seen == outcomes
+
+    def test_non_involutive_columns_of_a_regular_rep(self, rep_gamma36):
+        # Γ(3, 6) on the columns x0, x0 x1 and x1 x2: right multiplications
+        # that generate the group, so the action is regular, and only the
+        # first column is an involution.
+        gens = rep_gamma36.gens
+        rep = PermRep(rep_gamma36.degree, (gens[0], compose(gens[0], gens[1]), compose(gens[1], gens[2])))
+        assert [perm_order(g) for g in rep.gens] == [2, 3, 6]
+        lams = engine.left_action(rep)
+        assert lams is not None
+        assert lams == left_action(rep)
+
+    def test_a_rotation_broken_only_on_edges_back(self):
+        # The dihedral group of order 8 on its own columns, then a third
+        # column: the first with its images at points 4 and 7 swapped, which
+        # is no involution. Every edge where the action fails leads back to a
+        # point processed earlier, which an involutive column would skip.
+        x0, x1 = (1, 0, 7, 4, 3, 6, 5, 2), (2, 3, 0, 1, 5, 4, 7, 6)
+        assert engine.left_action(PermRep(8, (x0, x1))) is not None
+        rep = PermRep(8, (x0, x1, (1, 0, 7, 4, 2, 6, 5, 3)))
+        assert engine.left_action(rep) is None
+        assert left_action(rep) is None
+        assert not is_regular(rep)
+
+    def test_a_new_fixed_point_breaks(self):
+        # C2 x C2 on 4 points is regular. With the second column fixing
+        # points 1 and 3 instead of swapping them, the group is D4 on 4
+        # points, and the comparison at the fixed point 1 fails.
+        rep = PermRep(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
+        assert engine.left_action(rep) == left_action(rep) == ((1, 0, 3, 2), (2, 3, 0, 1))
+        broken = PermRep(4, ((1, 0, 3, 2), (2, 1, 0, 3)))
+        assert engine.left_action(broken) is None
+        assert left_action(broken) is None
+        assert not is_regular(broken)
 
 
 class TestConjugationAcrossBuilders:

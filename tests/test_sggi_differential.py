@@ -17,6 +17,8 @@ from test_families_differential import family_presentations
 from test_poset_differential import BUDGET, rank3_with_extra_relator, rank4_with_extra_relator
 from test_toddcox_differential import gamma_tuples
 from tightpoly import engine, sggi
+from tightpoly.atlas import admissible_tuples
+from tightpoly.families import _gamma_rep
 from tightpoly.errors import BudgetExceeded
 from tightpoly.toddcox import perm_rep, regular_rep
 from tightpoly.words import (
@@ -128,3 +130,13 @@ def test_generator_map_matches_on_drawn_images():
 
     check()
     assert seen == {True, False}
+
+
+def test_rotation_index_on_rank7_reps():
+    # Every 5th of the 154 rank-7 tuples with 2 * prod <= 600, as the
+    # verdict builds their reps (block products included): the parity check
+    # made during the walk against the pair-product closure. Every Γ group
+    # is orientable; index 1 is reached by the drawn presentations above.
+    for t in [t for t in admissible_tuples(600, 7) if len(t) == 6][::5]:
+        rep = _gamma_rep(t, None)[2]
+        assert sggi._rotation_index(rep) == ref._rotation_index(rep) == 2

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paper_checks import kill_generators
 from tightpoly.atlas import admissible_tuples
@@ -10,6 +10,7 @@ from tightpoly.words import (
     Presentation,
     admissibility_message,
     check_mirrored,
+    closing_shifts,
     coxeter_presentation,
     gamma_pq_presentation,
     gamma_tuple_presentation,
@@ -40,10 +41,16 @@ class TestInvolutionLetter:
         assert involution_letter(w) == letter
 
 
+def rotation_shifts(w):
+    """The rotation rule: every rotation of w built and compared with w and
+    reversed(w), in O(|w|^2). The oracle for `closing_shifts`."""
+    return tuple(t for t, r in enumerate(rotations(w)) if t and r in (w, w[::-1]))
+
+
 class TestRotations:
     def shifts(self, w):
         # The t > 0 at which w closes again on its own cycle, as `_hlt` marks.
-        return [t for t, r in enumerate(rotations(w)) if t and r in (w, w[::-1])]
+        return list(rotation_shifts(w))
 
     def test_rotation_by_t_comes_t_th(self):
         assert list(rotations((0, 1, 2))) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -60,6 +67,52 @@ class TestRotations:
     def test_palindrome_that_is_not_a_power_has_none(self, w):
         assert w == w[::-1]
         assert self.shifts(w) == []
+
+
+@st.composite
+def periodic_words(draw):
+    """A rotation of u^k, of (u reversed(u))^k or of (u v reversed(u))^k,
+    with u and v drawn: powers, palindromes and words whose reversal is
+    another rotation, or plain words when k is 1."""
+    letters = st.integers(0, 3)
+    u = tuple(draw(st.lists(letters, max_size=5)))
+    v = tuple(draw(st.lists(letters, max_size=2)))
+    base = draw(st.sampled_from([u, u + u[::-1], u + v + u[::-1]]))
+    w = base * draw(st.integers(1, 5))
+    t = draw(st.integers(0, max(len(w) - 1, 0)))
+    return w[t:] + w[:t]
+
+
+class TestClosingShifts:
+    """`closing_shifts` finds by `str.find` the shifts that the rotation rule
+    finds by building every rotation."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(periodic_words(), st.lists(st.integers(0, 3), max_size=12).map(tuple)))
+    @example(())
+    @example((0,))
+    @example((0, 0, 1, 1))
+    @example((0, 1, 0, 2, 0, 1, 0))
+    def test_same_shifts_as_the_rotation_rule(self, w):
+        assert closing_shifts(w) == rotation_shifts(w)
+
+    @pytest.mark.parametrize(
+        "max_flags, max_rank, rank, count", [(500, 4, None, 1026), (600, 7, 7, 154)]
+    )
+    def test_every_atlas_relator(self, max_flags, max_rank, rank, count):
+        # Every relator of the `atlas 500/4` presentations and of the 154
+        # rank-7 ones with 2 * prod <= 600.
+        tuples = [t for t in admissible_tuples(max_flags, max_rank) if rank is None or len(t) + 1 == rank]
+        assert len(tuples) == count
+        relators = {w for t in tuples for w in gamma_tuple_presentation(t).relators}
+        assert any(closing_shifts(w) for w in relators)
+        for w in relators:
+            assert closing_shifts(w) == rotation_shifts(w)
+
+    def test_long_dihedral_relator(self):
+        # (x0 x1)^10000, the relator of the blocks of `verify --tuple
+        # 10000,2,10000`: closes again at every shift.
+        assert closing_shifts((0, 1) * 10000) == tuple(range(1, 20000))
 
 
 class TestCoxeter:
