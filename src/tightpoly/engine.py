@@ -116,7 +116,7 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     d = rep.degree
     gens = rep.gens
     points = list(range(d))
-    columns = [(g, list(map(g.__getitem__, g)) == points) for g in gens]
+    columns = [(g, [g[x] for x in g] == points) for g in gens]
     lam = [[UNASSIGNED] * d for _ in range(n)]
     for j in range(n):
         lam[j][0] = gens[j][0]
