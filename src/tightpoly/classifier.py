@@ -62,10 +62,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from . import engine, sggi
+from . import engine, poset, sggi
 from .engine import PermRep
 from .errors import AdjacentOddPair, CapExceeded
-from .poset import poset_checks
 from .toddcox import CosetTable, group_order, perm_rep
 from .words import (
     Presentation,
@@ -450,7 +449,7 @@ def _census(
         # that pass them all.
         if orientable is not None and prof.orientable != orientable:
             continue
-        *_, tight = poset_checks(rep)
+        *_, tight = poset.poset_checks(poset.build_poset(rep))
         if not tight:
             continue
         gamma, lam = (

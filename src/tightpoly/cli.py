@@ -31,7 +31,7 @@ import sys
 import time
 from math import prod
 
-from . import sggi
+from . import poset, sggi
 from .atlas import (
     AtlasEntry,
     admissible_tuples,
@@ -50,7 +50,6 @@ from .errors import (
     TightpolyError,
 )
 from .families import verify_gamma_family, verify_gamma_pair
-from .poset import poset_checks
 from .toddcox import DEFAULT_MAX_COSETS, regular_rep
 from .words import (
     _require_involutions,
@@ -215,13 +214,14 @@ def cmd_check(args) -> int:
         print(f"intersection condition FAILS at I={I}, J={J}")
     print("orientable" if prof.orientable else "non-orientable")
     print(f"type {_format_symbol(prof.schlafli)}")
-    poset, report, flags, sym, tight = poset_checks(rep)
+    faces = poset.build_poset(rep)
+    report, flags, sym, tight = poset.poset_checks(faces)
     if not report.passed:
         print(f"NOT a polytope: {report.first_failure}")
         return EXIT_OK
     print("polytope axioms pass")
     if sym is None:
-        witness = poset.combinatorial_schlafli()
+        witness = faces.combinatorial_schlafli()
         print(f"not equivelar at slot {witness.position}: sizes {witness.sizes}")
     elif tight:
         print(f"tight ({flags} flags)")

@@ -16,7 +16,10 @@ diagram falls apart at that branch, so [p_1, ..., p_{i-1}, 2, p_{i+1}, ...]
 is [p_1, ..., p_{i-1}] x [p_{i+1}, ...] (McMullen-Schulte, *Abstract
 Regular Polytopes*), and `_gamma_rep` builds the regular rep of such a
 tuple's group from the blocks between its 2s, then certifies it against the
-whole presentation (`_gamma_rep` gives the argument).
+whole presentation (`_gamma_rep` gives the argument). Every tuple is a
+product of one or more blocks, and its profile and face poset are read off
+its blocks' (`sggi.product_profile` and `poset.product_poset` give the
+arguments); the axioms, flags and tightness are checked on the whole poset.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from . import sggi
+from . import poset, sggi
 from .engine import PermRep
 from .errors import BudgetExceeded, NotAdmissible
-from .poset import poset_checks
 from .toddcox import DEFAULT_MAX_COSETS, CosetTable, perm_rep, regular_rep
 from .words import (
     Presentation,
@@ -60,15 +62,17 @@ def _verdict(
     family: str,
     entries: tuple[int, ...],
     pres: Presentation,
-    rep: PermRep,
+    prof: sggi.SggiProfile,
+    faces: poset.FacePoset,
     expected: int,
     orientable: bool,
     extra_claims: dict[str, bool] | None = None,
 ) -> FamilyVerdict:
-    """Profile the regular rep and build its poset once; record the claims
-    every family makes, then the family's own `extra_claims`."""
-    prof = sggi.profile(rep)
-    _, report, flag_count, combinatorial, tight = poset_checks(rep)
+    """Record the claims every family makes on the group's profile and face
+    poset, then the family's own `extra_claims`. A Γ tuple's profile and
+    poset are read off its blocks (`sggi.product_profile`,
+    `poset.product_poset`)."""
+    report, flag_count, combinatorial, tight = poset.poset_checks(faces)
     claims = {
         "order": prof.group_order == expected,
         "type": prof.schlafli == entries,
@@ -111,13 +115,17 @@ def _product(reps: list[PermRep]) -> PermRep:
     return PermRep(degree, tuple(gens))
 
 
-def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, ...], Presentation, PermRep]:
-    """An admissible tuple, its presentation and the certified regular rep
-    of the quotient; a tuple that is not admissible raises NotAdmissible.
+def _gamma_rep(
+    sym: Sequence[int], max_cosets: int | None
+) -> tuple[tuple[int, ...], Presentation, PermRep, list[PermRep]]:
+    """An admissible tuple, its presentation, the certified regular rep of
+    the quotient and the regular reps of its blocks, whose direct product
+    the rep is; a tuple that is not admissible raises NotAdmissible.
 
-    A tuple with no entry 2 is enumerated whole. A tuple with an entry 2 is
-    cut into blocks at every such entry: generators x_j, ..., x_k between
-    two 2s form the block of the entries p_{j+1}, ..., p_k. A block of two
+    A tuple with no entry 2 is enumerated whole, and is its own one block.
+    A tuple with an entry 2 is cut into blocks at every such entry:
+    generators x_j, ..., x_k between two 2s form the block of the entries
+    p_{j+1}, ..., p_k. A block of two
     or more generators is enumerated on its own tuple's presentation, under
     the same `max_cosets`; a lone generator is C2 on 2 points. The direct
     product of the blocks' regular reps is then certified against the whole
@@ -129,11 +137,12 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
     it bounds every enumerated one. This is sound: the whole presentation
     holds every block's relators and every cross commutation ((x_j x_k)^2
     for |j - k| >= 2, and (x_{i-1} x_i)^2 at the entry 2), so its group is
-    a quotient of the product, of order at most the product's degree. The certificate proves that the product rep is a
-    regular rep of a quotient of that group, so the two orders are equal
-    and the product rep is a regular rep of the tuple's group. The extra
-    relators across a 2 follow from the commutations; were one not to hold,
-    the certificate would raise RelatorViolation.
+    a quotient of the product, of order at most the product's degree. The
+    certificate proves that the product rep is a regular rep of a quotient
+    of that group, so the two orders are equal and the product rep is a
+    regular rep of the tuple's group. The extra relators across a 2 follow
+    from the commutations; were one not to hold, the certificate would raise
+    RelatorViolation.
     """
     entries = validate_symbol(sym)
     adm = is_admissible(entries)
@@ -145,7 +154,8 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
         )
     pres = gamma_tuple_presentation(entries)
     if 2 not in entries:
-        return entries, pres, regular_rep(pres, max_cosets)
+        rep = regular_rep(pres, max_cosets)
+        return entries, pres, rep, [rep]
     blocks = []
     start = 0
     # A 2 appended to the entries closes the last block.
@@ -158,15 +168,32 @@ def _gamma_rep(sym: Sequence[int], max_cosets: int | None) -> tuple[tuple[int, .
     degree = prod(rep.degree for rep in blocks)
     if degree > budget:
         raise BudgetExceeded(budget, order=degree)
-    return entries, pres, perm_rep(CosetTable(pres, _product(blocks).gens))
+    return entries, pres, perm_rep(CosetTable(pres, _product(blocks).gens)), blocks
+
+
+def _profile_and_poset(rep: PermRep, blocks: list[PermRep]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
+    """The profile and face poset of a rep that is the direct product of the
+    regular reps `blocks`, read off theirs: `sggi.product_profile` and
+    `poset.product_poset` give the arguments. One block is the rep itself.
+    The product's certificate proves each block regular, as a product
+    action is regular exactly when each factor's is."""
+    return (
+        sggi.product_profile(rep, [sggi.profile(b) for b in blocks]),
+        poset.product_poset([poset.build_poset(b) for b in blocks]),
+    )
+
+
+def _reversed(rep: PermRep) -> PermRep:
+    return PermRep(rep.degree, rep.gens[::-1])
 
 
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
     polytope axioms."""
-    entries, pres, rep = _gamma_rep(sym, max_cosets)
-    return _verdict("gamma", entries, pres, rep, 2 * prod(entries), True)
+    entries, pres, rep, blocks = _gamma_rep(sym, max_cosets)
+    prof, faces = _profile_and_poset(rep, blocks)
+    return _verdict("gamma", entries, pres, prof, faces, 2 * prod(entries), True)
 
 
 def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None) -> list[FamilyVerdict]:
@@ -181,17 +208,20 @@ def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None) -> list
     two presentations have isomorphic groups under x_i -> x_{n-1-i} (the
     dual polytope, McMullen–Schulte 2E), of the same order, and the
     certified regular rep with its columns in reverse order is a regular rep
-    of the reversed tuple's group. What goes is a second enumeration and
+    of the reversed tuple's group, the direct product of the blocks reversed,
+    each with its columns reversed. What goes is a second enumeration and
     certificate of an isomorphic presentation. What stays is every claim of
-    the reversed tuple: `_verdict` runs on its own presentation and rep, with
-    its own `sggi.profile`, its own poset and both tightness routes.
+    the reversed tuple: `_verdict` runs on its own presentation, with the
+    profile and poset that `_profile_and_poset` reads off the reversed
+    blocks, and both tightness routes.
     """
-    entries, pres, rep = _gamma_rep(sym, max_cosets)
+    entries, pres, rep, blocks = _gamma_rep(sym, max_cosets)
     expected = 2 * prod(entries)
-    verdicts = [_verdict("gamma", entries, pres, rep, expected, True)]
+    verdicts = [_verdict("gamma", entries, pres, *_profile_and_poset(rep, blocks), expected, True)]
     mirror = entries[::-1]
     if mirror != entries:
         mirror_pres = gamma_tuple_presentation(mirror)
         check_mirrored(pres, mirror_pres)
-        verdicts.append(_verdict("gamma", mirror, mirror_pres, PermRep(rep.degree, rep.gens[::-1]), expected, True))
+        data = _profile_and_poset(_reversed(rep), [_reversed(b) for b in reversed(blocks)])
+        verdicts.append(_verdict("gamma", mirror, mirror_pres, *data, expected, True))
     return verdicts

@@ -13,6 +13,7 @@ cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
 |i - j| >= 2 (ibid.). `build_poset` gives the faces of each rank in
 increasing order of least point, and faces are numbered in the order
 given, so builds are deterministic and golden files stable.
+`product_poset` reads a direct product's poset off its factors' posets.
 
 The improper least and greatest faces are implicit. Failure messages name
 them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
@@ -508,14 +509,46 @@ def label_rows(labels, total: int) -> list[int]:
     return rows
 
 
-def poset_checks(rep: PermRep):
-    """(poset, report, flag count, combinatorial type or None, tight) for a
-    regular representation; all but the report are computed for polytopes only."""
-    poset = build_poset(rep)
+def product_poset(posets: list[FacePoset]) -> FacePoset:
+    """The poset of a direct product of regular reps, from the posets of
+    its factors (the blocks of `families._gamma_rep`), in the order their
+    generators come. A tuple with no entry 2 is one block, and gets a poset
+    equal to its own.
+
+    A generator of block j moves only block j's coordinate, so the product's
+    subgroup omitting a generator of block j is that block's subgroup
+    omitting it, times every other block whole. A face of block j's ranks is
+    thus the block's face in its coordinate, with every other coordinate
+    free: its id is the block's, shifted by the face count of the earlier
+    blocks, and its row is the block's row, shifted, ORed with every face of
+    the other blocks, since a face of another block constrains another
+    coordinate, so the two always meet. The least point of such a face has
+    every other coordinate 0, so the faces of a rank come in the block's
+    order of least point whichever block varies fastest: the ids, rows and
+    roots are `build_poset`'s on the product rep, and on the rep with its
+    columns reversed when the blocks come reversed, with reversed columns.
+    """
+    counts = [c for p in posets for c in p._counts]
+    everything = (1 << sum(p._total for p in posets)) - 1
+    rows = []
+    shift = 0
+    for p in posets:
+        own = (1 << p._total) - 1  # drops the bit of the block's greatest face
+        others = everything & ~(own << shift)
+        rows += [(row & own) << shift | others for row in p._comp[: p._total]]
+        shift += p._total
+    return FacePoset(counts, rows, transitive=True)
+
+
+def poset_checks(poset: FacePoset):
+    """(report, flag count, combinatorial type or None, tight) of a coset
+    poset, from `build_poset`, or read off a product's blocks by
+    `product_poset` (which gives the argument); all but the report are
+    computed for polytopes only."""
     report = poset.verify_polytope()
     if not report.passed:
-        return poset, report, 0, None, False
+        return report, 0, None, False
     sym = poset.combinatorial_schlafli()
     if isinstance(sym, NotEquivelar):
-        return poset, report, poset.flag_count(), None, False
-    return poset, report, poset.flag_count(), sym, poset.is_tight()
+        return report, poset.flag_count(), None, False
+    return report, poset.flag_count(), sym, poset.is_tight()

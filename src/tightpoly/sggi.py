@@ -11,7 +11,8 @@ involutions; only when that check does not apply or fails does it run
 `check_intersection_condition`, the exhaustive meet over all pairs of
 generator subsets that also finds the first witness. The tests compare it
 with the same condition on element sets built by composing permutations
-(`tests/reference_elements.py`).
+(`tests/reference_elements.py`). `product_profile` reads a direct
+product's profile off its blocks' profiles.
 """
 
 from __future__ import annotations
@@ -154,9 +155,38 @@ def profile(rep: PermRep) -> SggiProfile:
     `check_intersection_condition` gives the verdict and the first witness,
     so the profile is the same as from the exhaustive check alone.
     """
+    return _profile(rep, lambda: _interval_condition(rep), lambda: _rotation_index(rep) == 2)
+
+
+def product_profile(rep: PermRep, blocks: list[SggiProfile]) -> SggiProfile:
+    """The profile of a direct product rep (`families._gamma_rep`) from the
+    profiles of its blocks, in the order their generators come; a rep that
+    is one block gets that block's profile.
+
+    Each generator lies in one factor, and generators of different factors
+    commute, so <I> is the product of the <I ∩ B> over the blocks B, and
+    <I> ∩ <J> that of the <I ∩ B> ∩ <J ∩ B>: the product is a string C-group
+    exactly when every block is. A parity map (x_i -> -1 for every i) exists
+    on the product exactly when it exists on every factor, so the product
+    is orientable exactly when every block is. `check_sggi`, the degenerate
+    generators and the Schläfli symbol are read off the product rep, as
+    cheap as off the blocks. When a generator is degenerate or some block
+    is no C-group, the exhaustive `check_intersection_condition` runs on
+    the product rep, so the verdict and the witness are `profile`'s.
+    """
+    return _profile(
+        rep,
+        lambda: all(b.is_string_c_group for b in blocks),
+        lambda: all(b.orientable for b in blocks),
+    )
+
+
+def _profile(rep: PermRep, meets, orientable) -> SggiProfile:
+    """The profile of a regular rep, given how to tell whether a non-degenerate
+    sggi meets the intersection condition, and whether it is orientable."""
     sggi_ok = check_sggi(rep)
     degenerate = degenerate_generators(rep)
-    if sggi_ok and not degenerate and _interval_condition(rep):
+    if sggi_ok and not degenerate and meets():
         c_group, witness = True, None
     else:
         c_group, witness = check_intersection_condition(rep)
@@ -168,5 +198,5 @@ def profile(rep: PermRep) -> SggiProfile:
         schlafli=schlafli_of_group(rep),
         is_string_c_group=sggi_ok and c_group,
         intersection_witness=witness,
-        orientable=_rotation_index(rep) == 2,
+        orientable=orientable(),
     )

@@ -283,7 +283,11 @@ def _certify_regular(
     """
     points = list(range(degree))
     for g, col in enumerate(columns):
-        if sorted(col) != points or list(map(col.__getitem__, col)) != points:
+        # An involution of 0..degree-1 is a permutation. The range check
+        # comes first, so that col[x] neither raises IndexError nor reads a
+        # negative x from the end.
+        in_range = len(col) == degree and min(col) >= 0 and max(col) < degree
+        if not in_range or [col[x] for x in col] != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
     rep = PermRep(degree, columns)
     if engine.left_action(rep) is None:

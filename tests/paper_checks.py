@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from reference_elements import compose, identity_perm, invert, perm_order
-from tightpoly import engine
+from tightpoly import engine, sggi
 from tightpoly.classifier import _presents_subgroup
 from tightpoly.errors import PreconditionViolated
 from tightpoly.families import FamilyVerdict, _verdict
+from tightpoly.poset import build_poset
 from tightpoly.toddcox import PermRep, group_order, regular_rep
 from tightpoly.words import (
     Presentation,
@@ -94,7 +95,7 @@ def verify_lambda_family(k: int, max_cosets: int | None = None) -> FamilyVerdict
     rep = regular_rep(pres, max_cosets)
     klein, dihedral = _klein_four_checks(rep, k)
     claims = {"klein_four_normal": klein, "dihedral_quotient": dihedral}
-    return _verdict("lambda", (3 * k, 4), pres, rep, 24 * k, False, claims)
+    return _verdict("lambda", (3 * k, 4), pres, sggi.profile(rep), build_poset(rep), 24 * k, False, claims)
 
 
 FapSide = Literal["two_faces", "co_faces"]

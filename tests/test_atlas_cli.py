@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from paper_checks import verify_lambda_family
-from tightpoly import cli, families
+from tightpoly import cli, families, sggi
 from tightpoly.atlas import (
     AtlasFormatError,
     admissible_tuples,
@@ -38,7 +38,7 @@ from tightpoly.errors import (
     WorkerDied,
 )
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, gamma_tuple_presentation, parse_presentation, write_presentation
 
@@ -1093,9 +1093,11 @@ class TestMirrorPairs:
 
 
 def direct_line(t):
-    """The atlas line of a tuple from the enumeration of its whole presentation."""
+    """The atlas line of a tuple from the enumeration of its whole
+    presentation, with the whole rep's own profile and poset."""
     pres = gamma_tuple_presentation(t)
-    verdict = families._verdict("gamma", t, pres, regular_rep(pres), 2 * prod(t), True)
+    rep = regular_rep(pres)
+    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), build_poset(rep), 2 * prod(t), True)
     return entry_from_verdict(verdict).to_json_line()
 
 
@@ -1109,7 +1111,7 @@ class TestBlockProducts:
         tuples = [t for t in admissible_tuples(max_flags, max_rank) if 2 in t and length in (None, len(t))]
         assert len(tuples) == products
         for t in tuples[::step]:
-            _, pres, rep = families._gamma_rep(t, None)
+            _, pres, rep, _ = families._gamma_rep(t, None)
             assert rep.degree == regular_rep(pres).degree
             assert entry_from_verdict(verify_gamma_family(t)).to_json_line() == direct_line(t)
 

@@ -13,7 +13,7 @@ from tightpoly.classifier import (
     low_index_normal,
 )
 from tightpoly.errors import CapExceeded, InvariantViolation
-from tightpoly.poset import poset_checks
+from tightpoly.poset import build_poset, poset_checks
 from tightpoly.toddcox import perm_rep, regular_rep
 from tightpoly.words import (
     Presentation,
@@ -386,7 +386,7 @@ class TestClassify:
         assert record.isomorphic_to_gamma is True
         assert record.profile.schlafli == (3, 6)
         assert record.orientable
-        _, report, _, _, tight = poset_checks(perm_rep(record.table))
+        report, _, _, tight = poset_checks(build_poset(perm_rep(record.table)))
         assert report.passed and tight
 
     def test_34_orientable_empty(self):

@@ -140,7 +140,7 @@ class TestBuild:
         for t in admissible_tuples(100, 4) + [(2, 2, 4, 2, 3), (3, 2, 2, 2, 2, 2)]:
             verdict = verify_gamma_family(t)
             assert verdict.passed and verdict.tight and verdict.flag_count == 2 * prod(t), t
-        _, report, count, _, tight = poset_checks(regular_rep(coxeter_presentation((3, 4, 3))))
+        report, count, _, tight = poset_checks(build_poset(regular_rep(coxeter_presentation((3, 4, 3)))))
         assert report.passed and count == 1152 and not tight
 
 
@@ -306,8 +306,8 @@ class TestFlags:
             verdict = verify_gamma_family(t)
             assert verdict.passed and verdict.tight and verdict.flag_count == 2 * prod(t), t
         for sym, flags in [((4, 3), 48), ((3, 3, 3, 3), 720), ((3, 4, 3), 1152)]:
-            _, report, count, combinatorial, tight = poset_checks(
-                regular_rep(coxeter_presentation(sym))
+            report, count, combinatorial, tight = poset_checks(
+                build_poset(regular_rep(coxeter_presentation(sym)))
             )
             assert report.passed and count == flags and combinatorial == sym and not tight
 
@@ -364,7 +364,8 @@ class TestSchlafli:
     def test_computed_once_per_poset(self, fixture, sym, request, monkeypatch):
         # poset_checks computes the symbol; is_tight and a second call read
         # the cached answer and look at no section again.
-        poset, report, _, symbol, tight = poset_checks(request.getfixturevalue(fixture))
+        poset = build_poset(request.getfixturevalue(fixture))
+        report, _, symbol, tight = poset_checks(poset)
         assert report.passed and symbol == sym
         monkeypatch.setattr(FacePoset, "_between_mask", no_sections)
         assert poset.combinatorial_schlafli() == symbol

@@ -364,6 +364,24 @@ class TestRegularCertificate:
         with pytest.raises(RelatorViolation, match="column 0 is not an involutive permutation"):
             _certify_regular(degree, ((UNDEF,) + cols[0][1:],) + cols[1:], pres)
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            lambda col: col[:-1],
+            lambda col: col[:-1] + (len(col),),
+            lambda col: (-1,) + col[1:],
+            lambda col: (-len(col),) + col[1:],
+            lambda col: col[:-1] + (-len(col) - 1,),
+        ],
+        ids=["short", "entry-equal-to-degree", "minus-1", "minus-degree", "below-minus-degree"],
+    )
+    def test_column_out_of_range(self, column):
+        # Each is rejected as a column, not by an IndexError, and a negative
+        # entry is not read from the end of the column.
+        degree, cols, pres = self._dihedral_columns()
+        with pytest.raises(RelatorViolation, match="column 1 is not an involutive permutation"):
+            _certify_regular(degree, cols[:1] + (column(cols[1]),), pres)
+
     def test_relator_that_does_not_close_at_coset_0(self):
         # A regular action of [3] on which (x0 x1)^2 closes nowhere.
         degree, cols, _ = self._dihedral_columns()
