@@ -128,13 +128,14 @@ def _check_out(path: str) -> None:
         raise InputError(f"--out {path}: its directory does not exist")
 
 
-def atlas_worker(entries: tuple[int, ...], *, budget: int | None) -> list[AtlasEntry]:
+def atlas_worker(entries: tuple[int, ...], *, budget: int | None, blocks: dict) -> list[AtlasEntry]:
     """The atlas entries of one tuple and, unless it is a palindrome, of its
-    reverse, from one enumeration of the tuple's group. A budget or cap that
-    runs out names the enumerated tuple in its message, which survives the
-    pickle back from a worker process."""
+    reverse, from one enumeration of the tuple's group, with the blocks'
+    data from the batch's `blocks` (`families._gamma_rep`). A budget or cap
+    that runs out names the enumerated tuple in its message, which survives
+    the pickle back from a worker process."""
     try:
-        return [entry_from_verdict(v) for v in verify_gamma_pair(entries, max_cosets=budget)]
+        return [entry_from_verdict(v) for v in verify_gamma_pair(entries, max_cosets=budget, blocks=blocks)]
     except (BudgetExceeded, CapExceeded) as exc:
         exc.args = (f"tuple {_format_symbol(entries)}: {exc}",)
         raise
@@ -145,7 +146,9 @@ def cmd_atlas(args) -> int:
     pair: a tuple and its reverse are admissible together, with the same
     product and length, so the batch has both. The task is the lesser of the
     two, so the first budget error in task order names a tuple that was
-    enumerated. The entries are written in `admissible_tuples` order."""
+    enumerated. The entries are written in `admissible_tuples` order. One
+    dict of block data per batch (`families._gamma_rep`) is bound into the
+    worker before `run_batch` forks, so each worker fills its own copy."""
     if args.max_flags < 4:
         raise InputError(f"--max-flags must be >= 4, got {args.max_flags}")
     if args.max_rank < 3:
@@ -155,7 +158,7 @@ def cmd_atlas(args) -> int:
     _check_out(args.out)
     tuples = admissible_tuples(args.max_flags, args.max_rank)
     tasks = [t for t in tuples if t <= t[::-1]]
-    worker = functools.partial(atlas_worker, budget=args.budget)
+    worker = functools.partial(atlas_worker, budget=args.budget, blocks={})
     found = {e.schlafli: e for pair in run_batch(tasks, worker, jobs=args.jobs) for e in pair}
     results = [found[t] for t in tuples]
     write_jsonl_atomic(args.out, [entry.to_json_line() for entry in results])

@@ -20,6 +20,9 @@ whole presentation (`_gamma_rep` gives the argument). Every tuple is a
 product of one or more blocks, and its profile and face poset are read off
 its blocks' (`sggi.product_profile` and `poset.product_poset` give the
 arguments); the axioms, flags and tightness are checked on the whole poset.
+A block's rep, profile and poset are made once per batch of verdicts
+(`_gamma_rep`), and a mirror reads its forward blocks' profiles
+(`sggi.product_profile`).
 """
 
 from __future__ import annotations
@@ -115,21 +118,47 @@ def _product(reps: list[PermRep]) -> PermRep:
     return PermRep(degree, tuple(gens))
 
 
-def _gamma_rep(
-    sym: Sequence[int], max_cosets: int | None
-) -> tuple[tuple[int, ...], Presentation, PermRep, list[PermRep]]:
-    """An admissible tuple, its presentation, the certified regular rep of
-    the quotient and the regular reps of its blocks, whose direct product
-    the rep is; a tuple that is not admissible raises NotAdmissible.
+@dataclass
+class _Block:
+    """One block of `_gamma_rep`: its certified regular rep, the rep's own
+    `sggi.profile` and `build_poset`, and, once a mirror asks for it, the
+    `build_poset` of the rep with its columns reversed."""
 
-    A tuple with no entry 2 is enumerated whole, and is its own one block.
-    A tuple with an entry 2 is cut into blocks at every such entry:
-    generators x_j, ..., x_k between two 2s form the block of the entries
-    p_{j+1}, ..., p_k. A block of two
-    or more generators is enumerated on its own tuple's presentation, under
-    the same `max_cosets`; a lone generator is C2 on 2 points. The direct
-    product of the blocks' regular reps is then certified against the whole
-    tuple's presentation by `perm_rep`, the one certificate. Its degree, the
+    rep: PermRep
+    profile: sggi.SggiProfile
+    faces: poset.FacePoset
+    mirror_faces: poset.FacePoset | None = None
+
+
+def _block(blocks: dict, key: tuple[int, ...], max_cosets: int | None, pres: Presentation | None = None) -> _Block:
+    """The data of the block of the entries `key`, from `blocks`, or made on
+    first use and stored there: the block is enumerated on `pres`, else on
+    its own tuple's presentation, under `max_cosets`; a lone generator,
+    `key` (), is C2 on 2 points."""
+    if key not in blocks:
+        rep = regular_rep(pres or gamma_tuple_presentation(key), max_cosets) if key else PermRep(2, ((1, 0),))
+        blocks[key] = _Block(rep, sggi.profile(rep), poset.build_poset(rep))
+    return blocks[key]
+
+
+def _gamma_rep(
+    sym: Sequence[int], max_cosets: int | None, blocks: dict
+) -> tuple[tuple[int, ...], Presentation, PermRep, list[_Block]]:
+    """An admissible tuple, its presentation, the certified regular rep of
+    the quotient and the data of its blocks, whose direct product the rep
+    is; a tuple that is not admissible raises NotAdmissible.
+
+    The tuple is cut into blocks at every entry 2: generators x_j, ..., x_k
+    between two 2s form the block of the entries p_{j+1}, ..., p_k, and a
+    tuple with no entry 2 is one block, whose rep is the tuple's. Each
+    block's data come from `blocks`, keyed by its entries (`_block`): a dict
+    that lives for one batch of verdicts under one `max_cosets`, so a block
+    that the batch's tuples share is enumerated, certified, profiled and
+    built into a poset once. A block that raises BudgetExceeded is not
+    stored, so the reuse changes no verdict and no error. In a tuple with an
+    entry 2, the direct product of the blocks' regular reps is then
+    certified against the whole tuple's presentation by `perm_rep`, the one
+    certificate. Its degree, the
     product of the blocks' degrees, is the group's order, and an enumeration
     of the whole presentation allocates at least that many cosets: a degree
     above `max_cosets` (DEFAULT_MAX_COSETS when None) raises BudgetExceeded
@@ -154,32 +183,50 @@ def _gamma_rep(
         )
     pres = gamma_tuple_presentation(entries)
     if 2 not in entries:
-        rep = regular_rep(pres, max_cosets)
-        return entries, pres, rep, [rep]
-    blocks = []
+        block = _block(blocks, entries, max_cosets, pres)
+        return entries, pres, block.rep, [block]
+    parts = []
     start = 0
     # A 2 appended to the entries closes the last block.
     for k, p in enumerate(entries + (2,)):
         if p == 2:
-            block = entries[start:k]
-            blocks.append(regular_rep(gamma_tuple_presentation(block), max_cosets) if block else PermRep(2, ((1, 0),)))
+            parts.append(_block(blocks, entries[start:k], max_cosets))
             start = k + 1
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
-    degree = prod(rep.degree for rep in blocks)
+    degree = prod(b.rep.degree for b in parts)
     if degree > budget:
         raise BudgetExceeded(budget, order=degree)
-    return entries, pres, perm_rep(CosetTable(pres, _product(blocks).gens)), blocks
+    return entries, pres, perm_rep(CosetTable(pres, _product([b.rep for b in parts]).gens)), parts
 
 
-def _profile_and_poset(rep: PermRep, blocks: list[PermRep]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
-    """The profile and face poset of a rep that is the direct product of the
-    regular reps `blocks`, read off theirs: `sggi.product_profile` and
-    `poset.product_poset` give the arguments. One block is the rep itself.
-    The product's certificate proves each block regular, as a product
-    action is regular exactly when each factor's is."""
+def _profile_and_poset(rep: PermRep, parts: list[_Block]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
+    """The profile and face poset of a rep that is the direct product of
+    the regular reps of `parts`, read off theirs: `sggi.product_profile` and
+    `poset.product_poset` give the arguments. A rep that is one block gets
+    that block's profile and poset as they are. The product's certificate
+    proves each block regular, as a product action is regular exactly when
+    each factor's is."""
+    if len(parts) == 1:
+        return parts[0].profile, parts[0].faces
     return (
-        sggi.product_profile(rep, [sggi.profile(b) for b in blocks]),
-        poset.product_poset([poset.build_poset(b) for b in blocks]),
+        sggi.product_profile(rep, [b.profile for b in parts]),
+        poset.product_poset([b.faces for b in parts]),
+    )
+
+
+def _mirror_profile_and_poset(rep: PermRep, parts: list[_Block]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
+    """The profile and face poset of `rep` with its columns reversed, the
+    product of the blocks reversed, each with its columns reversed: the
+    profile is `product_profile`'s from the forward blocks' profiles, even
+    for one block (`sggi.product_profile` gives why), and each block's
+    reversed poset is built on first use and stored with it."""
+    for b in parts:
+        if b.mirror_faces is None:
+            b.mirror_faces = poset.build_poset(_reversed(b.rep))
+    posets = [b.mirror_faces for b in reversed(parts)]
+    return (
+        sggi.product_profile(_reversed(rep), [b.profile for b in reversed(parts)]),
+        posets[0] if len(posets) == 1 else poset.product_poset(posets),
     )
 
 
@@ -190,16 +237,17 @@ def _reversed(rep: PermRep) -> PermRep:
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
-    polytope axioms."""
-    entries, pres, rep, blocks = _gamma_rep(sym, max_cosets)
-    prof, faces = _profile_and_poset(rep, blocks)
+    polytope axioms. Its blocks' data live for this verdict alone."""
+    entries, pres, rep, parts = _gamma_rep(sym, max_cosets, {})
+    prof, faces = _profile_and_poset(rep, parts)
     return _verdict("gamma", entries, pres, prof, faces, 2 * prod(entries), True)
 
 
-def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None) -> list[FamilyVerdict]:
+def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, blocks: dict) -> list[FamilyVerdict]:
     """The verdict of an admissible tuple, as `verify_gamma_family` gives
     it, then that of the reversed tuple unless the tuple is a palindrome,
-    from the one enumeration of the tuple's group.
+    from the one enumeration of the tuple's group, with its blocks' data
+    from the batch's `blocks` (`_gamma_rep`).
 
     Admissibility reads the same backwards, and the reversed tuple's
     presentation is the tuple's with its generators in reverse order, up to
@@ -212,16 +260,16 @@ def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None) -> list
     each with its columns reversed. What goes is a second enumeration and
     certificate of an isomorphic presentation. What stays is every claim of
     the reversed tuple: `_verdict` runs on its own presentation, with the
-    profile and poset that `_profile_and_poset` reads off the reversed
+    profile and poset that `_mirror_profile_and_poset` reads off the
     blocks, and both tightness routes.
     """
-    entries, pres, rep, blocks = _gamma_rep(sym, max_cosets)
+    entries, pres, rep, parts = _gamma_rep(sym, max_cosets, blocks)
     expected = 2 * prod(entries)
-    verdicts = [_verdict("gamma", entries, pres, *_profile_and_poset(rep, blocks), expected, True)]
+    verdicts = [_verdict("gamma", entries, pres, *_profile_and_poset(rep, parts), expected, True)]
     mirror = entries[::-1]
     if mirror != entries:
         mirror_pres = gamma_tuple_presentation(mirror)
         check_mirrored(pres, mirror_pres)
-        data = _profile_and_poset(_reversed(rep), [_reversed(b) for b in reversed(blocks)])
+        data = _mirror_profile_and_poset(rep, parts)
         verdicts.append(_verdict("gamma", mirror, mirror_pres, *data, expected, True))
     return verdicts

@@ -173,6 +173,15 @@ def product_profile(rep: PermRep, blocks: list[SggiProfile]) -> SggiProfile:
     cheap as off the blocks. When a generator is degenerate or some block
     is no C-group, the exhaustive `check_intersection_condition` runs on
     the product rep, so the verdict and the witness are `profile`'s.
+
+    Only `is_string_c_group` and `orientable` of the blocks are read, and
+    neither depends on the order of the generators: i -> n-1-i maps the
+    pairs (I, J) of generator subsets onto themselves, so the intersection
+    condition of the reversed generators is the same set of equations, and
+    the parity map sends every generator to -1 in either order. So a mirror
+    (the rep and its blocks with their columns reversed, the blocks in
+    reverse order) passes its forward blocks' profiles, even for one block,
+    whose Schläfli symbol and degenerate generators come reversed.
     """
     return _profile(
         rep,

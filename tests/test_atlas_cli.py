@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from paper_checks import verify_lambda_family
-from tightpoly import cli, families, sggi
+from tightpoly import cli, families, poset, sggi, toddcox
 from tightpoly.atlas import (
     AtlasFormatError,
     admissible_tuples,
@@ -354,10 +354,10 @@ def _exit_at_seven(x):
     return x
 
 
-def _dying_atlas_worker(entries, *, budget):
+def _dying_atlas_worker(entries, *, budget, blocks):
     if entries == (3, 6):
         os._exit(1)
-    return atlas_worker(entries, budget=budget)
+    return atlas_worker(entries, budget=budget, blocks=blocks)
 
 
 @pytest.fixture
@@ -515,7 +515,7 @@ class TestRunBatch:
     def test_atlas_worker_pickles(self):
         # Results cross back from a worker process as pickles: one entry
         # for a palindrome, two for a tuple that is not.
-        worker = functools.partial(atlas_worker, budget=None)
+        worker = functools.partial(atlas_worker, budget=None, blocks={})
         back = pickle.loads(pickle.dumps(worker))
         own = [entry_from_verdict(verify_gamma_family(t)) for t in [(3, 6), (6, 3), (4, 4)]]
         assert pickle.loads(pickle.dumps(back((3, 6)))) == own[:2]
@@ -1010,6 +1010,13 @@ class TestAtlasDeterminism:
         assert all(all(e.claims.values()) for e in entries)
 
 
+def blocks_of(t):
+    """The entries of each block of `t`, cut at its entries 2; () is a lone
+    generator."""
+    cuts = [-1] + [i for i, p in enumerate(t) if p == 2] + [len(t)]
+    return [t[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
+
+
 def mirror_pairs(max_flags, max_rank, length=None):
     """The lesser tuple of each mirror pair of the atlas, in its order."""
     return [
@@ -1027,42 +1034,46 @@ class TestMirrorPairs:
         lesser = mirror_pairs(max_flags, max_rank, length)
         assert len(lesser) == pairs
         for t in lesser[::step]:
-            own, derived = atlas_worker(t, budget=None)
+            own, derived = atlas_worker(t, budget=None, blocks={})
             assert own.to_json_line() == entry_from_verdict(verify_gamma_family(t)).to_json_line()
             assert derived.to_json_line() == entry_from_verdict(verify_gamma_family(t[::-1])).to_json_line()
 
     def test_one_enumeration_per_pair(self, monkeypatch, tmp_path):
-        # One rep per pair: the whole enumeration of a tuple with no entry 2,
-        # or the one certificate of a tuple's block product. The blocks'
-        # enumerations are counted apart.
-        tuples, reps, blocks = [], [], []
+        # At most one rep per pair: the one certificate of a tuple's block
+        # product, or the enumeration of a tuple with no entry 2 unless an
+        # earlier task of the batch enumerated it as a block. Each distinct
+        # block presentation of the batch is enumerated once.
+        tuples, enumerated, certified = [], [], []
         real_gamma, real_rep, real_perm = families._gamma_rep, families.regular_rep, families.perm_rep
 
-        def gamma(sym, max_cosets):
-            tuples.append(gamma_tuple_presentation(sym))
-            return real_gamma(sym, max_cosets)
+        def gamma(sym, max_cosets, blocks):
+            tuples.append(tuple(sym))
+            return real_gamma(sym, max_cosets, blocks)
 
         def counted(pres, max_cosets=None):
-            if pres == tuples[-1]:
-                reps.append(("whole", pres))
-            else:
-                blocks.append(pres)
+            enumerated.append((len(tuples) - 1, pres))
             return real_rep(pres, max_cosets)
 
-        def certified(table):
-            reps.append(("product", table.pres))
+        def certify(table):
+            certified.append((len(tuples) - 1, table.pres))
             return real_perm(table)
 
         monkeypatch.setattr(families, "_gamma_rep", gamma)
         monkeypatch.setattr(families, "regular_rep", counted)
-        monkeypatch.setattr(families, "perm_rep", certified)
+        monkeypatch.setattr(families, "perm_rep", certify)
         out = tmp_path / "a.jsonl"
         assert main(["atlas", "--max-flags", "100", "--max-rank", "4", "--out", str(out), "--jobs", "1"]) == 0
-        assert [pres for _, pres in reps] == tuples
-        assert len(reps) == 69 == 121 - len(mirror_pairs(100, 4))
-        # 77 enumerations in all: 9 whole tuples and 68 blocks.
-        assert [kind for kind, _ in reps].count("whole") == 9
-        assert len(blocks) == 68
+        assert len(tuples) == 69 == 121 - len(mirror_pairs(100, 4))
+        products = [i for i, t in enumerate(tuples) if 2 in t]
+        assert certified == [(i, gamma_tuple_presentation(tuples[i])) for i in products]
+        distinct = {gamma_tuple_presentation(b) for t in tuples for b in blocks_of(t) if b}
+        # 34 enumerations in all, where 77 made every block afresh: 6 whole
+        # tuples (of the 9 with no entry 2) and 28 blocks.
+        pres = [p for _, p in enumerated]
+        assert len(pres) == len(set(pres)) == 34
+        assert set(pres) == distinct
+        whole = [i for i, p in enumerated if p == gamma_tuple_presentation(tuples[i])]
+        assert len(whole) == 6 and not set(whole) & set(products)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "798a2dd41d0d44ee2947e023be8726deb6f6607ab974feeabed6cb4392c25a97"
         )
@@ -1089,7 +1100,41 @@ class TestMirrorPairs:
         )
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(InvariantViolation):
-            families.verify_gamma_pair((3, 6))
+            families.verify_gamma_pair((3, 6), blocks={})
+
+
+class TestBatchWork:
+    def test_each_block_once_per_batch(self, monkeypatch, tmp_path):
+        # The batch of atlas 100/4 at --jobs 1: its 34 distinct block
+        # presentations are each enumerated once, with 60 product
+        # certificates beside their 34; each block, C2 included, is profiled
+        # once, and built into a poset once, and once more reversed for its
+        # first mirror. Made afresh in each task, these were 77, 137, 259
+        # and 259. The batch runs twice in one process with equal counts, so
+        # block data that outlived a batch would show.
+        work = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                work[name] = work.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(toddcox, "_hlt")
+        count(toddcox, "_certify_regular")
+        count(sggi, "profile")
+        count(poset, "build_poset")
+        runs = []
+        for name in ("a.jsonl", "b.jsonl"):
+            work.clear()
+            argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--out", str(tmp_path / name), "--jobs", "1"]
+            assert main(argv) == 0
+            runs.append(dict(work))
+        assert runs == [{"_hlt": 34, "_certify_regular": 94, "profile": 35, "build_poset": 69}] * 2
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def direct_line(t):
@@ -1111,7 +1156,7 @@ class TestBlockProducts:
         tuples = [t for t in admissible_tuples(max_flags, max_rank) if 2 in t and length in (None, len(t))]
         assert len(tuples) == products
         for t in tuples[::step]:
-            _, pres, rep, _ = families._gamma_rep(t, None)
+            _, pres, rep, _ = families._gamma_rep(t, None, {})
             assert rep.degree == regular_rep(pres).degree
             assert entry_from_verdict(verify_gamma_family(t)).to_json_line() == direct_line(t)
 

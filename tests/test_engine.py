@@ -251,26 +251,6 @@ class TestPointEncoding:
         rep, _ = oeo_permutation_rep(3, 6, 3)
         assert not is_regular(rep)
 
-    def test_left_action_iff_regular(self):
-        seen = set()
-
-        @settings(max_examples=150, deadline=None)
-        @given(
-            st.one_of(
-                transitive_reps(),
-                st.sampled_from(OEO_TRIPLES).map(lambda t: oeo_permutation_rep(*t)[0]),
-            )
-        )
-        def check(rep):
-            if rep is None:  # the enumeration ran out of budget
-                return
-            regular = is_regular(rep)
-            assert (engine.left_action(rep) is not None) == regular
-            seen.add(regular)
-
-        check()
-        assert seen == {True, False}
-
 
 class TestLeftActionOracle:
     """`engine.left_action` compares only the edges its spanning tree leaves

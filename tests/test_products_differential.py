@@ -2,7 +2,8 @@
 
 `families._profile_and_poset` reads the profile and face poset of a direct
 product of regular reps off its blocks (`sggi.product_profile`,
-`poset.product_poset`). The oracle is the whole product rep's own
+`poset.product_poset`), and `families._mirror_profile_and_poset` those of
+its mirror. The oracle is the whole product rep's own
 `sggi.profile` and `build_poset`, which stay the route of nothing else:
 every test here demands the same `SggiProfile` and the same face counts,
 comparability rows and roots, for a tuple and for its mirror (the blocks
@@ -19,7 +20,14 @@ from tightpoly import engine, families, poset, sggi
 from tightpoly.atlas import admissible_tuples
 from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
-from tightpoly.families import _product, _profile_and_poset, _reversed, verify_gamma_family
+from tightpoly.families import (
+    _Block,
+    _mirror_profile_and_poset,
+    _product,
+    _profile_and_poset,
+    _reversed,
+    verify_gamma_family,
+)
 from tightpoly.poset import build_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, coxeter_presentation, lambda_k_presentation
@@ -38,14 +46,18 @@ MAX_DEGREE = 1500
 def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> sggi.SggiProfile:
     """The block route equals the whole rep's, for the rep and its mirror;
     returns the rep's profile."""
-    for whole, parts in [(rep, blocks), (_reversed(rep), [_reversed(b) for b in reversed(blocks)])]:
-        prof, faces = _profile_and_poset(whole, parts)
+    return check_both_ways(rep, [_Block(b, sggi.profile(b), build_poset(b)) for b in blocks])
+
+
+def check_both_ways(rep: PermRep, parts: list[_Block]) -> sggi.SggiProfile:
+    for whole, route in [(rep, _profile_and_poset), (_reversed(rep), _mirror_profile_and_poset)]:
+        prof, faces = route(rep, parts)
         oracle = build_poset(whole)
         assert prof == sggi.profile(whole)
         assert faces._counts == oracle._counts
         assert faces._comp == oracle._comp
         assert faces._roots == oracle._roots
-    return _profile_and_poset(rep, blocks)[0]
+    return _profile_and_poset(rep, parts)[0]
 
 
 def products(max_flags: int, max_rank: int, length: int | None = None) -> list[tuple[int, ...]]:
@@ -59,10 +71,11 @@ def products(max_flags: int, max_rank: int, length: int | None = None) -> list[t
 )
 def test_atlas_products_both_ways(tuples, count, step):
     assert len(tuples) == count
+    blocks = {}  # one batch's, so a later tuple reads its blocks' stored data
     for t in tuples[::step]:
-        _, _, rep, blocks = families._gamma_rep(t, None)
-        assert len(blocks) == t.count(2) + 1
-        prof = same_both_ways(rep, blocks)
+        _, _, rep, parts = families._gamma_rep(t, None, blocks)
+        assert len(parts) == t.count(2) + 1
+        prof = check_both_ways(rep, parts)
         assert prof.is_string_c_group and prof.orientable and prof.intersection_witness is None
 
 
@@ -131,8 +144,8 @@ def test_fallback_gives_the_whole_reps_witness():
 @pytest.mark.parametrize(
     "tuples, labelled, orbits",
     [
-        (admissible_tuples(500, 4)[::8], 48_314, 461),
-        ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 1_278, 110),
+        (admissible_tuples(500, 4)[::8], 48_256, 459),
+        ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 1_030, 96),
     ],
     ids=["atlas-workload", "highrank-workload"],
 )
@@ -140,7 +153,8 @@ def test_work_on_the_verdict_path(tuples, labelled, orbits, monkeypatch):
     # The benchmark's atlas and highrank items, through the verdict: points
     # labelled (degree x rank over every `build_poset`) and `point_orbit`
     # calls. Built on the whole rep, they were 121,708 and 901 (atlas) and
-    # 97,328 and 837 (highrank).
+    # 97,328 and 837 (highrank); with every block built afresh, 48,314 and
+    # 461 and 1,278 and 110.
     work = {"labelled": 0, "orbits": 0}
     real_build, real_orbit = poset.build_poset, engine.point_orbit
 

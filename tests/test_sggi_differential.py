@@ -138,5 +138,5 @@ def test_rotation_index_on_rank7_reps():
     # made during the walk against the pair-product closure. Every Γ group
     # is orientable; index 1 is reached by the drawn presentations above.
     for t in [t for t in admissible_tuples(600, 7) if len(t) == 6][::5]:
-        rep = _gamma_rep(t, None)[2]
+        rep = _gamma_rep(t, None, {})[2]
         assert sggi._rotation_index(rep) == ref._rotation_index(rep) == 2

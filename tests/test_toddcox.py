@@ -155,15 +155,16 @@ class TestDefinitions:
     @pytest.mark.parametrize(
         "tuples, enumerations, allocated, live",
         [
-            (admissible_tuples(500, 4)[::8], 156, 22_564, 17_866),
-            ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 52, 497, 492),
+            (admissible_tuples(500, 4)[::8], 155, 22_556, 17_858),
+            ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 45, 453, 448),
         ],
         ids=["atlas-workload", "highrank-workload"],
     )
     def test_cosets_allocated_on_the_verdict_path(self, tuples, enumerations, allocated, live, monkeypatch):
         # The benchmark's atlas and highrank items, through the verdict: a
-        # tuple with an entry 2 enumerates only its blocks, so the work is
-        # less than the whole presentations' above (46,362 and 20,959).
+        # tuple with an entry 2 enumerates only its blocks, each block once
+        # per verdict, so the work is less than the whole presentations'
+        # above (46,362 and 20,959).
         runs = []
 
         def counted(pres, budget):
