@@ -158,12 +158,11 @@ def _gamma_rep(
     stored, so the reuse changes no verdict and no error. In a tuple with an
     entry 2, the direct product of the blocks' regular reps is then
     certified against the whole tuple's presentation by `perm_rep`, the one
-    certificate. Its degree, the
-    product of the blocks' degrees, is the group's order, and an enumeration
-    of the whole presentation allocates at least that many cosets: a degree
-    above `max_cosets` (DEFAULT_MAX_COSETS when None) raises BudgetExceeded
-    before any column is built, so the budget bounds the product's table as
-    it bounds every enumerated one. This is sound: the whole presentation
+    certificate. Its degree, the product of the blocks' degrees, is the
+    group's order, and an enumeration of the whole presentation allocates at
+    least that many cosets: a degree above `max_cosets` (DEFAULT_MAX_COSETS
+    when None) raises BudgetExceeded before any column is built, so the
+    budget bounds the product's table as it bounds every enumerated one. This is sound: the whole presentation
     holds every block's relators and every cross commutation ((x_j x_k)^2
     for |j - k| >= 2, and (x_{i-1} x_i)^2 at the entry 2), so its group is
     a quotient of the product, of order at most the product's degree. The
