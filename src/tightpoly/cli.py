@@ -12,14 +12,12 @@ loses the batch and writes no file).
 The coset budget of every enumeration in a run comes from `--budget N`
 (default `toddcox.DEFAULT_MAX_COSETS`); N below 1 exits 2 before any work,
 and so does a `classify --index-cap` below 1.
-`atlas` runs one task per mirror pair of tuples, a tuple and its reverse,
-which present one group with its generators in reverse order: the task
-enumerates the lesser of the two and derives the other's verdict from the
-same regular rep (`families.verify_gamma_pair`). So `--budget` bounds the
-enumerations an atlas makes, and a reversed tuple makes none. A tuple with an
-entry 2 is enumerated block by block (`families._gamma_rep`), so the budget
-bounds each block's enumeration, and the product of the blocks' orders
-before any column of the product is built.
+`atlas` runs one task per mirror pair, a tuple and its reverse, and
+enumerates only the lesser (`families.verify_gamma_pair` gives why), so
+`--budget` bounds the enumerations an atlas makes. A tuple with an entry 2
+is enumerated block by block (`families._gamma_rep`), so the budget bounds
+each block's enumeration, and the product of the blocks' orders before any
+column of the product is built.
 """
 
 from __future__ import annotations
@@ -130,10 +128,10 @@ def _check_out(path: str) -> None:
 
 def atlas_worker(entries: tuple[int, ...], *, budget: int | None, blocks: dict) -> list[AtlasEntry]:
     """The atlas entries of one tuple and, unless it is a palindrome, of its
-    reverse, from one enumeration of the tuple's group, with the blocks'
-    data from the batch's `blocks` (`families._gamma_rep`). A budget or cap
-    that runs out names the enumerated tuple in its message, which survives
-    the pickle back from a worker process."""
+    reverse (`families.verify_gamma_pair`), with the blocks' data from the
+    batch's `blocks` (`families._gamma_rep`). A budget or cap that runs out
+    names the enumerated tuple in its message, which survives the pickle
+    back from a worker process."""
     try:
         return [entry_from_verdict(v) for v in verify_gamma_pair(entries, max_cosets=budget, blocks=blocks)]
     except (BudgetExceeded, CapExceeded) as exc:
@@ -143,12 +141,12 @@ def atlas_worker(entries: tuple[int, ...], *, budget: int | None, blocks: dict) 
 
 def cmd_atlas(args) -> int:
     """Verify every admissible tuple up to the bounds, one task per mirror
-    pair: a tuple and its reverse are admissible together, with the same
-    product and length, so the batch has both. The task is the lesser of the
-    two, so the first budget error in task order names a tuple that was
-    enumerated. The entries are written in `admissible_tuples` order. One
-    dict of block data per batch (`families._gamma_rep`) is bound into the
-    worker before `run_batch` forks, so each worker fills its own copy."""
+    pair (`families.verify_gamma_pair`), the lesser tuple of the two, so the
+    first budget error in task order names a tuple that was enumerated. The
+    batch holds each tuple's reverse, of the same product and length. The
+    entries are written in `admissible_tuples` order. One dict of block data
+    per batch (`families._gamma_rep`) is bound into the worker before
+    `run_batch` forks, so each worker fills its own copy."""
     if args.max_flags < 4:
         raise InputError(f"--max-flags must be >= 4, got {args.max_flags}")
     if args.max_rank < 3:

@@ -21,8 +21,8 @@ product of one or more blocks, and its profile and face poset are read off
 its blocks' (`sggi.product_profile` and `poset.product_poset` give the
 arguments); the axioms, flags and tightness are checked on the whole poset.
 A block's rep, profile and poset are made once per batch of verdicts
-(`_gamma_rep`), and a mirror reads its forward blocks' profiles
-(`sggi.product_profile`).
+(`_gamma_rep`), and a reversed tuple's come from its tuple's
+(`verify_gamma_pair`).
 """
 
 from __future__ import annotations
@@ -72,9 +72,7 @@ def _verdict(
     extra_claims: dict[str, bool] | None = None,
 ) -> FamilyVerdict:
     """Record the claims every family makes on the group's profile and face
-    poset, then the family's own `extra_claims`. A Γ tuple's profile and
-    poset are read off its blocks (`sggi.product_profile`,
-    `poset.product_poset`)."""
+    poset, then the family's own `extra_claims`."""
     report, flag_count, combinatorial, tight = poset.poset_checks(faces)
     claims = {
         "order": prof.group_order == expected,
@@ -118,16 +116,14 @@ def _product(reps: list[PermRep]) -> PermRep:
     return PermRep(degree, tuple(gens))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Block:
-    """One block of `_gamma_rep`: its certified regular rep, the rep's own
-    `sggi.profile` and `build_poset`, and, once a mirror asks for it, the
-    `build_poset` of the rep with its columns reversed."""
+    """One block of `_gamma_rep`: its certified regular rep, and the rep's
+    own `sggi.profile` and `build_poset`."""
 
     rep: PermRep
     profile: sggi.SggiProfile
     faces: poset.FacePoset
-    mirror_faces: poset.FacePoset | None = None
 
 
 def _block(blocks: dict, key: tuple[int, ...], max_cosets: int | None, pres: Presentation | None = None) -> _Block:
@@ -213,26 +209,6 @@ def _profile_and_poset(rep: PermRep, parts: list[_Block]) -> tuple[sggi.SggiProf
     )
 
 
-def _mirror_profile_and_poset(rep: PermRep, parts: list[_Block]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
-    """The profile and face poset of `rep` with its columns reversed, the
-    product of the blocks reversed, each with its columns reversed: the
-    profile is `product_profile`'s from the forward blocks' profiles, even
-    for one block (`sggi.product_profile` gives why), and each block's
-    reversed poset is built on first use and stored with it."""
-    for b in parts:
-        if b.mirror_faces is None:
-            b.mirror_faces = poset.build_poset(_reversed(b.rep))
-    posets = [b.mirror_faces for b in reversed(parts)]
-    return (
-        sggi.product_profile(_reversed(rep), [b.profile for b in reversed(parts)]),
-        posets[0] if len(posets) == 1 else poset.product_poset(posets),
-    )
-
-
-def _reversed(rep: PermRep) -> PermRep:
-    return PermRep(rep.degree, rep.gens[::-1])
-
-
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
@@ -252,23 +228,23 @@ def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, bloc
     presentation is the tuple's with its generators in reverse order, up to
     rotating and inverting relators: `check_mirrored` checks that, and
     raises InvariantViolation where it fails, under `python -O` too. So the
-    two presentations have isomorphic groups under x_i -> x_{n-1-i} (the
-    dual polytope, McMullen–Schulte 2E), of the same order, and the
-    certified regular rep with its columns in reverse order is a regular rep
-    of the reversed tuple's group, the direct product of the blocks reversed,
-    each with its columns reversed. What goes is a second enumeration and
-    certificate of an isomorphic presentation. What stays is every claim of
-    the reversed tuple: `_verdict` runs on its own presentation, with the
-    profile and poset that `_mirror_profile_and_poset` reads off the
-    blocks, and both tightness routes.
+    two presentations have isomorphic groups under x_i -> x_{n-1-i}, and
+    the certified regular rep with its columns reversed is a regular rep of
+    the reversed tuple's group. Its profile is `product_profile`'s on that
+    rep with the tuple's profile as its one block (`sggi.product_profile`
+    gives why), and its poset is the tuple's dual (`poset.dual_poset`). What
+    goes is a second enumeration, certificate and poset build. What stays is
+    every claim of the reversed tuple: `_verdict` on its own presentation,
+    with the axioms, flags and both tightness routes on the dual's own poset.
     """
     entries, pres, rep, parts = _gamma_rep(sym, max_cosets, blocks)
     expected = 2 * prod(entries)
-    verdicts = [_verdict("gamma", entries, pres, *_profile_and_poset(rep, parts), expected, True)]
+    prof, faces = _profile_and_poset(rep, parts)
+    verdicts = [_verdict("gamma", entries, pres, prof, faces, expected, True)]
     mirror = entries[::-1]
     if mirror != entries:
         mirror_pres = gamma_tuple_presentation(mirror)
         check_mirrored(pres, mirror_pres)
-        data = _mirror_profile_and_poset(rep, parts)
-        verdicts.append(_verdict("gamma", mirror, mirror_pres, *data, expected, True))
+        mirror_prof = sggi.product_profile(PermRep(rep.degree, rep.gens[::-1]), [prof])
+        verdicts.append(_verdict("gamma", mirror, mirror_pres, mirror_prof, poset.dual_poset(faces), expected, True))
     return verdicts

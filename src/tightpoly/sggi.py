@@ -178,10 +178,9 @@ def product_profile(rep: PermRep, blocks: list[SggiProfile]) -> SggiProfile:
     neither depends on the order of the generators: i -> n-1-i maps the
     pairs (I, J) of generator subsets onto themselves, so the intersection
     condition of the reversed generators is the same set of equations, and
-    the parity map sends every generator to -1 in either order. So a mirror
-    (the rep and its blocks with their columns reversed, the blocks in
-    reverse order) passes its forward blocks' profiles, even for one block,
-    whose Schläfli symbol and degenerate generators come reversed.
+    the parity map sends every generator to -1 in either order. So the rep
+    with its columns reversed may pass its forward profile as its one block
+    (`families.verify_gamma_pair`).
     """
     return _profile(
         rep,

@@ -22,7 +22,7 @@ from tightpoly.cli import main
 from tightpoly.engine import PermRep
 from tightpoly.errors import DiamondViolation, InvariantViolation
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar, build_poset, label_rows, poset_checks
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset, dual_poset, label_rows, poset_checks
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation, write_presentation
 
@@ -446,20 +446,26 @@ class TestTightness:
 
 
 class TestDual:
-    def test_type_reverses(self, rep_gamma36):
+    def test_type_reverses(self, poset_gamma36, rep_gamma36):
+        assert dual_poset(poset_gamma36).combinatorial_schlafli() == (6, 3)
         assert dual(levels_of(rep_gamma36)).combinatorial_schlafli() == (6, 3)
 
     def test_involution(self, poset_cube, rep_cube):
-        # The dual of the dual levels is the built poset again, rows included.
-        double = dual(levels_of(rep_cube)[::-1])
-        assert double.face_counts() == poset_cube.face_counts()
-        assert double.flag_count() == poset_cube.flag_count()
-        assert double._comp == poset_cube._comp
+        # The dual of the dual is the built poset again, rows and roots
+        # included, by relabelling and from the dual levels.
+        for double in (dual_poset(dual_poset(poset_cube)), dual(levels_of(rep_cube)[::-1])):
+            assert double.face_counts() == poset_cube.face_counts()
+            assert double.flag_count() == poset_cube.flag_count()
+            assert double._comp == poset_cube._comp
+        assert dual_poset(dual_poset(poset_cube))._roots == poset_cube._roots
 
-    def test_dual_of_tight_is_tight(self, rep_gamma36, rep_gamma364):
+    def test_dual_of_tight_is_tight(self, poset_gamma36, poset_gamma364, rep_gamma36, rep_gamma364):
+        assert dual_poset(poset_gamma36).is_tight()
+        assert dual_poset(poset_gamma364).is_tight()
         assert dual(levels_of(rep_gamma36)).is_tight()
         assert dual(levels_of(rep_gamma364)).is_tight()
 
-    def test_dual_polytope_axioms(self, rep_gamma364):
+    def test_dual_polytope_axioms(self, poset_gamma364, rep_gamma364):
+        assert dual_poset(poset_gamma364).verify_polytope().passed
         assert dual(levels_of(rep_gamma364)).verify_polytope().passed
 

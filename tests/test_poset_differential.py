@@ -9,7 +9,10 @@ text included), equal flag systems and Schlafli symbols, or the same
 exception type with the same message from both. `flag_count`, counted rank
 by rank or read from the chain walk, must equal the length of both flag
 systems on every polytope.
-The same holds on the dual and on one section drawn by the oracle.
+The same holds on the dual, made by the oracle from the levels reversed and
+by `dual_poset` from the poset, and on one section drawn by the oracle. The
+dual of a built poset must also equal `build_poset` on the rep with its
+columns reversed, in counts, rows and roots.
 
 `build_poset` gives a poset whose verdicts start at one root face per rank.
 `TestRootWalk` holds it, on the same levels, to a `FacePoset` that starts at
@@ -46,8 +49,9 @@ from reference_poset import (
 )
 from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.atlas import admissible_tuples
+from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
-from tightpoly.poset import FacePoset, FlagSystem, build_poset
+from tightpoly.poset import FacePoset, FlagSystem, build_poset, dual_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import (
     Presentation,
@@ -88,7 +92,13 @@ def check_presentation(pres: Presentation, data) -> None:
         rep = regular_rep(pres, BUDGET)
     except BudgetExceeded:
         return
-    check_poset(build_poset(rep), orbit_levels(rep.degree, rep.gens), data)
+    built = build_poset(rep)
+    check_poset(built, orbit_levels(rep.degree, rep.gens), data)
+    # The dual of the built poset is the build on the columns reversed.
+    dual_built, reversed_built = dual_poset(built), build_poset(PermRep(rep.degree, rep.gens[::-1]))
+    assert dual_built.face_counts() == reversed_built.face_counts()
+    assert dual_built._comp == reversed_built._comp
+    assert dual_built._roots == reversed_built._roots
 
 
 def section_levels(levels, lo, hi):
@@ -113,7 +123,13 @@ def check_poset(poset: FacePoset, levels, data) -> None:
     section. An explicit example has no data to draw from; it passes None
     and draws no section."""
     assert_same(poset, levels)
-    assert_same(dual(levels), levels[::-1])
+    oracle_dual = dual(levels)
+    assert_same(oracle_dual, levels[::-1])
+    # `dual_poset` relabels the poset's own rows: those of the levels
+    # reversed, with the poset's roots.
+    relabelled = dual_poset(poset)
+    assert relabelled._comp == oracle_dual._comp
+    assert_same(relabelled, levels[::-1])
     if data is None:
         return
     # Ranks first, then faces, so that sections of every rank are drawn.

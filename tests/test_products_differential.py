@@ -2,13 +2,14 @@
 
 `families._profile_and_poset` reads the profile and face poset of a direct
 product of regular reps off its blocks (`sggi.product_profile`,
-`poset.product_poset`), and `families._mirror_profile_and_poset` those of
-its mirror. The oracle is the whole product rep's own
-`sggi.profile` and `build_poset`, which stay the route of nothing else:
-every test here demands the same `SggiProfile` and the same face counts,
-comparability rows and roots, for a tuple and for its mirror (the blocks
-reversed, each with its columns reversed), and that the drawn inputs reach
-the exhaustive fallback, so equality is not vacuous.
+`poset.product_poset`), and `families.verify_gamma_pair` reads its mirror's
+off those: `product_profile` on the reversed rep with the forward profile
+as its one block, and `poset.dual_poset` of the forward poset. The oracle
+is the whole product rep's own `sggi.profile` and `build_poset`, which stay
+the route of nothing else: every test here demands the same `SggiProfile`
+and the same face counts, comparability rows and roots, for a tuple and for
+its mirror (the rep with its columns reversed), and that the drawn inputs
+reach the exhaustive fallback, so equality is not vacuous.
 """
 
 from math import prod
@@ -22,13 +23,11 @@ from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
 from tightpoly.families import (
     _Block,
-    _mirror_profile_and_poset,
     _product,
     _profile_and_poset,
-    _reversed,
     verify_gamma_family,
 )
-from tightpoly.poset import build_poset
+from tightpoly.poset import build_poset, dual_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, coxeter_presentation, lambda_k_presentation
 
@@ -43,6 +42,11 @@ BLOCK_BUDGET = 200
 MAX_DEGREE = 1500
 
 
+def _reversed(rep: PermRep) -> PermRep:
+    """The rep with its columns in reverse order, as the mirror takes it."""
+    return PermRep(rep.degree, rep.gens[::-1])
+
+
 def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> sggi.SggiProfile:
     """The block route equals the whole rep's, for the rep and its mirror;
     returns the rep's profile."""
@@ -50,14 +54,18 @@ def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> sggi.SggiProfile:
 
 
 def check_both_ways(rep: PermRep, parts: list[_Block]) -> sggi.SggiProfile:
-    for whole, route in [(rep, _profile_and_poset), (_reversed(rep), _mirror_profile_and_poset)]:
-        prof, faces = route(rep, parts)
+    """The forward route from the blocks, and the mirror's from the forward
+    route's profile and poset, as `verify_gamma_pair` takes them, each equal
+    to the whole rep's; returns the rep's profile."""
+    prof, faces = _profile_and_poset(rep, parts)
+    mirror = (sggi.product_profile(_reversed(rep), [prof]), dual_poset(faces))
+    for whole, (got_prof, got_faces) in [(rep, (prof, faces)), (_reversed(rep), mirror)]:
         oracle = build_poset(whole)
-        assert prof == sggi.profile(whole)
-        assert faces._counts == oracle._counts
-        assert faces._comp == oracle._comp
-        assert faces._roots == oracle._roots
-    return _profile_and_poset(rep, parts)[0]
+        assert got_prof == sggi.profile(whole)
+        assert got_faces._counts == oracle._counts
+        assert got_faces._comp == oracle._comp
+        assert got_faces._roots == oracle._roots
+    return prof
 
 
 def products(max_flags: int, max_rank: int, length: int | None = None) -> list[tuple[int, ...]]:
