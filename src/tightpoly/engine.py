@@ -3,17 +3,21 @@ which `toddcox` builds and certifies).
 
 The pipeline reads a regular representation at point 0: a subgroup is its
 point set (`point_orbit`), and an element given as a word is the image of
-point 0 under it (`_image`), the identity exactly when that is 0. The one
-composed permutation left here is in `closure_perms`, which stays because
-the benchmark traces it by name. The element sets the tests compare point
-sets against are built from it in `tests/reference_elements.py`, which also
-holds the permutation products (`compose`, `invert`, `perm_order`); the
-tests' odd-even-odd rotation representation, which is not regular, uses them.
+point 0 under it (`_image`), the identity exactly when that is 0.
+Permutations are composed only in `closure_perms`, which stays because the
+benchmark traces it by name, and in `acts_regularly`'s test that columns
+of different classes commute. The element sets the tests compare point
+sets against are built with `closure_perms` in
+`tests/reference_elements.py`, which also holds the permutation products
+(`compose`, `invert`, `perm_order`); the tests' odd-even-odd rotation
+representation, which is not regular, uses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
@@ -109,8 +113,9 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     points, is thus compared once, for all n of the λ_j. A column that is
     not an involution gets no such skip: each of its non-discovery edges is
     compared. `toddcox._certify_regular` checks that its columns are
-    involutive permutations before calling this, once per certified table,
-    and keeps only the verdict; the census's tables are involutive too.
+    involutive permutations before `acts_regularly` hands them here, whole
+    or one class at a time, and keeps only the verdict; the census's tables
+    are involutive too.
     """
     n = len(rep.gens)
     d = rep.degree
@@ -140,6 +145,80 @@ def left_action(rep: PermRep) -> tuple[Perm, ...] | None:
     if len(queue) < d:
         return None
     return tuple(tuple(row) for row in lam)
+
+
+def acts_regularly(rep: PermRep) -> bool:
+    """Is the action of the rep regular? `left_action`'s verdict, read one
+    commuting class of columns at a time.
+
+    Columns a, b share a class when their commutator moves point 0
+    (0·abab != 0); the classes are the connected components. A table of one
+    class goes to `left_action` whole. Otherwise the columns of different
+    classes must commute at every point, and each class, restricted to the
+    orbit O_i of point 0 under the subgroup H_i it generates, must pass
+    `left_action`. If the |O_i| multiply to the degree d, the table is
+    regular iff it is transitive; if not, it goes to `left_action` whole.
+
+    The class lemma: let the H_i commute with each other, G = H_1···H_m be
+    transitive, and each H_i act regularly on O_i. An h in H_i that fixes
+    O_i fixes every point, as 0·h_1···h_m·h = (0·h_i·h)·∏_{j≠i} h_j, so H_i
+    is faithful on O_i, |H_i| = |O_i|, and d <= |G| <= ∏|O_i|. A product of
+    d makes G regular. Each rejection is exact: in a regular action an
+    element that fixes a point is the identity, so columns of different
+    classes commute, and H_i acts freely, so regularly on O_i. The product exceeds d when the H_i
+    meet (x0 = x2 in [2, 2]: 8 on 4 points), where the lemma says nothing.
+
+    Transitivity is read off the classes' breadth-first trees. For y = 0·g,
+    g in H_1···H_{k-1}, and h in H_k taking 0 to o = 0·w_o, w_o the tree's
+    word, y·h = o·g = y·w_o. So the orbit of 0 under H_1···H_k is the
+    earlier orbit moved by each w_o, one column step per tree edge: ∏|O_i|
+    = d images in all.
+    """
+    gens = rep.gens
+    n = len(gens)
+    label = list(range(n))
+    for i, j in combinations(range(n), 2):
+        a, b = gens[i], gens[j]
+        if b[a[b[a[0]]]] != 0 and label[i] != label[j]:
+            old, new = label[j], label[i]
+            label = [new if c == old else c for c in label]
+    names = sorted(set(label))
+    if len(names) <= 1:
+        return left_action(rep) is not None
+    classes = [[i for i in range(n) if label[i] == c] for c in names]
+    after = [itemgetter(*g) for g in gens]  # after[i](g)[x] is g[gens[i][x]]
+    for ci, cj in combinations(classes, 2):
+        for i in ci:
+            for j in cj:
+                if after[i](gens[j]) != after[j](gens[i]):
+                    return False
+    size = 1
+    trees = []
+    for c in classes:
+        cols = [gens[i] for i in c]
+        orbit, edges = [0], []  # edges[k - 1] discovered orbit[k]: (parent's index, column)
+        position = {0: 0}
+        for k, x in enumerate(orbit):  # the loop visits the points appended as it runs
+            for g in cols:
+                y = g[x]
+                if y not in position:
+                    position[y] = len(orbit)
+                    orbit.append(y)
+                    edges.append((k, g))
+        restricted = tuple(tuple([position[g[x]] for x in orbit]) for g in cols)
+        if left_action(PermRep(len(orbit), restricted)) is None:
+            return False
+        size *= len(orbit)
+        trees.append(edges)
+    if size != rep.degree:
+        return left_action(rep) is not None
+    points = [0]
+    for edges in trees:
+        moved = [points]  # moved[k]: the points so far, moved by the tree's word to its k-th point
+        for k, g in edges:
+            moved.append(list(map(g.__getitem__, moved[k])))
+        points = list(chain.from_iterable(moved))
+    return len(set(points)) == rep.degree
 
 
 def element_order(rep: PermRep, word: Word) -> int:

@@ -14,17 +14,10 @@ live cosets: the one form `CosetTable` and `PermRep` hold.
 
 Every closed table, enumerated here or built elsewhere (the census's, and
 the block products of `families._gamma_rep`), is a table of a regular
-action, and is certified once as one by `_certify_regular`: the columns are
-involutive permutations, `engine.left_action` succeeds, which proves the
-action regular, and each relator fixes point 0. `left_action` builds the
-left multiplications along a spanning tree of the table and compares them
-with the columns only on the edges the tree leaves open, each once. In a
-regular group an element that fixes one point is the identity
-(McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a relator that
-closes at coset 0 closes at every coset. A failure raises
-RelatorViolation, so the certificate also holds under `python -O`. The
-certificate is a pure check: it returns nothing, and the left action it
-computes is carried nowhere. `poset.build_poset` needs only the columns.
+action, and is certified once as one by `_certify_regular`, whose docstring
+says what it checks. A failure raises RelatorViolation, so the certificate
+also holds under `python -O`. It is a pure check that returns nothing:
+`poset.build_poset` needs only the columns.
 
 Once a relator w closes from a coset c without a coincidence, the pass
 marks the cosets c * w[:t] at which a rotation of w by t is w or its
@@ -268,18 +261,16 @@ def _certify_regular(
 ) -> None:
     """The certificate of a closed table over the trivial subgroup: every
     generator column is an involutive permutation of 0..degree-1, the action
-    of the rep on those columns is regular (`engine.left_action` succeeds),
+    of the rep on those columns is regular (`engine.acts_regularly`, whose
+    class lemma and `engine.left_action`'s spanning-tree argument prove it),
     and every other relator fixes point 0, read as `engine._image` reads any
     word. Returns nothing; raises RelatorViolation otherwise.
 
-    As the columns are involutions, `left_action` compares each edge of the
-    table that its spanning tree does not settle once, and each fixed point
-    once, instead of every column at every point for every candidate.
-
-    In a regular group an element that fixes one point is the identity, so a
-    relator that fixes point 0 closes from every coset: O(|w|) per relator.
-    A valid action on the cosets of a subgroup that is not normal is
-    rejected, as it is not regular.
+    In a regular group an element that fixes one point is the identity
+    (McMullen-Schulte, *Abstract Regular Polytopes*, 2E), so a relator that
+    fixes point 0 closes from every coset: O(|w|) per relator. A valid
+    action on the cosets of a subgroup that is not normal is rejected, as it
+    is not regular.
     """
     points = list(range(degree))
     for g, col in enumerate(columns):
@@ -290,7 +281,7 @@ def _certify_regular(
         if not in_range or [col[x] for x in col] != points:
             raise RelatorViolation(f"column {g} is not an involutive permutation")
     rep = PermRep(degree, columns)
-    if engine.left_action(rep) is None:
+    if not engine.acts_regularly(rep):
         raise RelatorViolation(f"the action on {degree} cosets is not regular")
     for w in pres.relators:
         if involution_letter(w) is None and engine._image(rep, w) != 0:
@@ -335,9 +326,7 @@ def perm_rep(table: CosetTable) -> PermRep:
     Certifies the table with `_certify_regular`, so it also checks tables
     built elsewhere: the census's, and the direct product of the blocks of a
     Γ tuple with an entry 2, checked against the whole tuple's presentation
-    (`families._gamma_rep`). They must be tables of a regular action: an
-    element of a regular group that fixes one point is the identity, so the
-    relators are checked at coset 0.
+    (`families._gamma_rep`).
     """
     _certify_regular(table.rows, table.columns, table.pres)
     return PermRep(degree=table.rows, gens=table.columns)

@@ -68,11 +68,10 @@ def mixed_reps(draw):
 
 @st.composite
 def repaired_reps(draw):
-    """A certified regular rep with the two 2-cycles of one column whose
-    smaller points are largest re-paired, (a b)(c e) -> (a c)(b e) or
-    (a e)(b c): the column stays an involution, and the change sits at the
-    points the enumeration numbered last, far from point 0, where the
-    spanning tree is thin and most edges are left to the comparisons."""
+    """A certified regular rep with one column `repaired`: the column stays
+    an involution, and the change sits at the points the enumeration
+    numbered last, far from point 0, where the spanning tree is thin and
+    most edges are left to the comparisons."""
     pres = draw(
         st.one_of(
             rank3_with_extra_relator(),
@@ -84,18 +83,22 @@ def repaired_reps(draw):
         rep = regular_rep(pres, BUDGET)
     except BudgetExceeded:
         return None
-    k = draw(st.integers(0, len(rep.gens) - 1))
+    return repaired(rep, draw(st.integers(0, len(rep.gens) - 1)), draw(st.booleans()))
+
+
+def repaired(rep: PermRep, k: int, cross: bool) -> PermRep | None:
+    """The rep with the two 2-cycles of its involutive column k whose
+    smaller points are largest re-paired, (a b)(c e) -> (a c)(b e), or
+    (a e)(b c) when `cross`; None if the column has fewer than two."""
     col = list(rep.gens[k])
     cycles = sorted(((x, y) for x, y in enumerate(col) if x < y), reverse=True)
     if len(cycles) < 2:
         return None
     (a, b), (c, e) = cycles[:2]
-    if draw(st.booleans()):
+    if cross:
         c, e = e, c
     col[a], col[c], col[b], col[e] = c, a, e, b
-    gens = list(rep.gens)
-    gens[k] = tuple(col)
-    return PermRep(rep.degree, tuple(gens))
+    return PermRep(rep.degree, rep.gens[:k] + (tuple(col),) + rep.gens[k + 1 :])
 
 
 def traversal_order(rep: PermRep) -> list[int]:

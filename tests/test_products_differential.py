@@ -10,6 +10,12 @@ the route of nothing else: every test here demands the same `SggiProfile`
 and the same face counts, comparability rows and roots, for a tuple and for
 its mirror (the rep with its columns reversed), and that the drawn inputs
 reach the exhaustive fallback, so equality is not vacuous.
+
+The certificate of every product table reads its regularity one commuting
+class of columns at a time (`engine.acts_regularly`). `TestRegularByClasses`
+holds it to `engine.left_action` on the whole table and to the
+element-closure oracle `is_regular`, on drawn products, regular or
+tampered, and on one fixed table per exit.
 """
 
 from math import prod
@@ -17,6 +23,8 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_elements import is_regular
+from test_engine import repaired, transitive_reps
 from tightpoly import engine, families, poset, sggi
 from tightpoly.atlas import admissible_tuples
 from tightpoly.engine import PermRep
@@ -38,8 +46,10 @@ X0_IS_X2 = regular_rep(Presentation(3, coxeter_presentation((2, 2)).relators + (
 # x0 = 1 in [2, 2]: a degenerate generator.
 X0_KILLED = regular_rep(Presentation(3, coxeter_presentation((2, 2)).relators + ((0,),)))
 LAMBDA1 = regular_rep(lambda_k_presentation(1))  # not orientable
+D3 = regular_rep(coxeter_presentation((3,)))  # order 6
 BLOCK_BUDGET = 200
 MAX_DEGREE = 1500
+ORACLE_DEGREE = 300  # `is_regular` closes the group, up to degree + 1 elements
 
 
 def _reversed(rep: PermRep) -> PermRep:
@@ -149,22 +159,121 @@ def test_fallback_gives_the_whole_reps_witness():
     assert prof.intersection_witness == ((1,), (3,))
 
 
+# Fixed tables, one for each way out of `acts_regularly`. C2 x D3 with its
+# C2 column re-paired at (4 10)(5 11) -> (4 11)(5 10): the commutators with
+# the D3 columns still fix point 0, and not point 4.
+REPAIRED = repaired(_product([C2, D3]), 0, cross=True)
+# D3 acting on itself from both sides: right multiplications and left ones
+# commute, each side is regular on all 6 points, and the whole is not.
+TWO_SIDED = PermRep(6, D3.gens + engine.left_action(D3))
+S3_ON_3 = PermRep(3, ((0, 2, 1), (1, 0, 2)))  # transitive, not regular
+
+
+@st.composite
+def tampered_products(draw):
+    """A product of 1-3 blocks, each a block rep or a drawn coset action
+    that may not be regular, and perhaps with one column `repaired` at the
+    points numbered last: tables of one or more commuting classes, regular
+    or not. Returns the blocks and the table."""
+    blocks = draw(
+        st.lists(st.one_of(block_reps(), transitive_reps().filter(lambda r: r is not None)), min_size=1, max_size=3).filter(
+            lambda bs: prod(b.degree for b in bs) <= ORACLE_DEGREE
+        )
+    )
+    rep = _product(blocks)
+    if draw(st.booleans()):
+        rep = repaired(rep, draw(st.integers(0, len(rep.gens) - 1)), draw(st.booleans())) or rep
+    return blocks, rep
+
+
+class TestRegularByClasses:
+    """`engine.acts_regularly`, the certificate's regularity check, against
+    `engine.left_action` on the whole table and the oracle `is_regular`."""
+
+    def verdict(self, rep: PermRep, monkeypatch) -> tuple[bool, list[int]]:
+        """The check's verdict, equal to the other two, and the degrees of
+        the `left_action` calls it made, which tell its exit."""
+        degrees = []
+        real = engine.left_action
+
+        def counted(r):
+            degrees.append(r.degree)
+            return real(r)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "left_action", counted)
+            got = engine.acts_regularly(rep)
+        assert got == (engine.left_action(rep) is not None) == is_regular(rep)
+        return got, degrees
+
+    @pytest.mark.parametrize(
+        "rep, regular, degrees",
+        [
+            (D3, True, [6]),
+            (_product([C2, D3]), True, [2, 6]),
+            (PermRep(4, ((1, 0, 3, 2), (1, 0, 3, 2))), False, [2, 2]),
+            (_product([C2, S3_ON_3]), False, [2, 3]),
+            (REPAIRED, False, []),
+            (X0_IS_X2, True, [2, 2, 2, 4]),
+            (TWO_SIDED, False, [6, 6, 6]),
+        ],
+        ids=[
+            "one-class-whole",
+            "classes-accept",
+            "intransitive",
+            "class-not-regular",
+            "cross-pair-repaired-off-0",
+            "classes-meet-fallback-accepts",
+            "two-sided-fallback-rejects",
+        ],
+    )
+    def test_each_exit(self, rep, regular, degrees, monkeypatch):
+        assert self.verdict(rep, monkeypatch) == (regular, degrees)
+
+    def test_drawn_products(self, monkeypatch):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(tampered_products())
+        @example(([X0_IS_X2], X0_IS_X2))
+        @example(([C2, X0_IS_X2], _product([C2, X0_IS_X2])))
+        @example(([C2, D3], REPAIRED))
+        def check(drawn):
+            blocks, rep = drawn
+            got, degrees = self.verdict(rep, monkeypatch)
+            seen.update({("regular", got), ("blocks", len(blocks)), ("calls", min(len(degrees), 2))})
+
+        check()
+        assert seen == {
+            ("regular", True),
+            ("regular", False),
+            ("blocks", 1),
+            ("blocks", 2),
+            ("blocks", 3),
+            ("calls", 0),
+            ("calls", 1),
+            ("calls", 2),
+        }
+
+
 @pytest.mark.parametrize(
-    "tuples, labelled, orbits",
+    "tuples, labelled, orbits, certified",
     [
-        (admissible_tuples(500, 4)[::8], 48_256, 459),
-        ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 1_030, 96),
+        (admissible_tuples(500, 4)[::8], 48_256, 459, 26_510),
+        ([t for t in admissible_tuples(600, 7) if len(t) == 6][::5], 1_030, 96, 1_162),
     ],
     ids=["atlas-workload", "highrank-workload"],
 )
-def test_work_on_the_verdict_path(tuples, labelled, orbits, monkeypatch):
+def test_work_on_the_verdict_path(tuples, labelled, orbits, certified, monkeypatch):
     # The benchmark's atlas and highrank items, through the verdict: points
-    # labelled (degree x rank over every `build_poset`) and `point_orbit`
-    # calls. Built on the whole rep, they were 121,708 and 901 (atlas) and
+    # labelled (degree x rank over every `build_poset`), `point_orbit`
+    # calls, and points handed to `left_action` (its degrees summed). Built
+    # on the whole rep, the first two were 121,708 and 901 (atlas) and
     # 97,328 and 837 (highrank); with every block built afresh, 48,314 and
-    # 461 and 1,278 and 110.
-    work = {"labelled": 0, "orbits": 0}
-    real_build, real_orbit = poset.build_poset, engine.point_orbit
+    # 461 and 1,278 and 110. With every table's regularity checked whole,
+    # the certified points were 43,154 (atlas) and 14,352 (highrank).
+    work = {"labelled": 0, "orbits": 0, "certified": 0}
+    real_build, real_orbit, real_left_action = poset.build_poset, engine.point_orbit, engine.left_action
 
     def build(rep):
         work["labelled"] += rep.degree * len(rep.gens)
@@ -174,8 +283,13 @@ def test_work_on_the_verdict_path(tuples, labelled, orbits, monkeypatch):
         work["orbits"] += 1
         return real_orbit(*args)
 
+    def left_action(rep):
+        work["certified"] += rep.degree
+        return real_left_action(rep)
+
     monkeypatch.setattr(poset, "build_poset", build)
     monkeypatch.setattr(engine, "point_orbit", orbit)
+    monkeypatch.setattr(engine, "left_action", left_action)
     for t in tuples:
         verify_gamma_family(t)
-    assert work == {"labelled": labelled, "orbits": orbits}
+    assert work == {"labelled": labelled, "orbits": orbits, "certified": certified}
