@@ -14,10 +14,9 @@ The coset budget of every enumeration in a run comes from `--budget N`
 and so does a `classify --index-cap` below 1.
 `atlas` runs one task per mirror pair, a tuple and its reverse, and
 enumerates only the lesser (`families.verify_gamma_pair` gives why), so
-`--budget` bounds the enumerations an atlas makes. A tuple with an entry 2
-is enumerated block by block (`families._gamma_rep`), so the budget bounds
-each block's enumeration, and the product of the blocks' orders before any
-column of the product is built.
+`--budget` bounds the enumerations an atlas makes. A tuple is enumerated
+block by block, and the budget bounds each block and their product
+(`families._gamma_rep` gives why).
 """
 
 from __future__ import annotations

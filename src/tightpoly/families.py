@@ -11,18 +11,9 @@ verdicts. The paper's lemma checks that no command runs (the FAP, the
 parabolic checks at entries equal to 2, the odd-even-odd rotation
 representation) live there too, beside the acceptance criteria.
 
-A tuple with an entry 2 presents a direct product. The string Coxeter
-diagram falls apart at that branch, so [p_1, ..., p_{i-1}, 2, p_{i+1}, ...]
-is [p_1, ..., p_{i-1}] x [p_{i+1}, ...] (McMullen-Schulte, *Abstract
-Regular Polytopes*), and `_gamma_rep` builds the regular rep of such a
-tuple's group from the blocks between its 2s, then certifies it against the
-whole presentation (`_gamma_rep` gives the argument). Every tuple is a
-product of one or more blocks, and its profile and face poset are read off
-its blocks' (`sggi.product_profile` and `poset.product_poset` give the
-arguments); the axioms, flags and tightness are checked on the whole poset.
-A block's rep, profile and poset are made once per batch of verdicts
-(`_gamma_rep`), and a reversed tuple's come from its tuple's
-(`verify_gamma_pair`).
+Every tuple is the direct product of its blocks, the runs between its 2s,
+and its rep, profile and poset are read off theirs (`_gamma_rep` gives the
+argument); a reversed tuple's come from its tuple's (`verify_gamma_pair`).
 """
 
 from __future__ import annotations
@@ -67,15 +58,15 @@ def _verdict(
     pres: Presentation,
     prof: sggi.SggiProfile,
     faces: poset.FacePoset,
-    expected: int,
     orientable: bool,
     extra_claims: dict[str, bool] | None = None,
 ) -> FamilyVerdict:
     """Record the claims every family makes on the group's profile and face
-    poset, then the family's own `extra_claims`."""
+    poset, the order being the paper's bound 2 p_1 ... p_{n-1}, then the
+    family's own `extra_claims`."""
     report, flag_count, combinatorial, tight = poset.poset_checks(faces)
     claims = {
-        "order": prof.group_order == expected,
+        "order": prof.group_order == 2 * prod(entries),
         "type": prof.schlafli == entries,
         "string_c_group": prof.is_string_c_group,
         "tight": tight,
@@ -126,48 +117,56 @@ class _Block:
     faces: poset.FacePoset
 
 
-def _block(blocks: dict, key: tuple[int, ...], max_cosets: int | None, pres: Presentation | None = None) -> _Block:
+def _block(blocks: dict, key: tuple[int, ...], max_cosets: int) -> _Block:
     """The data of the block of the entries `key`, from `blocks`, or made on
-    first use and stored there: the block is enumerated on `pres`, else on
-    its own tuple's presentation, under `max_cosets`; a lone generator,
-    `key` (), is C2 on 2 points."""
+    first use and stored there: the block is enumerated on its own tuple's
+    presentation under `max_cosets`; a lone generator, `key` (), is C2 on 2
+    points."""
     if key not in blocks:
-        rep = regular_rep(pres or gamma_tuple_presentation(key), max_cosets) if key else PermRep(2, ((1, 0),))
+        rep = regular_rep(gamma_tuple_presentation(key), max_cosets) if key else PermRep(2, ((1, 0),))
         blocks[key] = _Block(rep, sggi.profile(rep), poset.build_poset(rep))
     return blocks[key]
 
 
 def _gamma_rep(
     sym: Sequence[int], max_cosets: int | None, blocks: dict
-) -> tuple[tuple[int, ...], Presentation, PermRep, list[_Block]]:
+) -> tuple[tuple[int, ...], Presentation, PermRep, sggi.SggiProfile, poset.FacePoset]:
     """An admissible tuple, its presentation, the certified regular rep of
-    the quotient and the data of its blocks, whose direct product the rep
-    is; a tuple that is not admissible raises NotAdmissible.
+    its group, and the rep's profile and face poset; a tuple that is not
+    admissible raises NotAdmissible, and a `max_cosets` below 1
+    (DEFAULT_MAX_COSETS when None) raises ValueError before any work.
 
     The tuple is cut into blocks at every entry 2: generators x_j, ..., x_k
-    between two 2s form the block of the entries p_{j+1}, ..., p_k, and a
-    tuple with no entry 2 is one block, whose rep is the tuple's. Each
+    between two 2s form the block of the entries p_{j+1}, ..., p_k. Each
     block's data come from `blocks`, keyed by its entries (`_block`): a dict
     that lives for one batch of verdicts under one `max_cosets`, so a block
     that the batch's tuples share is enumerated, certified, profiled and
     built into a poset once. A block that raises BudgetExceeded is not
-    stored, so the reuse changes no verdict and no error. In a tuple with an
-    entry 2, the direct product of the blocks' regular reps is then
-    certified against the whole tuple's presentation by `perm_rep`, the one
+    stored, so the reuse changes no verdict and no error. A tuple with no
+    entry 2 is one block, whose data are the tuple's.
+
+    A tuple of two or more blocks presents their direct product, as the
+    string Coxeter diagram falls apart at an entry 2 (McMullen-Schulte,
+    *Abstract Regular Polytopes*). The product of the blocks' reps is
+    certified against the whole presentation by `perm_rep`, the one
     certificate. Its degree, the product of the blocks' degrees, is the
     group's order, and an enumeration of the whole presentation allocates at
-    least that many cosets: a degree above `max_cosets` (DEFAULT_MAX_COSETS
-    when None) raises BudgetExceeded before any column is built, so the
-    budget bounds the product's table as it bounds every enumerated one. This is sound: the whole presentation
-    holds every block's relators and every cross commutation ((x_j x_k)^2
-    for |j - k| >= 2, and (x_{i-1} x_i)^2 at the entry 2), so its group is
-    a quotient of the product, of order at most the product's degree. The
+    least that many cosets: a degree above the budget raises BudgetExceeded
+    before any column is built. This is sound: the whole presentation holds
+    every block's relators and every cross commutation ((x_j x_k)^2 for
+    |j - k| >= 2, and (x_{i-1} x_i)^2 at the entry 2), so its group is a
+    quotient of the product, of order at most the product's degree. The
     certificate proves that the product rep is a regular rep of a quotient
     of that group, so the two orders are equal and the product rep is a
-    regular rep of the tuple's group. The extra relators across a 2 follow
-    from the commutations; were one not to hold, the certificate would raise
-    RelatorViolation.
+    regular rep of the tuple's group; were a relator across a 2 not to hold,
+    it would raise RelatorViolation. A product action is regular exactly
+    when each factor's is, so each block is proved regular too, and the
+    profile and poset are read off the blocks' (`sggi.product_profile` and
+    `poset.product_poset` give why).
     """
+    budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
+    if budget < 1:
+        raise ValueError("max_cosets must be >= 1")
     entries = validate_symbol(sym)
     adm = is_admissible(entries)
     if not adm:
@@ -177,45 +176,29 @@ def _gamma_rep(
             violating_index=adm.violating_index,
         )
     pres = gamma_tuple_presentation(entries)
-    if 2 not in entries:
-        block = _block(blocks, entries, max_cosets, pres)
-        return entries, pres, block.rep, [block]
     parts = []
     start = 0
     # A 2 appended to the entries closes the last block.
     for k, p in enumerate(entries + (2,)):
         if p == 2:
-            parts.append(_block(blocks, entries[start:k], max_cosets))
+            parts.append(_block(blocks, entries[start:k], budget))
             start = k + 1
-    budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
+    if len(parts) == 1:
+        return entries, pres, parts[0].rep, parts[0].profile, parts[0].faces
     degree = prod(b.rep.degree for b in parts)
     if degree > budget:
         raise BudgetExceeded(budget, order=degree)
-    return entries, pres, perm_rep(CosetTable(pres, _product([b.rep for b in parts]).gens)), parts
-
-
-def _profile_and_poset(rep: PermRep, parts: list[_Block]) -> tuple[sggi.SggiProfile, poset.FacePoset]:
-    """The profile and face poset of a rep that is the direct product of
-    the regular reps of `parts`, read off theirs: `sggi.product_profile` and
-    `poset.product_poset` give the arguments. A rep that is one block gets
-    that block's profile and poset as they are. The product's certificate
-    proves each block regular, as a product action is regular exactly when
-    each factor's is."""
-    if len(parts) == 1:
-        return parts[0].profile, parts[0].faces
-    return (
-        sggi.product_profile(rep, [b.profile for b in parts]),
-        poset.product_poset([b.faces for b in parts]),
-    )
+    rep = perm_rep(CosetTable(pres, _product([b.rep for b in parts]).gens))
+    prof = sggi.product_profile(rep, [b.profile for b in parts])
+    return entries, pres, rep, prof, poset.product_poset([b.faces for b in parts])
 
 
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
     polytope axioms. Its blocks' data live for this verdict alone."""
-    entries, pres, rep, parts = _gamma_rep(sym, max_cosets, {})
-    prof, faces = _profile_and_poset(rep, parts)
-    return _verdict("gamma", entries, pres, prof, faces, 2 * prod(entries), True)
+    entries, pres, _, prof, faces = _gamma_rep(sym, max_cosets, {})
+    return _verdict("gamma", entries, pres, prof, faces, True)
 
 
 def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, blocks: dict) -> list[FamilyVerdict]:
@@ -237,14 +220,12 @@ def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, bloc
     every claim of the reversed tuple: `_verdict` on its own presentation,
     with the axioms, flags and both tightness routes on the dual's own poset.
     """
-    entries, pres, rep, parts = _gamma_rep(sym, max_cosets, blocks)
-    expected = 2 * prod(entries)
-    prof, faces = _profile_and_poset(rep, parts)
-    verdicts = [_verdict("gamma", entries, pres, prof, faces, expected, True)]
+    entries, pres, rep, prof, faces = _gamma_rep(sym, max_cosets, blocks)
+    verdicts = [_verdict("gamma", entries, pres, prof, faces, True)]
     mirror = entries[::-1]
     if mirror != entries:
         mirror_pres = gamma_tuple_presentation(mirror)
         check_mirrored(pres, mirror_pres)
         mirror_prof = sggi.product_profile(PermRep(rep.degree, rep.gens[::-1]), [prof])
-        verdicts.append(_verdict("gamma", mirror, mirror_pres, mirror_prof, poset.dual_poset(faces), expected, True))
+        verdicts.append(_verdict("gamma", mirror, mirror_pres, mirror_prof, poset.dual_poset(faces), True))
     return verdicts

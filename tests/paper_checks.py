@@ -95,7 +95,7 @@ def verify_lambda_family(k: int, max_cosets: int | None = None) -> FamilyVerdict
     rep = regular_rep(pres, max_cosets)
     klein, dihedral = _klein_four_checks(rep, k)
     claims = {"klein_four_normal": klein, "dihedral_quotient": dihedral}
-    return _verdict("lambda", (3 * k, 4), pres, sggi.profile(rep), build_poset(rep), 24 * k, False, claims)
+    return _verdict("lambda", (3 * k, 4), pres, sggi.profile(rep), build_poset(rep), False, claims)
 
 
 FapSide = Literal["two_faces", "co_faces"]

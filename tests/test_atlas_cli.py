@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1111,8 +1110,11 @@ class TestBatchWork:
         # once and built into a poset once, and a mirror's poset is the dual
         # of its tuple's, with no build. Made afresh in each task, these were
         # 77, 137, 259 and 259; with each block's reversed columns built once
-        # more, `build_poset` was 69. The batch runs twice in one process with
-        # equal counts, so block data that outlived a batch would show.
+        # more, `build_poset` was 69. Only the 60 tuples of two or more blocks
+        # and the 52 mirrors take the product route: a one-block tuple sent
+        # down it would read 121 `product_profile` calls. The batch runs
+        # twice in one process with equal counts, so block data that outlived
+        # a batch would show.
         work = {}
 
         def count(module, name):
@@ -1128,13 +1130,26 @@ class TestBatchWork:
         count(toddcox, "_certify_regular")
         count(sggi, "profile")
         count(poset, "build_poset")
+        count(sggi, "product_profile")
+        count(poset, "product_poset")
+        count(poset, "dual_poset")
         runs = []
         for name in ("a.jsonl", "b.jsonl"):
             work.clear()
             argv = ["atlas", "--max-flags", "100", "--max-rank", "4", "--out", str(tmp_path / name), "--jobs", "1"]
             assert main(argv) == 0
             runs.append(dict(work))
-        assert runs == [{"_hlt": 34, "_certify_regular": 94, "profile": 35, "build_poset": 35}] * 2
+        assert runs == [
+            {
+                "_hlt": 34,
+                "_certify_regular": 94,
+                "profile": 35,
+                "build_poset": 35,
+                "product_profile": 112,
+                "product_poset": 60,
+                "dual_poset": 52,
+            }
+        ] * 2
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
@@ -1143,7 +1158,7 @@ def direct_line(t):
     presentation, with the whole rep's own profile and poset."""
     pres = gamma_tuple_presentation(t)
     rep = regular_rep(pres)
-    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), build_poset(rep), 2 * prod(t), True)
+    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), build_poset(rep), True)
     return entry_from_verdict(verdict).to_json_line()
 
 
@@ -1157,7 +1172,7 @@ class TestBlockProducts:
         tuples = [t for t in admissible_tuples(max_flags, max_rank) if 2 in t and length in (None, len(t))]
         assert len(tuples) == products
         for t in tuples[::step]:
-            _, pres, rep, _ = families._gamma_rep(t, None, {})
+            _, pres, rep, _, _ = families._gamma_rep(t, None, {})
             assert rep.degree == regular_rep(pres).degree
             assert entry_from_verdict(verify_gamma_family(t)).to_json_line() == direct_line(t)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paper_checks import oeo_permutation_rep
 from reference_elements import (
@@ -46,11 +46,16 @@ def transitive_reps(draw):
     enumerates over the trivial subgroup only, and the rep is built from its
     columns: `perm_rep` rejects every action that is not regular."""
     pres = draw(rank3_with_extra_relator())
-    subgroup = draw(st.sets(st.integers(0, 2)))
     try:
-        table = reference_table(pres, subgroup, BUDGET)
+        return coset_rep(pres, draw(st.sets(st.integers(0, 2))))
     except BudgetExceeded:
         return None
+
+
+def coset_rep(pres, subgroup: set[int]) -> PermRep:
+    """The action on the cosets of the subgroup that the generators
+    `subgroup` generate, from the reference enumerator's table."""
+    table = reference_table(pres, subgroup, BUDGET)
     return PermRep(len(table), tuple(zip(*table)))
 
 
@@ -62,7 +67,11 @@ def mixed_reps(draw):
     rep = draw(transitive_reps())
     if rep is None:
         return None
-    a, b = draw(st.permutations(range(len(rep.gens))))[:2]
+    return with_product(rep, *draw(st.permutations(range(len(rep.gens))))[:2])
+
+
+def with_product(rep: PermRep, a: int, b: int) -> PermRep:
+    """The rep with one more column, the product of its columns a and b."""
     return PermRep(rep.degree, rep.gens + (compose(rep.gens[a], rep.gens[b]),))
 
 
@@ -135,6 +144,14 @@ def swapped_rotation_reps(draw):
 
 
 oeo_reps = st.sampled_from(OEO_TRIPLES).map(lambda t: oeo_permutation_rep(*t)[0])
+
+# One regular and one non-regular input of each drawn kind, so that both
+# verdicts are seen whatever the seed: Γ(3, 6) on its 36 elements and on the
+# 18 cosets of <x0>, which is not normal; and D3 with the two 2-cycles of
+# its first column re-paired crosswise, which stays regular, or not.
+GAMMA36_COSETS = coset_rep(gamma_pq_presentation(3, 6), set())
+X0_COSETS = coset_rep(gamma_pq_presentation(3, 6), {0})
+D3 = regular_rep(coxeter_presentation((3,)))
 
 
 class TestPermBasics:
@@ -261,17 +278,17 @@ class TestLeftActionOracle:
     candidate at every point. They must return the same tuples or None."""
 
     @pytest.mark.parametrize(
-        "reps, outcomes",
+        "reps, outcomes, examples",
         [
-            (transitive_reps(), {True, False}),
-            (oeo_reps, {True, False}),
-            (mixed_reps(), {True, False}),
-            (repaired_reps(), {True, False}),
-            (swapped_rotation_reps(), {False}),
+            (transitive_reps(), {True, False}, [GAMMA36_COSETS, X0_COSETS]),
+            (oeo_reps, {True, False}, [oeo_permutation_rep(3, 2, 3)[0], oeo_permutation_rep(3, 6, 3)[0]]),
+            (mixed_reps(), {True, False}, [with_product(GAMMA36_COSETS, 0, 1), with_product(X0_COSETS, 0, 1)]),
+            (repaired_reps(), {True, False}, [repaired(D3, 0, True), repaired(D3, 0, False)]),
+            (swapped_rotation_reps(), {False}, []),
         ],
         ids=["transitive", "odd-even-odd", "mixed", "re-paired", "swapped-rotation"],
     )
-    def test_same_value_as_all_pairs(self, reps, outcomes):
+    def test_same_value_as_all_pairs(self, reps, outcomes, examples):
         seen = set()
 
         @settings(max_examples=150, deadline=None)
@@ -284,6 +301,8 @@ class TestLeftActionOracle:
             assert (got is not None) == is_regular(rep)
             seen.add(got is not None)
 
+        for rep in examples:
+            check = example(rep)(check)
         check()
         assert seen == outcomes
 

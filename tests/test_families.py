@@ -4,9 +4,9 @@ import pytest
 
 from paper_checks import check_fap, oeo_permutation_rep, subgroup_2_check, verify_lambda_family
 from reference_elements import closure, images_generate
-from tightpoly import engine
+from tightpoly import engine, families
 from tightpoly.errors import BudgetExceeded, NotAdmissible, PreconditionViolated
-from tightpoly.families import verify_gamma_family
+from tightpoly.families import verify_gamma_family, verify_gamma_pair
 from tightpoly.sggi import schlafli_of_group
 from tightpoly.toddcox import group_order, regular_rep
 from tightpoly.words import gamma_tuple_presentation
@@ -29,6 +29,24 @@ class TestGammaFamily:
             verify_gamma_family((3, 4))
         assert err.value.odd_index == 0
         assert err.value.violating_index == 1
+
+    @pytest.mark.parametrize("sym", [(2, 2), (3, 6), (4, 2, 4)])
+    def test_budget_below_one_raises_before_any_work(self, sym, monkeypatch):
+        # (2, 2) is three C2 blocks, which no enumeration makes, so without
+        # a check up front its budget would first meet the product's degree
+        # check and raise BudgetExceeded.
+        def no_work(*args):
+            raise AssertionError("work done under a budget below 1")
+
+        monkeypatch.setattr(families, "regular_rep", no_work)
+        monkeypatch.setattr(families, "perm_rep", no_work)
+        blocks = {}
+        for max_cosets in (0, -1):
+            with pytest.raises(ValueError, match="^max_cosets must be >= 1$"):
+                verify_gamma_family(sym, max_cosets)
+            with pytest.raises(ValueError, match="^max_cosets must be >= 1$"):
+                verify_gamma_pair(sym, max_cosets, blocks=blocks)
+        assert blocks == {}
 
     def test_duality(self):
         for sym in [(3, 6), (3, 6, 4)]:

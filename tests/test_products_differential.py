@@ -1,6 +1,6 @@
 """A product tuple's profile and poset from its blocks, against the whole rep.
 
-`families._profile_and_poset` reads the profile and face poset of a direct
+`families._gamma_rep` reads the profile and face poset of a direct
 product of regular reps off its blocks (`sggi.product_profile`,
 `poset.product_poset`), and `families.verify_gamma_pair` reads its mirror's
 off those: `product_profile` on the reversed rep with the forward profile
@@ -24,17 +24,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference_elements import is_regular
+from test_atlas_cli import blocks_of
 from test_engine import repaired, transitive_reps
 from tightpoly import engine, families, poset, sggi
 from tightpoly.atlas import admissible_tuples
 from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
-from tightpoly.families import (
-    _Block,
-    _product,
-    _profile_and_poset,
-    verify_gamma_family,
-)
+from tightpoly.families import _product, verify_gamma_family
 from tightpoly.poset import build_poset, dual_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, coxeter_presentation, lambda_k_presentation
@@ -60,14 +56,14 @@ def _reversed(rep: PermRep) -> PermRep:
 def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> sggi.SggiProfile:
     """The block route equals the whole rep's, for the rep and its mirror;
     returns the rep's profile."""
-    return check_both_ways(rep, [_Block(b, sggi.profile(b), build_poset(b)) for b in blocks])
+    prof = sggi.product_profile(rep, [sggi.profile(b) for b in blocks])
+    check_both_ways(rep, prof, poset.product_poset([build_poset(b) for b in blocks]))
+    return prof
 
 
-def check_both_ways(rep: PermRep, parts: list[_Block]) -> sggi.SggiProfile:
-    """The forward route from the blocks, and the mirror's from the forward
-    route's profile and poset, as `verify_gamma_pair` takes them, each equal
-    to the whole rep's; returns the rep's profile."""
-    prof, faces = _profile_and_poset(rep, parts)
+def check_both_ways(rep: PermRep, prof: sggi.SggiProfile, faces: poset.FacePoset) -> None:
+    """The forward profile and poset, and the mirror's from them, as
+    `verify_gamma_pair` takes them, each equal to the whole rep's."""
     mirror = (sggi.product_profile(_reversed(rep), [prof]), dual_poset(faces))
     for whole, (got_prof, got_faces) in [(rep, (prof, faces)), (_reversed(rep), mirror)]:
         oracle = build_poset(whole)
@@ -75,7 +71,6 @@ def check_both_ways(rep: PermRep, parts: list[_Block]) -> sggi.SggiProfile:
         assert got_faces._counts == oracle._counts
         assert got_faces._comp == oracle._comp
         assert got_faces._roots == oracle._roots
-    return prof
 
 
 def products(max_flags: int, max_rank: int, length: int | None = None) -> list[tuple[int, ...]]:
@@ -91,9 +86,9 @@ def test_atlas_products_both_ways(tuples, count, step):
     assert len(tuples) == count
     blocks = {}  # one batch's, so a later tuple reads its blocks' stored data
     for t in tuples[::step]:
-        _, _, rep, parts = families._gamma_rep(t, None, blocks)
-        assert len(parts) == t.count(2) + 1
-        prof = check_both_ways(rep, parts)
+        _, _, rep, prof, faces = families._gamma_rep(t, None, blocks)
+        assert set(blocks_of(t)) <= set(blocks)
+        check_both_ways(rep, prof, faces)
         assert prof.is_string_c_group and prof.orientable and prof.intersection_witness is None
 
 
