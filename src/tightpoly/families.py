@@ -12,8 +12,9 @@ parabolic checks at entries equal to 2, the odd-even-odd rotation
 representation) live there too, beside the acceptance criteria.
 
 Every tuple is the direct product of its blocks, the runs between its 2s,
-and its rep, profile and poset are read off theirs (`_gamma_rep` gives the
-argument); a reversed tuple's come from its tuple's (`verify_gamma_pair`).
+and its rep, profile and poset checks are read off theirs (`_gamma_rep`
+gives the argument); a reversed tuple's come from its tuple's
+(`verify_gamma_pair`).
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ def _verdict(
     entries: tuple[int, ...],
     pres: Presentation,
     prof: sggi.SggiProfile,
-    faces: poset.FacePoset,
+    checks: tuple,
     orientable: bool,
     extra_claims: dict[str, bool] | None = None,
 ) -> FamilyVerdict:
-    """Record the claims every family makes on the group's profile and face
-    poset, the order being the paper's bound 2 p_1 ... p_{n-1}, then the
-    family's own `extra_claims`."""
-    report, flag_count, combinatorial, tight = poset.poset_checks(faces)
+    """Record the claims every family makes on the group's profile and the
+    `poset.poset_checks` of its face poset, the order being the paper's
+    bound 2 p_1 ... p_{n-1}, then the family's own `extra_claims`."""
+    report, flag_count, combinatorial, tight = checks
     claims = {
         "order": prof.group_order == 2 * prod(entries),
         "type": prof.schlafli == entries,
@@ -110,11 +111,11 @@ def _product(reps: list[PermRep]) -> PermRep:
 @dataclass(frozen=True)
 class _Block:
     """One block of `_gamma_rep`: its certified regular rep, and the rep's
-    own `sggi.profile` and `build_poset`."""
+    own `sggi.profile` and `poset_checks` of its `build_poset`."""
 
     rep: PermRep
     profile: sggi.SggiProfile
-    faces: poset.FacePoset
+    checks: tuple
 
 
 def _block(blocks: dict, key: tuple[int, ...], max_cosets: int) -> _Block:
@@ -124,24 +125,25 @@ def _block(blocks: dict, key: tuple[int, ...], max_cosets: int) -> _Block:
     points."""
     if key not in blocks:
         rep = regular_rep(gamma_tuple_presentation(key), max_cosets) if key else PermRep(2, ((1, 0),))
-        blocks[key] = _Block(rep, sggi.profile(rep), poset.build_poset(rep))
+        blocks[key] = _Block(rep, sggi.profile(rep), poset.poset_checks(poset.build_poset(rep)))
     return blocks[key]
 
 
 def _gamma_rep(
     sym: Sequence[int], max_cosets: int | None, blocks: dict
-) -> tuple[tuple[int, ...], Presentation, PermRep, sggi.SggiProfile, poset.FacePoset]:
+) -> tuple[tuple[int, ...], Presentation, PermRep, sggi.SggiProfile, tuple]:
     """An admissible tuple, its presentation, the certified regular rep of
-    its group, and the rep's profile and face poset; a tuple that is not
-    admissible raises NotAdmissible, and a `max_cosets` below 1
-    (DEFAULT_MAX_COSETS when None) raises ValueError before any work.
+    its group, the rep's profile, and `poset.poset_checks` of its face
+    poset; a tuple that is not admissible raises NotAdmissible, and a
+    `max_cosets` below 1 (DEFAULT_MAX_COSETS when None) raises ValueError
+    before any work.
 
     The tuple is cut into blocks at every entry 2: generators x_j, ..., x_k
     between two 2s form the block of the entries p_{j+1}, ..., p_k. Each
     block's data come from `blocks`, keyed by its entries (`_block`): a dict
     that lives for one batch of verdicts under one `max_cosets`, so a block
     that the batch's tuples share is enumerated, certified, profiled and
-    built into a poset once. A block that raises BudgetExceeded is not
+    checked as a poset once. A block that raises BudgetExceeded is not
     stored, so the reuse changes no verdict and no error. A tuple with no
     entry 2 is one block, whose data are the tuple's.
 
@@ -161,8 +163,23 @@ def _gamma_rep(
     regular rep of the tuple's group; were a relator across a 2 not to hold,
     it would raise RelatorViolation. A product action is regular exactly
     when each factor's is, so each block is proved regular too, and the
-    profile and poset are read off the blocks' (`sggi.product_profile` and
-    `poset.product_poset` give why).
+    profile is read off the blocks' (`sggi.product_profile` gives why).
+
+    The poset checks are read off the blocks' too (`_product_checks`). A
+    generator of block j moves only block j's coordinate, so a face of
+    block j's ranks is the block's face in its coordinate with every other
+    coordinate free, and it meets every face of every other block: the
+    product's poset is the ordinal sum of the blocks' proper parts, block
+    after block. So when every block's poset is a polytope with a
+    combinatorial Schlafli symbol, the product is one. Its flags are the
+    blocks' flags laid end to end, so their number is the product of
+    theirs; a rank-2 section across a cut is a digon, so its symbol is the
+    blocks' symbols joined by 2s; and it is tight exactly when every block
+    is, as 2 prod(entries) is the product over the blocks of
+    2 prod(block entries) and no equivelar polytope has fewer flags than
+    twice the product of its symbol. Where some block has no symbol, the
+    checks run on the whole rep's own poset, so the report is the whole
+    poset's.
     """
     budget = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     if budget < 1:
@@ -184,21 +201,45 @@ def _gamma_rep(
             parts.append(_block(blocks, entries[start:k], budget))
             start = k + 1
     if len(parts) == 1:
-        return entries, pres, parts[0].rep, parts[0].profile, parts[0].faces
+        return entries, pres, parts[0].rep, parts[0].profile, parts[0].checks
     degree = prod(b.rep.degree for b in parts)
     if degree > budget:
         raise BudgetExceeded(budget, order=degree)
     rep = perm_rep(CosetTable(pres, _product([b.rep for b in parts]).gens))
     prof = sggi.product_profile(rep, [b.profile for b in parts])
-    return entries, pres, rep, prof, poset.product_poset([b.faces for b in parts])
+    return entries, pres, rep, prof, _product_checks(rep, [b.checks for b in parts])
+
+
+def _product_checks(rep: PermRep, parts: list[tuple]) -> tuple:
+    """`poset_checks` of the product rep's poset, from its blocks' `parts`
+    in the order their generators come (`_gamma_rep` gives the argument),
+    or from the rep's own poset when some block has no symbol: `poset_checks`
+    gives none to a failed report or to a poset that is not equivelar."""
+    reports, flags, symbols, tights = zip(*parts)
+    if None in symbols:
+        return poset.poset_checks(poset.build_poset(rep))
+    symbol = symbols[0]
+    for sym in symbols[1:]:
+        symbol += (2, *sym)
+    return reports[0], prod(flags), symbol, all(tights)
+
+
+def _mirror_checks(mirror_rep: PermRep, checks: tuple) -> tuple:
+    """`poset_checks` of the poset of `mirror_rep`, a rep with its columns
+    reversed, from `checks`, those of the rep (`verify_gamma_pair` gives the
+    argument), or from its own poset when `checks` have no symbol."""
+    report, flags, sym, tight = checks
+    if sym is None:
+        return poset.poset_checks(poset.build_poset(mirror_rep))
+    return report, flags, sym[::-1], tight
 
 
 def verify_gamma_family(sym: Sequence[int], max_cosets: int | None = None) -> FamilyVerdict:
     """Build the quotient for an admissible tuple and verify every claim:
     exact order, type, string C-group, tightness, orientability, and the
     polytope axioms. Its blocks' data live for this verdict alone."""
-    entries, pres, _, prof, faces = _gamma_rep(sym, max_cosets, {})
-    return _verdict("gamma", entries, pres, prof, faces, True)
+    entries, pres, _, prof, checks = _gamma_rep(sym, max_cosets, {})
+    return _verdict("gamma", entries, pres, prof, checks, True)
 
 
 def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, blocks: dict) -> list[FamilyVerdict]:
@@ -215,17 +256,27 @@ def verify_gamma_pair(sym: Sequence[int], max_cosets: int | None = None, *, bloc
     the certified regular rep with its columns reversed is a regular rep of
     the reversed tuple's group. Its profile is `product_profile`'s on that
     rep with the tuple's profile as its one block (`sggi.product_profile`
-    gives why), and its poset is the tuple's dual (`poset.dual_poset`). What
-    goes is a second enumeration, certificate and poset build. What stays is
-    every claim of the reversed tuple: `_verdict` on its own presentation,
-    with the axioms, flags and both tightness routes on the dual's own poset.
+    gives why).
+
+    Its poset is the tuple's dual (McMullen-Schulte, 2E): its rank-i faces
+    are the orbits of every column but the forward x_{n-1-i}, so the
+    tuple's rank-(n-1-i) faces, and two faces meet exactly as before. The
+    dual of a polytope is a polytope with the same flags, read in reverse,
+    and the reversed combinatorial Schlafli symbol, so the same bound and
+    the same flatness, and it is tight exactly when the tuple's is. So the
+    reversed tuple's poset checks are the tuple's with the symbol reversed
+    (`_mirror_checks`), and run on the reversed rep's own poset when the
+    tuple's poset is not a polytope with a symbol. What goes is a second
+    enumeration, certificate, poset build and poset check. What stays is
+    every claim of the reversed tuple: `_verdict` on its own presentation.
     """
-    entries, pres, rep, prof, faces = _gamma_rep(sym, max_cosets, blocks)
-    verdicts = [_verdict("gamma", entries, pres, prof, faces, True)]
+    entries, pres, rep, prof, checks = _gamma_rep(sym, max_cosets, blocks)
+    verdicts = [_verdict("gamma", entries, pres, prof, checks, True)]
     mirror = entries[::-1]
     if mirror != entries:
         mirror_pres = gamma_tuple_presentation(mirror)
         check_mirrored(pres, mirror_pres)
-        mirror_prof = sggi.product_profile(PermRep(rep.degree, rep.gens[::-1]), [prof])
-        verdicts.append(_verdict("gamma", mirror, mirror_pres, mirror_prof, poset.dual_poset(faces), True))
+        mirror_rep = PermRep(rep.degree, rep.gens[::-1])
+        mirror_prof = sggi.product_profile(mirror_rep, [prof])
+        verdicts.append(_verdict("gamma", mirror, mirror_pres, mirror_prof, _mirror_checks(mirror_rep, checks), True))
     return verdicts

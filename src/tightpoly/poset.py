@@ -13,8 +13,6 @@ cosets Γ_i g give the same poset up to numbering (McMullen-Schulte,
 |i - j| >= 2 (ibid.). `build_poset` gives the faces of each rank in
 increasing order of least point, and faces are numbered in the order
 given, so builds are deterministic and golden files stable.
-`product_poset` reads a direct product's poset off its factors' posets,
-and `dual_poset` a poset's dual off the poset.
 
 The improper least and greatest faces are implicit. Failure messages name
 them (-1, 0) and (n, 0), as (rank, index) face references; inside they are
@@ -510,67 +508,10 @@ def label_rows(labels, total: int) -> list[int]:
     return rows
 
 
-def product_poset(posets: list[FacePoset]) -> FacePoset:
-    """The poset of a direct product of regular reps, from the posets of
-    its factors (the blocks of `families._gamma_rep`), in the order their
-    generators come. A tuple with no entry 2 is one block, and gets a poset
-    equal to its own.
-
-    A generator of block j moves only block j's coordinate, so the product's
-    subgroup omitting a generator of block j is that block's subgroup
-    omitting it, times every other block whole. A face of block j's ranks is
-    thus the block's face in its coordinate, with every other coordinate
-    free: its id is the block's, shifted by the face count of the earlier
-    blocks, and its row is the block's row, shifted, ORed with every face of
-    the other blocks, since a face of another block constrains another
-    coordinate, so the two always meet. The least point of such a face has
-    every other coordinate 0, so the faces of a rank come in the block's
-    order of least point whichever block varies fastest: the ids, rows and
-    roots are `build_poset`'s on the product rep.
-    """
-    counts = [c for p in posets for c in p._counts]
-    everything = (1 << sum(p._total for p in posets)) - 1
-    rows = []
-    shift = 0
-    for p in posets:
-        own = (1 << p._total) - 1  # drops the bit of the block's greatest face
-        others = everything & ~(own << shift)
-        rows += [(row & own) << shift | others for row in p._comp[: p._total]]
-        shift += p._total
-    return FacePoset(counts, rows, transitive=True)
-
-
-def dual_poset(poset: FacePoset) -> FacePoset:
-    """The dual: the order reversed, so the rank-i faces are the old rank
-    n-1-i faces in the same order, and as comparability is symmetric each
-    row holds the same faces under their new ids. Only each rank's bits
-    move, from the old offset to the new; the roots, every face or face 0
-    of each rank, are kept, and the caches start empty.
-
-    `dual_poset(build_poset(rep))` is `build_poset` of `rep` with its
-    columns reversed (the dual polytope, McMullen-Schulte 2E), in counts,
-    rows and roots, for any rep that `build_poset` accepts: the reversed
-    rep's rank-i faces are the orbits of every column but the forward
-    x_{n-1-i}, so the forward rank-(n-1-i) faces, in the same order of least
-    point, and two faces meet exactly as before.
-    """
-    total = poset._total
-    ranks = list(zip(poset._offsets, poset._counts))
-    # (old offset, mask, new offset) per rank; the fields are disjoint, so sum is OR.
-    moves = [(off, (1 << c) - 1, total - off - c) for off, c in ranks]
-    rows = [
-        sum((row >> off & mask) << new for off, mask, new in moves)
-        for off, c in reversed(ranks)
-        for row in poset._comp[off : off + c]
-    ]
-    return FacePoset(poset._counts[::-1], rows, transitive=poset._roots != (1 << total) - 1)
-
-
 def poset_checks(poset: FacePoset):
     """(report, flag count, combinatorial type or None, tight) of a coset
-    poset, from `build_poset`, or read off a product's blocks by
-    `product_poset` (which gives the argument); all but the report are
-    computed for polytopes only."""
+    poset from `build_poset`; all but the report are computed for polytopes
+    only."""
     report = poset.verify_polytope()
     if not report.passed:
         return report, 0, None, False

@@ -24,7 +24,7 @@ from tightpoly import engine, sggi
 from tightpoly.classifier import _presents_subgroup
 from tightpoly.errors import PreconditionViolated
 from tightpoly.families import FamilyVerdict, _verdict
-from tightpoly.poset import build_poset
+from tightpoly.poset import build_poset, poset_checks
 from tightpoly.toddcox import PermRep, group_order, regular_rep
 from tightpoly.words import (
     Presentation,
@@ -95,7 +95,7 @@ def verify_lambda_family(k: int, max_cosets: int | None = None) -> FamilyVerdict
     rep = regular_rep(pres, max_cosets)
     klein, dihedral = _klein_four_checks(rep, k)
     claims = {"klein_four_normal": klein, "dihedral_quotient": dihedral}
-    return _verdict("lambda", (3 * k, 4), pres, sggi.profile(rep), build_poset(rep), False, claims)
+    return _verdict("lambda", (3 * k, 4), pres, sggi.profile(rep), poset_checks(build_poset(rep)), False, claims)
 
 
 FapSide = Literal["two_faces", "co_faces"]

@@ -30,6 +30,10 @@ cosets Γ_i g, as the orbits of the left multiplications that
 `engine.left_action` computes. Inversion maps them onto the cosets gΓ_i
 that `build_poset` takes, so the two posets are isomorphic but number
 their faces differently; tests compare their verdicts, not their levels.
+
+`product_poset` and `dual_poset` read a direct product's poset off its
+factors' and a poset's dual off the poset, by moving bits; tests hold them
+to `build_poset` on the product rep and on the reversed rep.
 """
 
 from __future__ import annotations
@@ -484,3 +488,50 @@ def left_levels(rep: PermRep) -> list[list[frozenset[int]]]:
     if lams is None:
         raise ValueError(f"the action on {rep.degree} points is not regular")
     return orbit_levels(rep.degree, lams)
+
+
+def product_poset(posets: list[FacePoset]) -> FacePoset:
+    """The poset of a direct product of regular reps, from the posets of
+    its factors in the order their generators come: the ordinal sum of the
+    factors' proper parts, which `families._gamma_rep` reads its poset
+    checks off.
+
+    A face of block j's ranks is the block's face in its coordinate, with
+    every other coordinate free: its id is the block's, shifted by the face
+    count of the earlier blocks, and its row is the block's row, shifted,
+    ORed with every face of the other blocks, since a face of another block
+    constrains another coordinate, so the two always meet. The least point
+    of such a face has every other coordinate 0, so the faces of a rank come
+    in the block's order of least point whichever block varies fastest.
+    """
+    counts = [c for p in posets for c in p._counts]
+    everything = (1 << sum(p._total for p in posets)) - 1
+    rows = []
+    shift = 0
+    for p in posets:
+        own = (1 << p._total) - 1  # drops the bit of the block's greatest face
+        others = everything & ~(own << shift)
+        rows += [(row & own) << shift | others for row in p._comp[: p._total]]
+        shift += p._total
+    return FacePoset(counts, rows, transitive=True)
+
+
+def dual_poset(poset: FacePoset) -> FacePoset:
+    """The dual: the order reversed, so the rank-i faces are the old rank
+    n-1-i faces in the same order, and as comparability is symmetric each
+    row holds the same faces under their new ids. Only each rank's bits
+    move, from the old offset to the new; the roots, every face or face 0
+    of each rank, are kept, and the caches start empty. It equals
+    `build_poset` on the rep with its columns reversed
+    (`families.verify_gamma_pair` gives why).
+    """
+    total = poset._total
+    ranks = list(zip(poset._offsets, poset._counts))
+    # (old offset, mask, new offset) per rank; the fields are disjoint, so sum is OR.
+    moves = [(off, (1 << c) - 1, total - off - c) for off, c in ranks]
+    rows = [
+        sum((row >> off & mask) << new for off, mask, new in moves)
+        for off, c in reversed(ranks)
+        for row in poset._comp[off : off + c]
+    ]
+    return FacePoset(poset._counts[::-1], rows, transitive=poset._roots != (1 << total) - 1)

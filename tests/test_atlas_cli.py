@@ -37,7 +37,7 @@ from tightpoly.errors import (
     WorkerDied,
 )
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar, build_poset
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, gamma_tuple_presentation, parse_presentation, write_presentation
 
@@ -1107,14 +1107,17 @@ class TestBatchWork:
         # The batch of atlas 100/4 at --jobs 1: its 34 distinct block
         # presentations are each enumerated once, with 60 product
         # certificates beside their 34; each block, C2 included, is profiled
-        # once and built into a poset once, and a mirror's poset is the dual
-        # of its tuple's, with no build. Made afresh in each task, these were
-        # 77, 137, 259 and 259; with each block's reversed columns built once
-        # more, `build_poset` was 69. Only the 60 tuples of two or more blocks
-        # and the 52 mirrors take the product route: a one-block tuple sent
-        # down it would read 121 `product_profile` calls. The batch runs
-        # twice in one process with equal counts, so block data that outlived
-        # a batch would show.
+        # once, built into a poset once and checked once, and a product's
+        # and a mirror's poset checks are read off those, with no build and
+        # no check. Made afresh in each task, these were 77, 137, 259 and
+        # 259; with each block's reversed columns built once more,
+        # `build_poset` was 69. With the product's poset read off the
+        # blocks' posets and the mirror's as its tuple's dual, every one of
+        # the 121 verdicts ran `poset_checks` and `verify_polytope`. Only
+        # the 60 tuples of two or more blocks and the 52 mirrors take the
+        # product route: a one-block tuple sent down it would read 121
+        # `product_profile` calls. The batch runs twice in one process with
+        # equal counts, so block data that outlived a batch would show.
         work = {}
 
         def count(module, name):
@@ -1131,8 +1134,8 @@ class TestBatchWork:
         count(sggi, "profile")
         count(poset, "build_poset")
         count(sggi, "product_profile")
-        count(poset, "product_poset")
-        count(poset, "dual_poset")
+        count(poset, "poset_checks")
+        count(poset.FacePoset, "verify_polytope")
         runs = []
         for name in ("a.jsonl", "b.jsonl"):
             work.clear()
@@ -1146,19 +1149,20 @@ class TestBatchWork:
                 "profile": 35,
                 "build_poset": 35,
                 "product_profile": 112,
-                "product_poset": 60,
-                "dual_poset": 52,
+                "poset_checks": 35,
+                "verify_polytope": 35,
             }
         ] * 2
+        assert runs[0]["poset_checks"] == runs[0]["build_poset"]
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def direct_line(t):
     """The atlas line of a tuple from the enumeration of its whole
-    presentation, with the whole rep's own profile and poset."""
+    presentation, with the whole rep's own profile and poset checks."""
     pres = gamma_tuple_presentation(t)
     rep = regular_rep(pres)
-    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), build_poset(rep), True)
+    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), poset_checks(build_poset(rep)), True)
     return entry_from_verdict(verdict).to_json_line()
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from reference_poset import meet_poset, orbit_levels, partition_poset
+from reference_poset import dual_poset, meet_poset, orbit_levels, partition_poset
 from test_poset_differential import (
     EMPTY_INTERVAL_LEVELS,
     INTRANSITIVE_LEVELS,
@@ -22,7 +22,7 @@ from tightpoly.cli import main
 from tightpoly.engine import PermRep
 from tightpoly.errors import DiamondViolation, InvariantViolation
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar, build_poset, dual_poset, label_rows, poset_checks
+from tightpoly.poset import FacePoset, NotEquivelar, build_poset, label_rows, poset_checks
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import coxeter_presentation, gamma_pq_presentation, write_presentation
 

@@ -10,9 +10,9 @@ exception type with the same message from both. `flag_count`, counted rank
 by rank or read from the chain walk, must equal the length of both flag
 systems on every polytope.
 The same holds on the dual, made by the oracle from the levels reversed and
-by `dual_poset` from the poset, and on one section drawn by the oracle. The
-dual of a built poset must also equal `build_poset` on the rep with its
-columns reversed, in counts, rows and roots.
+by `reference_poset.dual_poset` from the poset, and on one section drawn by
+the oracle. The dual of a built poset must also equal `build_poset` on the
+rep with its columns reversed, in counts, rows and roots.
 
 `build_poset` gives a poset whose verdicts start at one root face per rank.
 `TestRootWalk` holds it, on the same levels, to a `FacePoset` that starts at
@@ -41,6 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_poset import (
     BOTTOM,
     ReferencePoset,
+    dual_poset,
     left_levels,
     meet_poset,
     orbit_levels,
@@ -51,7 +52,7 @@ from test_toddcox_differential import coxeter_symbols, gamma_tuples
 from tightpoly.atlas import admissible_tuples
 from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
-from tightpoly.poset import FacePoset, FlagSystem, build_poset, dual_poset
+from tightpoly.poset import FacePoset, FlagSystem, build_poset
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import (
     Presentation,

@@ -1,15 +1,20 @@
-"""A product tuple's profile and poset from its blocks, against the whole rep.
+"""A product tuple's profile and poset checks from its blocks, against the
+whole rep.
 
-`families._gamma_rep` reads the profile and face poset of a direct
+`families._gamma_rep` reads the profile and the poset checks of a direct
 product of regular reps off its blocks (`sggi.product_profile`,
-`poset.product_poset`), and `families.verify_gamma_pair` reads its mirror's
-off those: `product_profile` on the reversed rep with the forward profile
-as its one block, and `poset.dual_poset` of the forward poset. The oracle
-is the whole product rep's own `sggi.profile` and `build_poset`, which stay
-the route of nothing else: every test here demands the same `SggiProfile`
-and the same face counts, comparability rows and roots, for a tuple and for
-its mirror (the rep with its columns reversed), and that the drawn inputs
-reach the exhaustive fallback, so equality is not vacuous.
+`families._product_checks`), and `families.verify_gamma_pair` reads its
+mirror's off those: `product_profile` on the reversed rep with the forward
+profile as its one block, and the forward checks with the symbol reversed
+(`families._mirror_checks`). The oracle is the whole rep's own
+`sggi.profile` and `poset.poset_checks` of its `build_poset`: every test
+here demands the same `SggiProfile` and the same (report, flags, symbol,
+tight), for a tuple and for its mirror (the rep with its columns
+reversed), and that the drawn inputs reach the fallback, where some block
+is not a polytope, so equality is not vacuous. The drawn products also hold
+the posets the checks are read from, `product_poset` (the ordinal sum of
+the blocks' proper parts) and its `dual_poset`, both in
+`tests/reference_poset.py`, to the whole rep's built posets.
 
 The certificate of every product table reads its regularity one commuting
 class of columns at a time (`engine.acts_regularly`). `TestRegularByClasses`
@@ -20,10 +25,13 @@ tampered, and on one fixed table per exit.
 
 from math import prod
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference_elements import is_regular
+from reference_poset import dual_poset, product_poset
 from test_atlas_cli import blocks_of
 from test_engine import repaired, transitive_reps
 from tightpoly import engine, families, poset, sggi
@@ -31,8 +39,8 @@ from tightpoly.atlas import admissible_tuples
 from tightpoly.engine import PermRep
 from tightpoly.errors import BudgetExceeded
 from tightpoly.families import _product, verify_gamma_family
-from tightpoly.poset import build_poset, dual_poset
-from tightpoly.toddcox import regular_rep
+from tightpoly.poset import PosetReport, build_poset, poset_checks
+from tightpoly.toddcox import DEFAULT_MAX_COSETS, regular_rep
 from tightpoly.words import Presentation, coxeter_presentation, lambda_k_presentation
 
 C2 = PermRep(2, ((1, 0),))
@@ -43,6 +51,7 @@ X0_IS_X2 = regular_rep(Presentation(3, coxeter_presentation((2, 2)).relators + (
 X0_KILLED = regular_rep(Presentation(3, coxeter_presentation((2, 2)).relators + ((0,),)))
 LAMBDA1 = regular_rep(lambda_k_presentation(1))  # not orientable
 D3 = regular_rep(coxeter_presentation((3,)))  # order 6
+TETRAHEDRON = regular_rep(coxeter_presentation((3, 3)))  # a polytope that is not tight
 BLOCK_BUDGET = 200
 MAX_DEGREE = 1500
 ORACLE_DEGREE = 300  # `is_regular` closes the group, up to degree + 1 elements
@@ -53,24 +62,56 @@ def _reversed(rep: PermRep) -> PermRep:
     return PermRep(rep.degree, rep.gens[::-1])
 
 
-def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> sggi.SggiProfile:
-    """The block route equals the whole rep's, for the rep and its mirror;
-    returns the rep's profile."""
+def whole_checks(rep: PermRep) -> list[tuple]:
+    """The oracle: `poset_checks` of the rep's own poset, then of its
+    mirror's, the rep with its columns reversed."""
+    return [poset_checks(build_poset(whole)) for whole in (rep, _reversed(rep))]
+
+
+def same_both_ways(rep: PermRep, blocks: list[PermRep]) -> tuple[sggi.SggiProfile, tuple]:
+    """The block route equals the whole rep's, for the rep and its mirror,
+    and so do the oracle posets the checks are read from; returns the rep's
+    profile and poset checks."""
     prof = sggi.product_profile(rep, [sggi.profile(b) for b in blocks])
-    check_both_ways(rep, prof, poset.product_poset([build_poset(b) for b in blocks]))
-    return prof
-
-
-def check_both_ways(rep: PermRep, prof: sggi.SggiProfile, faces: poset.FacePoset) -> None:
-    """The forward profile and poset, and the mirror's from them, as
-    `verify_gamma_pair` takes them, each equal to the whole rep's."""
-    mirror = (sggi.product_profile(_reversed(rep), [prof]), dual_poset(faces))
-    for whole, (got_prof, got_faces) in [(rep, (prof, faces)), (_reversed(rep), mirror)]:
+    checks = families._product_checks(rep, [poset_checks(build_poset(b)) for b in blocks])
+    check_both_ways(rep, prof, checks)
+    faces = product_poset([build_poset(b) for b in blocks])
+    for got, whole in [(faces, rep), (dual_poset(faces), _reversed(rep))]:
         oracle = build_poset(whole)
-        assert got_prof == sggi.profile(whole)
-        assert got_faces._counts == oracle._counts
-        assert got_faces._comp == oracle._comp
-        assert got_faces._roots == oracle._roots
+        assert (got._counts, got._comp, got._roots) == (oracle._counts, oracle._comp, oracle._roots)
+    return prof, checks
+
+
+def check_both_ways(rep: PermRep, prof: sggi.SggiProfile, checks: tuple) -> None:
+    """The forward profile and poset checks, and the mirror's from them, as
+    `verify_gamma_pair` takes them, each equal to the whole rep's."""
+    mirror_rep = _reversed(rep)
+    mirror = (sggi.product_profile(mirror_rep, [prof]), families._mirror_checks(mirror_rep, checks))
+    assert [prof, mirror[0]] == [sggi.profile(rep), sggi.profile(mirror_rep)]
+    assert [checks, mirror[1]] == whole_checks(rep)
+
+
+def pair_checks(t: tuple[int, ...], blocks: dict, monkeypatch, passed: bool = True) -> tuple[PermRep, list[tuple]]:
+    """The rep that `verify_gamma_pair` certifies for `t` under the batch's
+    `blocks`, and the poset checks that each of its verdicts reads; each
+    verdict passes, or each fails, as `passed` says."""
+    got = []
+    real_gamma, real_verdict = families._gamma_rep, families._verdict
+
+    def gamma(*args):
+        out = real_gamma(*args)
+        got.append(out[2])
+        return out
+
+    def verdict(family, entries, pres, prof, checks, *rest):
+        got.append(checks)
+        return real_verdict(family, entries, pres, prof, checks, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "_gamma_rep", gamma)
+        m.setattr(families, "_verdict", verdict)
+        assert {v.passed for v in families.verify_gamma_pair(t, blocks=blocks)} == {passed}
+    return got[0], got[1:]
 
 
 def products(max_flags: int, max_rank: int, length: int | None = None) -> list[tuple[int, ...]]:
@@ -86,10 +127,81 @@ def test_atlas_products_both_ways(tuples, count, step):
     assert len(tuples) == count
     blocks = {}  # one batch's, so a later tuple reads its blocks' stored data
     for t in tuples[::step]:
-        _, _, rep, prof, faces = families._gamma_rep(t, None, blocks)
+        _, _, rep, prof, checks = families._gamma_rep(t, None, blocks)
         assert set(blocks_of(t)) <= set(blocks)
-        check_both_ways(rep, prof, faces)
+        check_both_ways(rep, prof, checks)
         assert prof.is_string_c_group and prof.orientable and prof.intersection_witness is None
+        assert checks[0].passed and checks[3]
+
+
+def test_every_verdict_of_atlas_100_4_reads_the_whole_posets_checks(monkeypatch):
+    # The batch's tasks, one per mirror pair or palindrome, through
+    # `verify_gamma_pair` with one block dict: each verdict's poset checks,
+    # read off its blocks or its tuple's, are its whole rep's own.
+    blocks = {}
+    verdicts = 0
+    for t in admissible_tuples(100, 4):
+        if t <= t[::-1]:
+            rep, checks = pair_checks(t, blocks, monkeypatch)
+            assert checks == whole_checks(rep)[: len(checks)]
+            verdicts += len(checks)
+    assert verdicts == 121
+
+
+def planted(checks: tuple, kind: str) -> tuple:
+    """A block's poset checks made to fail: a failed report, or a polytope
+    with no combinatorial Schlafli symbol (not equivelar)."""
+    report, flags, _, _ = checks
+    if kind == "failed-report":
+        return PosetReport(False, True, True, True, "planted"), 0, None, False
+    return report, flags, None, False
+
+
+def counted_builds(monkeypatch) -> list[PermRep]:
+    """The reps that `poset.build_poset` is called on from here on."""
+    builds = []
+    real_build = poset.build_poset
+    monkeypatch.setattr(poset, "build_poset", lambda rep: builds.append(rep) or real_build(rep))
+    return builds
+
+
+class TestFallback:
+    @pytest.mark.parametrize("kind", ["failed-report", "no-symbol"])
+    @pytest.mark.parametrize("t, key", [((2, 4), (4,)), ((3, 6, 2, 2), (3, 6)), ((2, 2, 3), ())])
+    def test_planted_block(self, t, key, kind, monkeypatch):
+        # A block of the batch dict whose checks fail sends its tuple to the
+        # whole rep's own poset, built once, and the mirror reads the
+        # tuple's checks.
+        blocks = {}
+        for k in blocks_of(t):
+            families._block(blocks, k, DEFAULT_MAX_COSETS)
+        blocks[key] = dataclasses.replace(blocks[key], checks=planted(blocks[key].checks, kind))
+        builds = counted_builds(monkeypatch)
+        rep, checks = pair_checks(t, blocks, monkeypatch)
+        assert builds == [rep]
+        assert checks == whole_checks(rep)
+        assert checks[0][0].passed and checks[0][3]
+
+    def test_whole_poset_not_a_polytope(self, monkeypatch):
+        # {3,6} and {6,3} each get x0 = x2, mirrored: the one block is the
+        # whole tuple, its poset is not a polytope, and the mirror's checks
+        # run on the reversed rep's own poset.
+        real = families.gamma_tuple_presentation
+
+        def tampered(sym):
+            pres = real(sym)
+            if tuple(sym) in {(3, 6), (6, 3)}:
+                return Presentation(pres.ngens, pres.relators + ((0, 2),))
+            return pres
+
+        monkeypatch.setattr(families, "gamma_tuple_presentation", tampered)
+        blocks = {}
+        families._block(blocks, (3, 6), DEFAULT_MAX_COSETS)
+        builds = counted_builds(monkeypatch)
+        rep, checks = pair_checks((3, 6), blocks, monkeypatch, passed=False)
+        assert builds == [_reversed(rep)]
+        assert checks == whole_checks(rep)
+        assert not checks[0][0].passed
 
 
 @st.composite
@@ -113,15 +225,19 @@ def test_drawn_products_both_ways():
     @settings(max_examples=60, deadline=None)
     @given(st.lists(block_reps(), min_size=1, max_size=3).filter(lambda bs: prod(b.degree for b in bs) <= MAX_DEGREE))
     # A block that fails the intersection condition, with a C-group first;
-    # a degenerate generator; an orientable block before one that is not.
+    # a degenerate generator; an orientable block before one that is not; a
+    # tight block before one that is not.
     @example([C2, X0_IS_X2])
     @example([X0_KILLED, C2])
     @example([C2, LAMBDA1])
     @example([X0_IS_X2])
+    @example([C2, TETRAHEDRON])
     def check(blocks):
-        prof = same_both_ways(_product(blocks), blocks)
+        prof, checks = same_both_ways(_product(blocks), blocks)
         seen.update(
             {
+                ("polytope", checks[0].passed),
+                ("tight", checks[3]),
                 ("c_group", prof.is_string_c_group),
                 ("witness", prof.intersection_witness is not None),
                 ("degenerate", bool(prof.degenerate)),
@@ -132,6 +248,10 @@ def test_drawn_products_both_ways():
 
     check()
     assert seen == {
+        ("polytope", True),
+        ("polytope", False),
+        ("tight", True),
+        ("tight", False),
         ("c_group", True),
         ("c_group", False),
         ("witness", True),
@@ -149,7 +269,8 @@ def test_drawn_products_both_ways():
 def test_fallback_gives_the_whole_reps_witness():
     # The block {x0 = x2} fails at I = {0}, J = {2}; shifted past C2 the
     # product fails at {1}, {3}, found by the exhaustive check on the product.
-    prof = same_both_ways(_product([C2, X0_IS_X2]), [C2, X0_IS_X2])
+    prof, checks = same_both_ways(_product([C2, X0_IS_X2]), [C2, X0_IS_X2])
+    assert not checks[0].passed
     assert not prof.is_string_c_group
     assert prof.intersection_witness == ((1,), (3,))
 
