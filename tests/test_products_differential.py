@@ -23,9 +23,8 @@ element-closure oracle `is_regular`, on drawn products, regular or
 tampered, and on one fixed table per exit.
 """
 
-from math import prod
-
 import dataclasses
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
