@@ -9,6 +9,10 @@ with `reference_elements.closure` or `engine.closure_perms`, and checks
 generator maps with the permutation-composing
 `reference_sggi.check_generator_map`; tests demand the same answers from
 the point-set versions.
+
+`direct_line` is the whole-presentation oracle for an atlas line, which
+`TestBlockProducts` and the `atlas` and `atlas7` gates of `tests/gates.py`
+hold the block route to.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from typing import Sequence
 from paper_checks import FapSide, kill_generators
 from reference_elements import closure, compose, eval_word, identity_perm
 from reference_sggi import check_generator_map
-from tightpoly import engine
+from tightpoly import engine, families, sggi
+from tightpoly.atlas import entry_from_verdict
+from tightpoly.poset import build_poset, poset_checks
 from tightpoly.toddcox import PermRep, group_order, regular_rep
 from tightpoly.words import gamma_tuple_presentation, validate_symbol
 
@@ -127,3 +133,14 @@ def _family_isomorphism(
     if not check_generator_map(family_pres, rep, images):
         return False
     return group_order(family_pres, max_cosets) == rep.degree
+
+
+def direct_line(t: tuple[int, ...]) -> str:
+    """The atlas line of a tuple from the enumeration of its whole
+    presentation, with the whole rep's own profile and poset checks: the
+    oracle for a line whose rep, profile and poset checks come from its
+    tuple's blocks."""
+    pres = gamma_tuple_presentation(t)
+    rep = regular_rep(pres)
+    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), poset_checks(build_poset(rep)), True)
+    return entry_from_verdict(verdict).to_json_line()

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from paper_checks import verify_lambda_family
+from reference_families import direct_line
 from tightpoly import cli, families, poset, sggi, toddcox
 from tightpoly.atlas import (
     AtlasFormatError,
@@ -37,7 +38,7 @@ from tightpoly.errors import (
     WorkerDied,
 )
 from tightpoly.families import verify_gamma_family
-from tightpoly.poset import FacePoset, NotEquivelar, build_poset, poset_checks
+from tightpoly.poset import FacePoset, NotEquivelar
 from tightpoly.toddcox import regular_rep
 from tightpoly.words import Presentation, gamma_tuple_presentation, parse_presentation, write_presentation
 
@@ -1155,15 +1156,6 @@ class TestBatchWork:
         ] * 2
         assert runs[0]["poset_checks"] == runs[0]["build_poset"]
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-
-
-def direct_line(t):
-    """The atlas line of a tuple from the enumeration of its whole
-    presentation, with the whole rep's own profile and poset checks."""
-    pres = gamma_tuple_presentation(t)
-    rep = regular_rep(pres)
-    verdict = families._verdict("gamma", t, pres, sggi.profile(rep), poset_checks(build_poset(rep)), True)
-    return entry_from_verdict(verdict).to_json_line()
 
 
 class TestBlockProducts:
